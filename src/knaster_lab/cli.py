@@ -10,6 +10,7 @@ synthesis failure (with a replay file for campaigns), 2 usage errors.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -182,36 +183,36 @@ def _cmd_conj_snap(args):
 # -------------------------------------------------------------- knaster
 
 
-def _primes(args):
-    spec = args.primes
-    if "," in spec:
+def _primes(spec):
+    """A schedule name ("diagonal", "all2") or a comma list of primes ("5", "2,3,5")."""
+    if "," in spec or spec.isdigit():
         return kn.PrimeSequence([int(p) for p in spec.split(",")])
     return kn.PrimeSequence(spec)
 
 
 def _cmd_knaster_point(args):
-    P = _primes(args)
+    P = _primes(args.primes)
     x = kn.extend_point(parse_rational(args.x), args.n, P)
     _emit(x.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_dist(args):
-    P = _primes(args)
+    P = _primes(args.primes)
     d = kn.knaster_dist(_load_point(args.x), _load_point(args.y), P)
     _emit(d.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_lift(args):
-    P = _primes(args)
+    P = _primes(args.primes)
     F = _load_diagonal(args.f, args.coord)
     _emit(kn.lift(F, args.to, P).to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_evaldiag(args):
-    P = _primes(args)
+    P = _primes(args.primes)
     F = _load_diagonal(args.f, args.coord)
     y = kn.eval_diagonal(F, _load_point(args.x), P)
     _emit(y.to_json_dict(), args.output)
@@ -219,7 +220,7 @@ def _cmd_knaster_evaldiag(args):
 
 
 def _cmd_knaster_degree(args):
-    P = _primes(args)
+    P = _primes(args.primes)
     data = _read_json(args.w)
     if "window" in data:
         G = kn.GeneralDiagonalMap.from_json_dict(data)
@@ -252,22 +253,18 @@ _PARAM_FLAGS = {
 
 
 def _campaign_config(args, suite):
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        cfg.suite = suite
-    else:
-        cfg = ExperimentConfig(suite=suite)
+    cfg = ExperimentConfig.from_file(args.config) if args.config else None
+    fields = {"suite": suite}
     if args.trials is not None:
-        cfg.trials = args.trials
+        fields["trials"] = args.trials
     if args.seed is not None:
-        cfg.seed = args.seed
+        fields["seed"] = args.seed
     if args.primes is not None:
-        spec = args.primes
-        cfg.primes = kn.PrimeSequence(
-            [int(p) for p in spec.split(",")] if "," in spec else spec
-        )
+        fields["primes"] = _primes(args.primes)
     if args.output is not None:
-        cfg.output = args.output
+        fields["output"] = args.output
+    # built in one step so ExperimentConfig validates the flag values too
+    cfg = dataclasses.replace(cfg, **fields) if cfg else ExperimentConfig(**fields)
     for name in _PARAM_FLAGS:
         val = getattr(args, name, None)
         if val is not None:

@@ -318,7 +318,12 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
         blocks.append(w)
     g = block_sum(blocks)
     ident = identity()
-    assert sup_dist(g, ident) == max(sup_dist(w, ident) for w in blocks) / d
+    norm = sup_dist(g, ident)
+    if norm != max(sup_dist(w, ident) for w in blocks) / d:
+        raise ConjugatorError(
+            f"blockwise post-check failed: sup_dist(g, id) = {norm} is not "
+            f"the largest block norm over {d}"
+        )
     conj = compose(compose(g.invert(), oplus_power(f, d)), g)
     achieved = sup_dist(conj, h)
     if achieved >= eta:
@@ -389,9 +394,14 @@ def snap_to_grid(h, d, reference, delta):
     out = PLHomeo._from_kernel(_k.concat(parts))
     for i in range(d + 1):
         p = Fraction(i, d)
-        assert out(p) == p
+        if out(p) != p:
+            raise ConjugatorError(f"snap post-check failed: moves the grid point {p}")
     final = sup_dist(out, reference)
-    assert final < bound
+    if final >= bound:
+        raise ConjugatorError(
+            f"snap post-check failed: sup_dist to the reference is {final}, "
+            f"needed < {bound}"
+        )
     return out
 
 
@@ -420,7 +430,10 @@ def pseudo_generic(spec):
         raise ValueError("signs must be a list of ±1 of length k")
     rng = derive_rng(spec.seed, "pseudo-generic", spec.k)
     h = rand_signature_homeo(rng, signs)
-    assert signature(h) == signs
+    if signature(h) != signs:
+        raise SignatureMismatchError(
+            f"generated map has signature {signature(h)}, requested {signs}"
+        )
     return h
 
 

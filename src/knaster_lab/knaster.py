@@ -14,6 +14,14 @@ Distances are never floats. The metric
 is reported as a CertifiedDistance: an exact rational interval
 [lower, upper] containing the value the untruncated objects would have,
 with the tail beyond the truncation absorbed into the upper bound.
+
+Nothing is lifted to the truncation. Above M = max(F.base_coord,
+G.base_coord) both inducers are block sums of their level-M forms, so
+every coordinate above M repeats the level-M difference scaled down by
+the bonding degrees (the semiconjugacy g o T_d == T_d o oplus_power(g, d)
+of tents.py). diag_dist therefore lifts only to M and costs the same at
+every truncation N >= M, and eval_diagonal walks the stalk's block
+indices instead of building the level-N inducer.
 """
 
 from dataclasses import dataclass
@@ -300,16 +308,29 @@ class DiagonalHomeo:
         return cls(int(data["base_coord"]), _map_from(data["inducer"]))
 
 
+# Largest inducer lift() will build; the prediction is checked before
+# oplus_power allocates anything.
+LIFT_MAX_BREAKPOINTS = 10**6
+
+
 def lift(F, m, P):
     """The canonical representation of F at coordinate m >= F.base_coord.
 
     One level up replaces the inducer by its p-fold alternating block
     sum; lifting several levels iterates that, which agrees with a
-    single block sum of the product degree.
+    single block sum of the product degree. Raises ValueError, before
+    building anything, when the lift would have more than
+    LIFT_MAX_BREAKPOINTS breakpoints.
     """
     if m < F.base_coord:
         raise ValueError("cannot lift below the base coordinate")
     g = F.inducer
+    size = (len(g._kbps) - 1) * P.product(F.base_coord + 1, m) + 1
+    if size > LIFT_MAX_BREAKPOINTS:
+        raise ValueError(
+            f"lifting to coordinate {m} needs up to {size} breakpoints, "
+            f"more than the limit {LIFT_MAX_BREAKPOINTS}"
+        )
     for k in range(F.base_coord + 1, m + 1):
         g = oplus_power(g, P.prime(k))
     return DiagonalHomeo(m, g)
@@ -322,35 +343,71 @@ def diagonal_equal(F, G, P):
 
 
 def eval_diagonal(F, x, P):
-    """Image stalk of x under F; coherent by construction."""
+    """Image stalk of x under F; coherent by construction.
+
+    Evaluates the level-n lift of the inducer at the top coordinate
+    without building it. Coordinate k of x lies in block
+    j = min(floor(p_k x_k), p_k - 1) of the level-k block sum, and the
+    stalk already holds the point that block hands down: x_{k-1} =
+    T_{p_k}(x_k). So the inducer acts on x_b at the base coordinate b,
+    and each level k = b+1..n puts the value back into its block:
+    v <- 1 - v on odd j (the reflected copy), then v <- (j + v)/p_k.
+    Cost is O(n) rational steps, independent of p_1...p_n.
+    """
     validate_point(x, P)
     n = x.truncation
-    if n < F.base_coord:
+    b = F.base_coord
+    if n < b:
         raise ValueError("truncation is below the base coordinate")
-    g = lift(F, n, P).inducer
-    return extend_point(g(x.coords[n]), n, P)
+    v = F.inducer(x.coords[b])
+    for k in range(b + 1, n + 1):
+        p = P.prime(k)
+        u = p * x.coords[k]
+        j = min(u.numerator // u.denominator, p - 1)
+        if j & 1:
+            v = 1 - v
+        v = (j + v) / p
+    return extend_point(v, n, P)
+
+
+def _level_weight(m, P):
+    """w_m of the metric: 1/2 at coordinate 0, 1/(p_1...p_m) above."""
+    return Fraction(1, 2) if m == 0 else P.weight(m)
 
 
 def diag_dist(F, G, N, P):
     """Certified sup-metric distance between two diagonal homeomorphisms.
 
-    Lifts both to coordinate N. For a stalk with top coordinate t the
-    truncated metric between the images is piecewise linear in t, so its
-    sup is attained at a breakpoint of one of the per-level differences.
-    (A sign-change zero of one difference is a convex kink of the sum
-    and can never be a strict maximum, so only breakpoints matter.)
+    Cost does not depend on N: both maps are lifted only to
+    M = max(F.base_coord, G.base_coord). At coordinate m >= M the image
+    difference is the level-M difference D_M at x_M, scaled by
+    1/(p_{M+1}...p_m) (and reflected on odd blocks, which |.| ignores).
+    So the truncated metric between the images of a stalk is
+
+        sum_{m<M} w_m |D_m(x_M)| + C(M, N) |D_M(x_M)|,
+        C(M, N) = sum_{i=M..N} w_i / (p_{M+1}...p_i),
+
+    with w_0 = 1/2 and w_i = 1/(p_1...p_i), where D_m for m < M folds
+    D_M down through the tents. That is piecewise linear in s = x_M, so
+    its sup is attained at a breakpoint of one of the per-level
+    differences. (A sign-change zero of one difference is a convex kink
+    of the sum and can never be a strict maximum, so only breakpoints
+    matter.) The witness is the level-N stalk through s/(p_{M+1}...p_N):
+    it lies in block 0 at every level above M, so the tents carry it
+    back to s unreflected.
 
     The upper bound adds the smaller of two tails: the generic bound
-    2*weight(N+1), and the contraction-aware bound that scales the
-    level-N sup-distance down the remaining tower.
+    2*weight(N+1), and the contraction-aware bound that scales
+    sup|D_N| = sup|D_M| / (p_{M+1}...p_N) down the remaining tower.
     """
     if N < F.base_coord or N < G.base_coord:
         raise ValueError("truncation is below a base coordinate")
-    A = lift(F, N, P).inducer._kbps
-    B = lift(G, N, P).inducer._kbps
+    M = max(F.base_coord, G.base_coord)
+    A = lift(F, M, P).inducer._kbps
+    B = lift(G, M, P).inducer._kbps
 
     levels = []
-    m = N
+    m = M
     while True:
         levels.append((m, _k.pl_sub(A, B)))
         if m == 0:
@@ -366,14 +423,18 @@ def diag_dist(F, G, N, P):
             cands.add((p[0], p[1]))
     xs = sorted(cands, key=lambda c: Fraction(*c))
 
+    collapsed = sum(
+        _level_weight(i, P) / P.product(M + 1, i) for i in range(M, N + 1)
+    )
     totals = [(0, 1)] * len(xs)
     sup_top = (0, 1)
     for m, D in levels:
-        w = (1, 2) if m == 0 else (1, P.product(1, m))
+        w = _level_weight(m, P) if m < M else collapsed
+        w = (w.numerator, w.denominator)
         vals = _k.eval_sorted(D, xs)
         for i, v in enumerate(vals):
             a = _k.rabs(v)
-            if m == N and _k.rcmp(a, sup_top) > 0:
+            if m == M and _k.rcmp(a, sup_top) > 0:
                 sup_top = a
             if a[0]:
                 totals[i] = _k.radd(totals[i], _k.rmul(a, w))
@@ -386,13 +447,14 @@ def diag_dist(F, G, N, P):
             wit = xs[i]
 
     lower = Fraction(*best)
+    above = P.product(M + 1, N)
     # Coordinates past N are block sums of the level-N inducers, so the
-    # level-m difference is sup_top/(p_{N+1}...p_m); the weighted tail
+    # level-m difference is sup|D_N|/(p_{N+1}...p_m); the weighted tail
     # is geometric with ratio <= 1/4.
     pn1 = P.prime(N + 1)
-    sharp = Fraction(*sup_top) * Fraction(4, 3 * P.product(1, N + 1) * pn1)
+    sharp = Fraction(*sup_top) / above * Fraction(4, 3 * P.product(1, N + 1) * pn1)
     tail = min(P.tail_bound(N), sharp)
-    witness = extend_point(Fraction(*wit), N, P)
+    witness = extend_point(Fraction(*wit) / above, N, P)
     return CertifiedDistance(lower, lower + tail, N, witness)
 
 

@@ -222,3 +222,23 @@ def test_seed_env_var_overrides_cli(monkeypatch, capsys):
     base_rows = [l for l in base.splitlines() if "trial" in l]
     over_rows = [l for l in overridden.splitlines() if "trial" in l]
     assert base_rows == over_rows
+
+
+def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):
+    assert main(["verify", "grid-fix", "--trials", "0"]) == 2
+    assert "trial count must be positive" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "grid-fix", "trials": 3}))
+    assert main(["verify", "grid-fix", "--config", str(cfg), "--trials", "-1"]) == 2
+    assert main(["experiment", "density", "--trials", "0"]) == 2
+
+
+def test_single_prime_schedule(tmp_path, capsys):
+    assert main(["knaster", "point", "-x", "1/2", "-n", "1", "--primes", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"coords": ["1/2", "1/2"]}
+    out = tmp_path / "report.json"
+    rc = main(["verify", "grid-fix", "--trials", "2", "--primes", "5",
+               "--output", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["primes"] == {"prefix": [5]}
+    assert main(["knaster", "point", "-x", "1/2", "-n", "1", "--primes", "4"]) == 2

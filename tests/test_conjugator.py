@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import knaster_lab.conjugator as conjugator
 from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist
 from knaster_lab.conjugator import (
     ConjugatorError,
@@ -203,3 +204,59 @@ def test_pseudo_generic():
         pseudo_generic(PseudoGenericSpec(k=0))
     with pytest.raises(ValueError):
         pseudo_generic(PseudoGenericSpec(k=2, signs=[1]))
+
+
+# The post-checks below are certificates, so they must raise (not assert,
+# which python -O strips). Each test breaks one construction step.
+
+
+# moves the grid point 1/2 and lies within delta/4 of oplus_power(BUMP, 2)
+SNAP_H = PLHomeo(
+    [
+        (0, 0),
+        (F(1, 4), F(3, 8)),
+        (F(1, 2), F(33, 64)),
+        (F(3, 4), F(41, 64)),
+        (1, 1),
+    ]
+)
+
+
+def _fake_plhomeo(result):
+    class Fake:
+        @staticmethod
+        def _from_kernel(_):
+            return result
+
+    return Fake
+
+
+def test_blockwise_norm_postcheck_raises(monkeypatch):
+    monkeypatch.setattr(conjugator, "block_sum", lambda blocks: identity())
+    f = BUMP
+    h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
+    with pytest.raises(ConjugatorError, match="block norm"):
+        grid_block_conjugate(f, 2, h, F(1, 10))
+
+
+def test_snap_grid_postcheck_raises(monkeypatch):
+    ref = oplus_power(BUMP, 2)
+    h = SNAP_H
+    monkeypatch.setattr(conjugator, "PLHomeo", _fake_plhomeo(h))
+    with pytest.raises(ConjugatorError, match="grid point"):
+        snap_to_grid(h, 2, ref, F(1, 8))
+
+
+def test_snap_distance_postcheck_raises(monkeypatch):
+    ref = oplus_power(BUMP, 2)
+    h = SNAP_H
+    # the identity fixes the grid but lies 1/8 from ref, past delta/d = 1/16
+    monkeypatch.setattr(conjugator, "PLHomeo", _fake_plhomeo(identity()))
+    with pytest.raises(ConjugatorError, match="needed <"):
+        snap_to_grid(h, 2, ref, F(1, 8))
+
+
+def test_pseudo_generic_signature_postcheck_raises(monkeypatch):
+    monkeypatch.setattr(conjugator, "rand_signature_homeo", lambda rng, signs: BUMP)
+    with pytest.raises(SignatureMismatchError):
+        pseudo_generic(PseudoGenericSpec(k=2, seed=3))

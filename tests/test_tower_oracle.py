@@ -1,0 +1,215 @@
+"""The collapsed tower against the brute-force tower it replaced.
+
+diag_dist lifts both maps only to their larger base coordinate M and
+weights the level-M difference by the collapsed tail C(M, N);
+eval_diagonal walks the stalk's block indices. The oracles below are
+the straightforward versions: lift both inducers to the truncation N
+(p_1...p_N copies), fold every level down to 0, and evaluate the lifted
+inducer directly. Bounds must agree exactly, and both witnesses must
+realize the lower bound.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import knaster_lab.knaster as kn
+from knaster_lab import cli
+from knaster_lab._backend import kernel as _k
+from knaster_lab.knaster import (
+    LIFT_MAX_BREAKPOINTS,
+    CertifiedDistance,
+    DiagonalHomeo,
+    PrimeSequence,
+    diag_dist,
+    eval_diagonal,
+    extend_point,
+    knaster_dist,
+    lift,
+    validate_point,
+)
+from knaster_lab.plmap import PLHomeo
+from knaster_lab.randgen import derive_rng, rand_homeo
+from knaster_lab.tents import tent
+
+F = Fraction
+
+# explicit schedule with N + 1 = 11 terms, mixing degrees 2, 3, 5
+EXPLICIT = [2, 3, 2, 5, 2, 2, 3, 2, 2, 2, 3]
+SCHEDULES = {
+    "diagonal": (PrimeSequence("diagonal"), 8),
+    "all2": (PrimeSequence("all2"), 10),
+    "explicit": (PrimeSequence(EXPLICIT), 8),
+}
+
+
+def oracle_diag_dist(F_, G, N, P):
+    """diag_dist by lifting both maps to N and folding all N+1 levels."""
+    A = lift(F_, N, P).inducer._kbps
+    B = lift(G, N, P).inducer._kbps
+    levels = []
+    m = N
+    while True:
+        levels.append((m, _k.pl_sub(A, B)))
+        if m == 0:
+            break
+        t = tent(P.prime(m))._kbps
+        A = _k.compose(t, A)
+        B = _k.compose(t, B)
+        m -= 1
+    xs = sorted({(p[0], p[1]) for _, D in levels for p in D}, key=lambda c: F(*c))
+    totals = [F(0)] * len(xs)
+    sup_top = F(0)
+    for m, D in levels:
+        w = F(1, 2) if m == 0 else P.weight(m)
+        for i, v in enumerate(_k.eval_sorted(D, xs)):
+            a = abs(F(*v))
+            if m == N:
+                sup_top = max(sup_top, a)
+            totals[i] += w * a
+    best = max(range(len(xs)), key=lambda i: (totals[i], -i))
+    lower = totals[best]
+    pn1 = P.prime(N + 1)
+    sharp = sup_top * F(4, 3 * P.product(1, N + 1) * pn1)
+    tail = min(P.tail_bound(N), sharp)
+    return CertifiedDistance(lower, lower + tail, N, extend_point(F(*xs[best]), N, P))
+
+
+def oracle_eval_diagonal(F_, x, P):
+    """eval_diagonal through the materialized level-n inducer."""
+    validate_point(x, P)
+    n = x.truncation
+    return extend_point(lift(F_, n, P).inducer(x.coords[n]), n, P)
+
+
+def _realizes(F_, G, d, P, evaluate):
+    ya = evaluate(F_, d.witness, P)
+    yb = evaluate(G, d.witness, P)
+    return knaster_dist(ya, yb, P).lower == d.lower
+
+
+@st.composite
+def tower_cases(draw):
+    name = draw(st.sampled_from(sorted(SCHEDULES)))
+    P, n_max = SCHEDULES[name]
+    bf = draw(st.integers(0, 3))
+    bg = draw(st.integers(0, 3))
+    N = draw(st.integers(max(bf, bg), n_max))
+    # keep the oracle's level-N lift small at the deepest truncations
+    size = 3 if N >= n_max - 1 else 5
+    rng = derive_rng("tower-oracle", draw(st.integers(0, 10**6)))
+    Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=size, den=32))
+    Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=size, den=32))
+    return P, N, Fd, Gd
+
+
+@given(tower_cases())
+@settings(max_examples=60, deadline=None)
+def test_diag_dist_matches_oracle(case):
+    P, N, Fd, Gd = case
+    got = diag_dist(Fd, Gd, N, P)
+    want = oracle_diag_dist(Fd, Gd, N, P)
+    assert (got.lower, got.upper) == (want.lower, want.upper)
+    assert got.truncation == N
+    validate_point(got.witness, P)
+    assert _realizes(Fd, Gd, got, P, eval_diagonal)
+    assert _realizes(Fd, Gd, got, P, oracle_eval_diagonal)
+    assert _realizes(Fd, Gd, want, P, eval_diagonal)
+
+
+def test_diag_dist_matches_oracle_at_every_depth():
+    # one pair per (schedule, bases) at every N, so no depth is left to chance
+    rng = derive_rng("tower-oracle-sweep")
+    for name, (P, n_max) in SCHEDULES.items():
+        for bf, bg in ((0, 0), (1, 2), (3, 0), (2, 3)):
+            Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=2, den=16))
+            Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=2, den=16))
+            for N in range(max(bf, bg), n_max + 1):
+                got = diag_dist(Fd, Gd, N, P)
+                want = oracle_diag_dist(Fd, Gd, N, P)
+                assert (got.lower, got.upper) == (want.lower, want.upper), (name, bf, bg, N)
+                assert _realizes(Fd, Gd, got, P, eval_diagonal)
+
+
+@st.composite
+def stalks_at_block_boundaries(draw):
+    name = draw(st.sampled_from(sorted(SCHEDULES)))
+    P, n_max = SCHEDULES[name]
+    b = draw(st.integers(0, 3))
+    n = draw(st.integers(b, min(n_max, b + 4)))
+    # j/Q with Q = p_{b+1}...p_n hits every block boundary of every level
+    # between b and n; j = Q is t = 1
+    Q = P.product(b + 1, n)
+    t = F(draw(st.integers(0, Q)), Q)
+    rng = derive_rng("eval-oracle", draw(st.integers(0, 10**6)))
+    Fd = DiagonalHomeo(b, rand_homeo(rng, max_interior=5, den=32))
+    return P, Fd, extend_point(t, n, P)
+
+
+@given(stalks_at_block_boundaries())
+@settings(max_examples=80, deadline=None)
+def test_eval_diagonal_matches_oracle_at_block_boundaries(case):
+    P, Fd, x = case
+    assert eval_diagonal(Fd, x, P) == oracle_eval_diagonal(Fd, x, P)
+
+
+@given(st.sampled_from(sorted(SCHEDULES)), st.integers(0, 3), st.integers(0, 5),
+       st.fractions(0, 1), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_eval_diagonal_matches_oracle(name, b, extra, t, seed):
+    P, _ = SCHEDULES[name]
+    Fd = DiagonalHomeo(b, rand_homeo(derive_rng("eval-any", seed), den=32))
+    for x in (extend_point(t, b + extra, P), extend_point(F(1), b + extra, P)):
+        assert eval_diagonal(Fd, x, P) == oracle_eval_diagonal(Fd, x, P)
+
+
+def test_eval_diagonal_never_lifts(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("eval_diagonal built a lift")
+
+    monkeypatch.setattr(kn, "lift", refuse)
+    monkeypatch.setattr(kn, "oplus_power", refuse)
+    P = PrimeSequence("diagonal")
+    g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+    # p_1...p_40 is about 10^20 blocks: only the lazy walk can answer
+    x = extend_point(F(1, 3), 40, P)
+    y = eval_diagonal(DiagonalHomeo(0, g), x, P)
+    validate_point(y, P)
+
+
+class TestLiftGuard:
+    def test_refuses_before_building(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("oplus_power ran past the guard")
+
+        monkeypatch.setattr(kn, "oplus_power", refuse)
+        P = PrimeSequence("all2")
+        g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+        # (3 - 1) * 2^19 + 1 = 1048577 breakpoints, just past the limit
+        assert (3 - 1) * P.product(1, 19) + 1 > LIFT_MAX_BREAKPOINTS
+        with pytest.raises(ValueError, match="breakpoints"):
+            lift(DiagonalHomeo(0, g), 19, P)
+        # the prediction counts the base inducer's breakpoints, not its level
+        with pytest.raises(ValueError, match="breakpoints"):
+            lift(DiagonalHomeo(2, g), 21, P)
+
+    def test_prediction_bounds_small_lifts(self):
+        # an upper bound: block junctions whose slopes agree merge away
+        rng = derive_rng("lift-guard-size")
+        P = PrimeSequence("diagonal")
+        for _ in range(5):
+            g = rand_homeo(rng, max_interior=4, den=64)
+            for m in range(0, 4):
+                got = len(lift(DiagonalHomeo(0, g), m, P).inducer._kbps)
+                assert got <= (len(g._kbps) - 1) * P.product(1, m) + 1
+
+    def test_cli_lift_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"kind": "homeo", "breakpoints": [["0", "0"], ["1/2", "3/4"], ["1", "1"]]}'
+        )
+        rc = cli.main(["knaster", "lift", "-f", str(path), "--to", "40"])
+        assert rc == 2
+        assert "breakpoints" in capsys.readouterr().err

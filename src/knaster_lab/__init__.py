@@ -6,7 +6,6 @@ synthesized conjugators, and certified distance bounds on finite
 truncations of the universal Knaster continuum.
 """
 
-from ._backend import backend_name
 from .plmap import (
     OpenPLMap,
     PLHomeo,
@@ -27,7 +26,6 @@ __all__ = [
     "PLHomeo",
     "PLMap",
     "Rational",
-    "backend_name",
     "compose",
     "degree",
     "format_rational",

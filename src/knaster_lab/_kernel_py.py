@@ -1,9 +1,6 @@
-"""Exact rational kernel for piecewise-linear breakpoint lists (pure Python).
+"""Exact rational kernel for piecewise-linear breakpoint lists.
 
-This module is the pure-Python twin of the compiled kernel ``_kernel_c``.
-Both expose the same functions over the same flat representation and must
-produce bit-identical results; the package picks one at import time (see
-``_backend.py``).
+Every map operation in the package ends up here, on plain integers.
 
 Flat representation: a continuous PL function on a closed interval is a list
 of breakpoints ``[(xn, xd, yn, yd), ...]`` where every rational is in lowest
@@ -63,11 +60,6 @@ def rabs(a):
     return (-a[0], a[1]) if a[0] < 0 else a
 
 
-def rmid(a, b):
-    """Midpoint of a and b."""
-    return rnorm(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])
-
-
 # ---------------------------------------------------------------------------
 # segment primitives
 
@@ -102,6 +94,11 @@ def _interp_x(u, p, q):
     num = x0n * (td * dyn * dxd) + x0d * (tn * dyd * dxn)
     den = x0d * td * dyn * dxd
     return rnorm(num, den)
+
+
+def segment_root(x0, x1, ya, yb):
+    """Zero of the segment from (x0, ya) to (x1, yb); needs ya != yb."""
+    return radd(x0, rmul(rsub(x1, x0), rdiv(ya, rsub(ya, yb))))
 
 
 def _collinear(p1, p2, p3):
@@ -274,26 +271,8 @@ def crossings(f, g):
     for k in range(1, len(xs)):
         cur = rsub(fv[k], gv[k])
         if (prev[0] > 0 and cur[0] < 0) or (prev[0] < 0 and cur[0] > 0):
-            x0, x1 = xs[k - 1], xs[k]
-            span = rsub(x1, x0)
-            root = radd(x0, rmul(span, rdiv(prev, rsub(prev, cur))))
-            roots.append(root)
+            roots.append(segment_root(xs[k - 1], xs[k], prev, cur))
         prev = cur
-    return roots
-
-
-def sign_change_roots(bps):
-    """Strict sign-change roots of the function itself between breakpoints."""
-    roots = []
-    for k in range(len(bps) - 1):
-        p = bps[k]
-        q = bps[k + 1]
-        if (p[2] > 0 and q[2] < 0) or (p[2] < 0 and q[2] > 0):
-            ya = (p[2], p[3])
-            yb = (q[2], q[3])
-            x0 = (p[0], p[1])
-            span = rsub((q[0], q[1]), x0)
-            roots.append(radd(x0, rmul(span, rdiv(ya, rsub(ya, yb)))))
     return roots
 
 

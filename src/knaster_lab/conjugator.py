@@ -33,7 +33,7 @@ piece width, which we pick below the cap margin.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import kernel as _k
+from . import _kernel_py as _k
 from .plmap import (
     PLHomeo,
     compose,
@@ -45,7 +45,7 @@ from .plmap import (
 from .randgen import derive_rng, rand_signature_homeo
 from .rational import format_rational
 from .signatures import fixed_intervals, signature, signature_reflect
-from .tents import block_sum, oplus_power
+from .tents import block_sum, check_size, oplus_power, oplus_size
 
 
 class SignatureMismatchError(ValueError):
@@ -293,8 +293,10 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
     h must fix every grid point i/d; each rescaled block of h must be
     conjugate to f (even block) or to its reflection (odd block). The
     returned g fixes the grid, and sup_dist(g, id) equals the largest
-    block conjugator norm divided by d, exactly.
+    block conjugator norm divided by d, exactly. Refuses (ValueError)
+    up front when oplus_power(f, d) would be too large to build.
     """
+    check_size(oplus_size(f, d), f"oplus_power of degree {d}")
     eta = Fraction(eta)
     blocks = []
     for i in range(d + 1):

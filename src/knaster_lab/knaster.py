@@ -27,10 +27,10 @@ indices instead of building the level-N inducer.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import kernel as _k
+from . import _kernel_py as _k
 from .plmap import OpenPLMap, PLHomeo
 from .rational import format_rational, parse_rational
-from .tents import oplus_power, tent, tent_value
+from .tents import check_size, oplus_power, oplus_size, tent, tent_value
 
 _PRIME_NAMES = ("diagonal", "all2")
 
@@ -308,11 +308,6 @@ class DiagonalHomeo:
         return cls(int(data["base_coord"]), _map_from(data["inducer"]))
 
 
-# Largest inducer lift() will build; the prediction is checked before
-# oplus_power allocates anything.
-LIFT_MAX_BREAKPOINTS = 10**6
-
-
 def lift(F, m, P):
     """The canonical representation of F at coordinate m >= F.base_coord.
 
@@ -320,17 +315,15 @@ def lift(F, m, P):
     sum; lifting several levels iterates that, which agrees with a
     single block sum of the product degree. Raises ValueError, before
     building anything, when the lift would have more than
-    LIFT_MAX_BREAKPOINTS breakpoints.
+    tents.MAX_BREAKPOINTS breakpoints.
     """
     if m < F.base_coord:
         raise ValueError("cannot lift below the base coordinate")
     g = F.inducer
-    size = (len(g._kbps) - 1) * P.product(F.base_coord + 1, m) + 1
-    if size > LIFT_MAX_BREAKPOINTS:
-        raise ValueError(
-            f"lifting to coordinate {m} needs up to {size} breakpoints, "
-            f"more than the limit {LIFT_MAX_BREAKPOINTS}"
-        )
+    check_size(
+        oplus_size(g, P.product(F.base_coord + 1, m)),
+        f"lifting to coordinate {m}",
+    )
     for k in range(F.base_coord + 1, m + 1):
         g = oplus_power(g, P.prime(k))
     return DiagonalHomeo(m, g)

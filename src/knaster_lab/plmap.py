@@ -12,12 +12,12 @@ Three public classes:
   the image to be all of [0,1] and the map to fold through full laps.
 
 All arithmetic is exact; floats never enter. The heavy lifting happens on a
-flat integer representation in the kernel backend.
+flat integer representation in ``_kernel_py``.
 """
 
 from fractions import Fraction
 
-from ._backend import kernel as _k
+from . import _kernel_py as _k
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)

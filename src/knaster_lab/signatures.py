@@ -11,7 +11,7 @@ resulting (decidable) conjugacy test.
 
 from fractions import Fraction
 
-from ._backend import kernel as _k
+from . import _kernel_py as _k
 from .plmap import PLHomeo
 
 _ID = [(0, 1, 0, 1), (1, 1, 1, 1)]
@@ -52,11 +52,9 @@ def fixed_intervals(h):
         if i + 1 < n:
             q = diff[i + 1]
             if q[2] != 0 and (yn > 0) != (q[2] > 0):
-                ya = (yn, diff[i][3])
-                yb = (q[2], q[3])
-                x0 = (diff[i][0], diff[i][1])
-                span = _k.rsub((q[0], q[1]), x0)
-                r = _k.radd(x0, _k.rmul(span, _k.rdiv(ya, _k.rsub(ya, yb))))
+                r = _k.segment_root(
+                    (xn, xd), (q[0], q[1]), (yn, diff[i][3]), (q[2], q[3])
+                )
                 out.append((Fraction(*r), Fraction(*r)))
     flush()
     return out

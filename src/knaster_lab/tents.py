@@ -17,15 +17,34 @@ lap of g.
 from fractions import Fraction
 from functools import lru_cache
 
-from ._backend import kernel as _k
+from . import _kernel_py as _k
 from .plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect
+
+# Largest map tent, oplus_power, knaster.lift and grid_block_conjugate will
+# build; each checks its predicted breakpoint count before allocating.
+MAX_BREAKPOINTS = 10**6
+
+
+def check_size(size, what):
+    """Refuse (ValueError) to build more than MAX_BREAKPOINTS breakpoints."""
+    if size > MAX_BREAKPOINTS:
+        raise ValueError(
+            f"{what} needs up to {size} breakpoints, "
+            f"more than the limit {MAX_BREAKPOINTS}"
+        )
+
+
+def oplus_size(g, d):
+    """Bound on the breakpoints of oplus_power(g, d): (|g| - 1)·d + 1."""
+    return (len(g._kbps) - 1) * d + 1
 
 
 @lru_cache(maxsize=None)
 def tent(d):
-    """The standard degree-d tent map."""
+    """The standard degree-d tent map (d + 1 breakpoints)."""
     if d < 1:
         raise ValueError("degree must be a positive integer")
+    check_size(d + 1, f"tent({d})")
     pts = []
     for m in range(d + 1):
         xn, xd = _k.rnorm(m, d)
@@ -72,6 +91,7 @@ def oplus_power(g, d):
     """Block sum of d copies of g, every odd block reflected."""
     if d < 1:
         raise ValueError("degree must be a positive integer")
+    check_size(oplus_size(g, d), f"oplus_power of degree {d}")
     r = reflect(g)
     return block_sum([g if i % 2 == 0 else r for i in range(d)])
 

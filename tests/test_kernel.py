@@ -4,9 +4,11 @@ Expected values here were worked out by hand first and frozen; the
 kernel has to reproduce them exactly.
 """
 
+import ast
 import random
+from pathlib import Path
 
-from knaster_lab._backend import kernel as k
+from knaster_lab import _kernel_py as k
 
 # the "bump" homeo (0,0), (1/2,3/4), (1,1) and both tents, flat form
 BUMP = [(0, 1, 0, 1), (1, 2, 3, 4), (1, 1, 1, 1)]
@@ -37,7 +39,6 @@ def test_scalar_ops():
     assert k.rcmp((1, 2), (1, 3)) == 1
     assert k.rcmp((-1, 2), (1, 3)) == -1
     assert k.rabs((-3, 4)) == (3, 4)
-    assert k.rmid((0, 1), (1, 2)) == (1, 4)
 
 
 def test_eval_frozen():
@@ -116,7 +117,14 @@ def test_pl_min_max():
 def test_pl_sub_and_roots():
     diff = k.pl_sub(TENT2, ID)
     assert k.eval_at(diff, (2, 3)) == (0, 1)
-    assert k.sign_change_roots(diff) == [(2, 3)]
+
+
+def test_segment_root():
+    # tent2 - id runs from (1/2, 1/2) down to (1, -1): zero at 2/3
+    assert k.segment_root((1, 2), (1, 1), (1, 2), (-1, 1)) == (2, 3)
+    # the same segment walked upward, and a root off the unit interval
+    assert k.segment_root((1, 1), (1, 2), (-1, 1), (1, 2)) == (2, 3)
+    assert k.segment_root((0, 1), (1, 1), (1, 1), (3, 1)) == (-1, 2)
 
 
 def test_restrict():
@@ -161,3 +169,24 @@ def test_concat():
         pass
     else:
         raise AssertionError("mismatched pieces must not glue")
+
+
+def test_every_kernel_function_is_used():
+    # a public kernel function nothing in the package calls is dead code
+    src = Path(k.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    public = [
+        name
+        for name, obj in vars(k).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == k.__name__
+    ]
+    assert "crossings" in public
+    assert sorted(set(public) - used) == []

@@ -173,9 +173,3 @@ def test_random_open_maps_have_requested_degree():
         for _ in range(10):
             m = rand_open_map(rng, deg)
             assert degree(m) == deg
-
-
-def test_backend_reports():
-    from knaster_lab import backend_name
-
-    assert backend_name() in {"python", "compiled"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaster_lab import PLHomeo, compose, identity, reflect
+from knaster_lab import PLHomeo, _kernel_py, compose, identity, reflect
 from knaster_lab.randgen import (
     derive_rng,
     rand_homeo,
@@ -55,6 +55,23 @@ def test_fixed_intervals_frozen():
         (F(1, 3), F(1, 3)),
         (F(1), F(1)),
     ]
+
+
+def test_isolated_fixed_points_match_kernel_crossings():
+    # both find strict sign changes of h - id inside a segment through the
+    # kernel's one root formula; h is canonical, so h - id breaks exactly
+    # where h does and the two scans see the same segments
+    rng = derive_rng("fixed-vs-crossings")
+    ident = identity()._kbps
+    found = 0
+    for _ in range(200):
+        h = rand_homeo(rng, max_interior=6, den=16)
+        on_bps = {x for x, _ in h.breakpoints}
+        isolated = [a for a, b in fixed_intervals(h) if a == b and a not in on_bps]
+        roots = [F(*r) for r in _kernel_py.crossings(h._kbps, ident)]
+        assert isolated == roots
+        found += len(roots)
+    assert found > 0
 
 
 def test_signature_frozen():

@@ -10,6 +10,7 @@ realize the lower bound.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,8 @@ from hypothesis import strategies as st
 
 import knaster_lab.knaster as kn
 from knaster_lab import cli
-from knaster_lab._backend import kernel as _k
+from knaster_lab import _kernel_py as _k
 from knaster_lab.knaster import (
-    LIFT_MAX_BREAKPOINTS,
     CertifiedDistance,
     DiagonalHomeo,
     PrimeSequence,
@@ -32,7 +32,8 @@ from knaster_lab.knaster import (
 )
 from knaster_lab.plmap import PLHomeo
 from knaster_lab.randgen import derive_rng, rand_homeo
-from knaster_lab.tents import tent
+import knaster_lab.tents as tents
+from knaster_lab.tents import MAX_BREAKPOINTS, check_size, oplus_power, tent
 
 F = Fraction
 
@@ -188,7 +189,7 @@ class TestLiftGuard:
         P = PrimeSequence("all2")
         g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
         # (3 - 1) * 2^19 + 1 = 1048577 breakpoints, just past the limit
-        assert (3 - 1) * P.product(1, 19) + 1 > LIFT_MAX_BREAKPOINTS
+        assert (3 - 1) * P.product(1, 19) + 1 > MAX_BREAKPOINTS
         with pytest.raises(ValueError, match="breakpoints"):
             lift(DiagonalHomeo(0, g), 19, P)
         # the prediction counts the base inducer's breakpoints, not its level
@@ -211,5 +212,70 @@ class TestLiftGuard:
             '{"kind": "homeo", "breakpoints": [["0", "0"], ["1/2", "3/4"], ["1", "1"]]}'
         )
         rc = cli.main(["knaster", "lift", "-f", str(path), "--to", "40"])
+        assert rc == 2
+        assert "breakpoints" in capsys.readouterr().err
+
+
+def _refuse(*_):
+    raise AssertionError("built past the size guard")
+
+
+def _refuse_to_build(monkeypatch):
+    # every step that would allocate the tent or the block sum fails, so a
+    # missing guard shows up as an error instead of a huge allocation
+    monkeypatch.setattr(tents, "_k", SimpleNamespace(rnorm=_refuse, canonical=_refuse))
+    monkeypatch.setattr(tents, "block_sum", _refuse)
+    monkeypatch.setattr(tents, "reflect", _refuse)
+
+
+class TestSizeGuard:
+    """tent(d), oplus_power(g, d) and blockwise conjugation share lift's limit."""
+
+    def test_limit_is_inclusive(self):
+        check_size(MAX_BREAKPOINTS, "at the limit")
+        with pytest.raises(ValueError, match="breakpoints"):
+            check_size(MAX_BREAKPOINTS + 1, "past the limit")
+
+    def test_tent_refuses_before_building(self, monkeypatch):
+        _refuse_to_build(monkeypatch)
+        # tent(d) has d + 1 breakpoints
+        for d in (MAX_BREAKPOINTS, 10**8):
+            with pytest.raises(ValueError, match="breakpoints"):
+                tent(d)
+
+    def test_oplus_power_refuses_before_building(self, monkeypatch):
+        _refuse_to_build(monkeypatch)
+        g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+        # (3 - 1) * d + 1 breakpoints: d = 499999 fits, d = 500000 does not
+        assert tents.oplus_size(g, MAX_BREAKPOINTS // 2) == MAX_BREAKPOINTS + 1
+        for d in (MAX_BREAKPOINTS // 2, 10**8):
+            with pytest.raises(ValueError, match="breakpoints"):
+                oplus_power(g, d)
+
+    def test_oplus_prediction_bounds_small_sums(self):
+        rng = derive_rng("oplus-guard-size")
+        for _ in range(10):
+            g = rand_homeo(rng, max_interior=5, den=64)
+            for d in range(1, 6):
+                got = len(oplus_power(g, d)._kbps)
+                assert got <= tents.oplus_size(g, d)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tent", "build", "-d", "100000000"],
+            ["tent", "oplus", "-f", "{g}", "-d", "100000000"],
+            ["tent", "semiconj", "-f", "{g}", "-d", "100000000"],
+            # g moves the grid, so only an up-front guard can exit 2
+            ["conj", "blockwise", "-f", "{g}", "-d", "100000000", "--target", "{g}"],
+        ],
+    )
+    def test_cli_exits_two(self, argv, tmp_path, capsys, monkeypatch):
+        _refuse_to_build(monkeypatch)
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"kind": "homeo", "breakpoints": [["0", "0"], ["1/2", "3/4"], ["1", "1"]]}'
+        )
+        rc = cli.main([a.format(g=path) for a in argv])
         assert rc == 2
         assert "breakpoints" in capsys.readouterr().err

@@ -12,6 +12,12 @@ layer in ``plmap.py``.
 All functions assume well-formed input (at least two breakpoints, normalized
 entries, strict x order) and evaluation points inside the domain; the typed
 layer enforces this once at construction.
+
+``compose`` (its outer map f) and ``concat`` (each piece) also require
+canonical input: no interior breakpoint collinear with its neighbours. They
+test collinearity only where a kink can vanish, so a collinear point in the
+input would survive into the output. Typed maps are canonical, and so are
+the lists that compose, concat, restrict, pl_sub, pl_min and pl_max return.
 """
 
 from math import gcd
@@ -173,37 +179,63 @@ def eval_sorted(bps, xs):
 
 
 def compose(f, g):
-    """Canonical breakpoints of f∘g. The range of g must lie in f's domain."""
-    out = []
-    y0 = (g[0][2], g[0][3])
-    v = eval_at(f, y0)
-    out.append((g[0][0], g[0][1], v[0], v[1]))
-    nf = len(f)
-    for k in range(len(g) - 1):
-        p = g[k]
-        q = g[k + 1]
-        ya = (p[2], p[3])
-        yb = (q[2], q[3])
-        s = rcmp(yb, ya)
-        if s > 0:
-            j = _locate(f, ya) + 1
-            while j < nf and f[j][0] * yb[1] < yb[0] * f[j][1]:
-                u = (f[j][0], f[j][1])
-                xs = _interp_x(u, p, q)
-                out.append((xs[0], xs[1], f[j][2], f[j][3]))
-                j += 1
-        elif s < 0:
-            j = _locate(f, ya)
-            if f[j][0] * ya[1] == ya[0] * f[j][1]:
-                j -= 1
-            while j >= 0 and f[j][0] * yb[1] > yb[0] * f[j][1]:
-                u = (f[j][0], f[j][1])
-                xs = _interp_x(u, p, q)
-                out.append((xs[0], xs[1], f[j][2], f[j][3]))
-                j -= 1
-        v = eval_at(f, yb)
-        out.append((q[0], q[1], v[0], v[1]))
-    return canonical(out)
+    """Canonical breakpoints of f∘g. The range of g must lie in f's domain.
+
+    f must be canonical; g need only have strictly increasing x. One index
+    i into f (the largest with f[i].x <= the current value of g) walks
+    forward or backward with each g segment, since g is continuous. A
+    segment contributes the f breakpoints it strictly crosses, then its
+    end value, read off f[i] or interpolated once. An f breakpoint crossed
+    inside a non-flat g segment is a kink of f∘g because f is canonical,
+    so only the interior g breakpoints can be collinear: each is tested
+    when its right neighbour arrives, which may be an f crossing of the
+    next segment.
+    """
+    p = g[0]
+    yn, yd = p[2], p[3]
+    i = _locate(f, (yn, yd))
+    a = f[i]
+    if a[0] * yd == yn * a[1]:
+        vn, vd = a[2], a[3]
+    else:
+        vn, vd = _interp((yn, yd), a, f[i + 1])
+    out = [(p[0], p[1], vn, vd)]
+    pending = False  # out[-1] is an interior g breakpoint not yet tested
+    for q in g[1:]:
+        bn, bd = q[2], q[3]
+        c = bn * yd - yn * bd
+        if c:
+            if c > 0:
+                s, j = 1, i + 1
+            else:
+                s = -1
+                j = i - 1 if f[i][0] * yd == yn * f[i][1] else i
+            u = f[j]
+            # cross the f breakpoints strictly before the end value
+            while (bn * u[1] - u[0] * bd) * s > 0:
+                xn, xd = _interp_x((u[0], u[1]), p, q)
+                pt = (xn, xd, u[2], u[3])
+                if pending:
+                    if _collinear(out[-2], out[-1], pt):
+                        out.pop()
+                    pending = False
+                out.append(pt)
+                j += s
+                u = f[j]
+            if u[0] * bd == bn * u[1]:
+                vn, vd = u[2], u[3]
+                i = j
+            else:
+                i = j - 1 if s > 0 else j
+                vn, vd = _interp((bn, bd), f[i], f[i + 1])
+        pt = (q[0], q[1], vn, vd)
+        if pending and _collinear(out[-2], out[-1], pt):
+            out.pop()
+        out.append(pt)
+        pending = True
+        p = q
+        yn, yd = bn, bd
+    return out
 
 
 def invert(bps):
@@ -215,7 +247,10 @@ def invert(bps):
 
 
 def merged_xs(f, g):
-    """Sorted union of the two breakpoint x-coordinate lists."""
+    """Sorted union of the x coordinates of two sorted lists.
+
+    Entries are breakpoints or bare (n, d) points; only the x is read.
+    """
     out = []
     i = j = 0
     nf, ng = len(f), len(g)
@@ -354,12 +389,17 @@ def affine_image(bps, sx, ox, sy, oy):
 
 
 def concat(pieces):
-    """Glue PL pieces left to right; adjacent endpoints must coincide."""
+    """Glue canonical PL pieces left to right; adjacent endpoints must coincide.
+
+    Each piece is canonical, so only a seam point can be collinear.
+    """
     out = list(pieces[0])
     for piece in pieces[1:]:
         if out[-1] != piece[0]:
             raise ValueError(
                 f"pieces do not meet: {out[-1]} vs {piece[0]}"
             )
+        if _collinear(out[-2], out[-1], piece[1]):
+            out.pop()
         out.extend(piece[1:])
-    return canonical(out)
+    return out

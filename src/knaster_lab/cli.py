@@ -11,6 +11,7 @@ synthesis failure (with a replay file for campaigns), 2 usage errors.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -464,9 +465,14 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _RUNTIME_ERRORS as err:

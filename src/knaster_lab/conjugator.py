@@ -93,11 +93,17 @@ class _Budget:
             )
 
 
+def _outside(x, end, margin):
+    """|end - x| > margin, on kernel pairs, by integer cross-multiplication."""
+    return abs(end[0] * x[1] - x[0] * end[1]) * margin[1] > margin[0] * end[1] * x[1]
+
+
 def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns (pieces, ql, pl, qh, ph): kernel pieces in ascending x order
     covering [ql, qh] on the g side, with h(ql) = pl and h(qh) = ph.
+    The orbit points travel as kernel pairs.
     """
     a, b = fcomp
     c, d = gcomp
@@ -106,27 +112,24 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     f_loc = _k.restrict(f._kbps, _fp(a), _fp(b))
     finv = _k.invert(f_loc)
 
-    q0 = (c + d) / 2
-    p0 = (a + b) / 2
-    q1 = _frac(_k.eval_at(g_loc, _fp(q0)))
-    p1 = _frac(_k.eval_at(f_loc, _fp(p0)))
-    h0 = (
-        _affine_piece(q0, p0, q1, p1)
-        if sign > 0
-        else _affine_piece(q1, p1, q0, p0)
-    )
+    q0 = _fp((c + d) / 2)
+    p0 = _fp((a + b) / 2)
+    q1 = _k.eval_at(g_loc, q0)
+    p1 = _k.eval_at(f_loc, p0)
+    h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
 
-    attract = d if sign > 0 else c
-    repel = c if sign > 0 else d
+    attract = _fp(d if sign > 0 else c)
+    repel = _fp(c if sign > 0 else d)
+    margin = _fp(eta_cap)
 
     fwd_pieces = []
     piece, q_cur, p_cur = h0, q1, p1
-    while abs(attract - q_cur) > eta_cap:
+    while _outside(q_cur, attract, margin):
         budget.spend()
-        q_next = _frac(_k.eval_at(g_loc, _fp(q_cur)))
-        p_next = _frac(_k.eval_at(f_loc, _fp(p_cur)))
+        q_next = _k.eval_at(g_loc, q_cur)
+        p_next = _k.eval_at(f_loc, p_cur)
         lo, hi = (q_cur, q_next) if sign > 0 else (q_next, q_cur)
-        step = _k.compose(piece, _k.restrict(ginv, _fp(lo), _fp(hi)))
+        step = _k.compose(piece, _k.restrict(ginv, lo, hi))
         piece = _k.compose(f_loc, step)
         fwd_pieces.append(piece)
         q_cur, p_cur = q_next, p_next
@@ -135,16 +138,17 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     piece, r_cur, z_cur = h0, q0, p0
     # the cap bound at the repelling end is the previous orbit point, so
     # keep stepping until g(r) is already inside the margin
-    while abs(_frac(_k.eval_at(g_loc, _fp(r_cur))) - repel) > eta_cap:
+    while _outside(_k.eval_at(g_loc, r_cur), repel, margin):
         budget.spend()
-        r_next = _frac(_k.eval_at(ginv, _fp(r_cur)))
-        z_next = _frac(_k.eval_at(finv, _fp(z_cur)))
+        r_next = _k.eval_at(ginv, r_cur)
+        z_next = _k.eval_at(finv, z_cur)
         lo, hi = (r_next, r_cur) if sign > 0 else (r_cur, r_next)
-        step = _k.compose(piece, _k.restrict(g_loc, _fp(lo), _fp(hi)))
+        step = _k.compose(piece, _k.restrict(g_loc, lo, hi))
         piece = _k.compose(finv, step)
         back_pieces.append(piece)
         r_cur, z_cur = r_next, z_next
 
+    r_cur, z_cur, q_cur, p_cur = map(_frac, (r_cur, z_cur, q_cur, p_cur))
     if sign > 0:
         pieces = list(reversed(back_pieces)) + [h0] + fwd_pieces
         return pieces, r_cur, z_cur, q_cur, p_cur

@@ -410,11 +410,10 @@ def diag_dist(F, G, N, P):
         B = _k.compose(t, B)
         m -= 1
 
-    cands = set()
-    for _, D in levels:
-        for p in D:
-            cands.add((p[0], p[1]))
-    xs = sorted(cands, key=lambda c: Fraction(*c))
+    # every level's breakpoints are sorted already: merge, dropping repeats
+    xs = [(p[0], p[1]) for p in levels[0][1]]
+    for _, D in levels[1:]:
+        xs = _k.merged_xs(xs, D)
 
     collapsed = sum(
         _level_weight(i, P) / P.product(M + 1, i) for i in range(M, N + 1)

@@ -242,3 +242,34 @@ def test_single_prime_schedule(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out.read_text())["config"]["primes"] == {"prefix": [5]}
     assert main(["knaster", "point", "-x", "1/2", "-n", "1", "--primes", "4"]) == 2
+
+
+def test_shared_parser_matches_fresh_parsers(maps, capsys):
+    """main() reuses one parser; no call may see another call's arguments."""
+    from knaster_lab import cli
+
+    runs = [
+        ["pl", "dist", "-f", maps["id"], "-g", maps["bump"]],
+        ["verify", "grid-fix", "--trials", "2", "--seed", "3", "--d-max", "3"],
+        ["verify", "semiconj", "--trials", "2", "--seed", "3"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in runs:
+            rc = main(argv)
+            results.append((rc, capsys.readouterr().out))
+        return results
+
+    first = run_all()
+    with pytest.raises(SystemExit) as exc:
+        main(["pl", "eval", "-f", maps["bump"]])  # -x missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_all() == first
+    assert [rc for rc, _ in first] == [0, 0, 0]
+    assert cli._parser() is cli._parser()
+    for argv in runs:
+        assert vars(cli._parser().parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv)
+        )

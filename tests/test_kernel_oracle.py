@@ -1,0 +1,248 @@
+"""The merge-walk compose and seam-only concat against the code they replaced.
+
+compose walks one index through f and tests only g's interior breakpoints
+for collinearity; concat tests only the seams. Both rely on canonical
+inputs. The oracles below are the straightforward versions: compose
+locates every g segment in f by binary search and canonicalizes the whole
+output, concat canonicalizes the glued list. Outputs must be bit-identical
+and canonical.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knaster_lab import _kernel_py as _k
+from knaster_lab.config import ExperimentConfig
+from knaster_lab.experiments import VERIFY_SUITES, run_verify_suite
+from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap
+from knaster_lab.tents import tent
+
+F = Fraction
+
+
+def oracle_compose(f, g):
+    """f∘g by a binary search per g segment, then a full canonical pass."""
+    out = []
+    y0 = (g[0][2], g[0][3])
+    v = _k.eval_at(f, y0)
+    out.append((g[0][0], g[0][1], v[0], v[1]))
+    nf = len(f)
+    for k in range(len(g) - 1):
+        p = g[k]
+        q = g[k + 1]
+        ya = (p[2], p[3])
+        yb = (q[2], q[3])
+        s = _k.rcmp(yb, ya)
+        if s > 0:
+            j = _k._locate(f, ya) + 1
+            while j < nf and f[j][0] * yb[1] < yb[0] * f[j][1]:
+                xs = _k._interp_x((f[j][0], f[j][1]), p, q)
+                out.append((xs[0], xs[1], f[j][2], f[j][3]))
+                j += 1
+        elif s < 0:
+            j = _k._locate(f, ya)
+            if f[j][0] * ya[1] == ya[0] * f[j][1]:
+                j -= 1
+            while j >= 0 and f[j][0] * yb[1] > yb[0] * f[j][1]:
+                xs = _k._interp_x((f[j][0], f[j][1]), p, q)
+                out.append((xs[0], xs[1], f[j][2], f[j][3]))
+                j -= 1
+        v = _k.eval_at(f, yb)
+        out.append((q[0], q[1], v[0], v[1]))
+    return _k.canonical(out)
+
+
+def oracle_concat(pieces):
+    """Glue the pieces, then canonicalize the whole list."""
+    out = list(pieces[0])
+    for piece in pieces[1:]:
+        if out[-1] != piece[0]:
+            raise ValueError(f"pieces do not meet: {out[-1]} vs {piece[0]}")
+        out.extend(piece[1:])
+    return _k.canonical(out)
+
+
+def _pair(x):
+    return (x.numerator, x.denominator)
+
+
+# small denominators, so values land on each other's breakpoints often
+interior = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(
+    lambda x: 0 < x < 1
+)
+coarse = st.integers(0, 6).map(lambda k: F(k, 6))
+
+
+@st.composite
+def homeos(draw, max_interior=5):
+    k = draw(st.integers(0, max_interior))
+    xs = sorted(draw(st.sets(interior, min_size=k, max_size=k)))
+    ys = sorted(draw(st.sets(interior, min_size=k, max_size=k)))
+    return PLHomeo([(0, 0)] + list(zip(xs, ys)) + [(1, 1)])
+
+
+@st.composite
+def flat_maps(draw):
+    """PLMaps on a coarse value grid, so flat segments and turns are common."""
+    xs = [F(0)] + sorted(draw(st.sets(interior, max_size=6))) + [F(1)]
+    ys = draw(st.lists(coarse, min_size=len(xs), max_size=len(xs)))
+    return PLMap(list(zip(xs, ys)))
+
+
+@st.composite
+def open_maps(draw):
+    """tent(d)∘h: open maps with interior breakpoints off the values 0 and 1."""
+    d = draw(st.integers(1, 4))
+    h = draw(homeos())
+    return OpenPLMap._from_kernel(oracle_compose(tent(d)._kbps, h._kbps))
+
+
+def check_compose(f, g):
+    got = _k.compose(f._kbps, g._kbps)
+    assert got == oracle_compose(f._kbps, g._kbps)
+    assert _k.canonical(got) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(homeos(), homeos())
+def test_homeo_after_homeo(f, g):
+    check_compose(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), homeos())
+def test_tent_after_inducer(d, g):
+    check_compose(tent(d), g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(open_maps(), homeos())
+def test_open_after_homeo(f, g):
+    check_compose(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(open_maps(), open_maps())
+def test_open_after_open(f, g):
+    # g turns at 0 and 1, so the walk through f reverses direction
+    check_compose(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_maps() | homeos() | open_maps(), flat_maps())
+def test_maps_with_flat_segments(f, g):
+    check_compose(f, g)
+    check_compose(g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_g_values_on_f_breakpoints(data):
+    f = data.draw(flat_maps() | homeos() | open_maps())
+    fx = [x for x, _ in f.breakpoints]
+    xs = [F(0)] + sorted(data.draw(st.sets(interior, max_size=6))) + [F(1)]
+    ys = data.draw(st.lists(st.sampled_from(fx), min_size=len(xs), max_size=len(xs)))
+    check_compose(f, PLMap(list(zip(xs, ys))))
+
+
+def test_collinear_g_point_before_f_crossing():
+    # f is flat on [0, 1/2]. g's breakpoint (1/2, 1/4) maps into that flat
+    # part, so f∘g is flat up to the point 2/3 where g crosses f's kink at
+    # 1/2. The g point's right neighbour is that crossing, not g's next
+    # breakpoint, and it must be dropped.
+    f = PLMap([(0, 0), (F(1, 2), 0), (1, 1)])
+    g = PLHomeo([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
+    want = [(0, 1, 0, 1), (2, 3, 0, 1), (1, 1, 1, 1)]
+    assert oracle_compose(f._kbps, g._kbps) == want
+    assert _k.compose(f._kbps, g._kbps) == want
+
+
+def test_compose_locates_once_and_never_canonicalizes(monkeypatch):
+    located = []
+    real_locate = _k._locate
+
+    def locate(bps, x):
+        located.append(x)
+        return real_locate(bps, x)
+
+    def canonical(bps):
+        raise AssertionError("compose must not canonicalize its output")
+
+    f, g = tent(3)._kbps, PLHomeo([(0, 0), (F(1, 3), F(2, 3)), (1, 1)])._kbps
+    want = oracle_compose(f, g)
+    monkeypatch.setattr(_k, "_locate", locate)
+    monkeypatch.setattr(_k, "canonical", canonical)
+    assert _k.compose(f, g) == want
+    assert located == [(0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_concat_of_restrictions(data):
+    f = data.draw(flat_maps() | homeos() | open_maps())
+    # cut at breakpoints (kinks stay) and elsewhere (collinear seams go)
+    fx = [x for x, _ in f.breakpoints[1:-1]]
+    cuts = data.draw(st.sets(interior | st.sampled_from(fx or [F(1, 2)]), max_size=5))
+    edges = [F(0)] + sorted(cuts) + [F(1)]
+    pieces = [_k.restrict(f._kbps, _pair(a), _pair(b)) for a, b in zip(edges, edges[1:])]
+    got = _k.concat(pieces)
+    assert got == oracle_concat(pieces) == f._kbps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(homeos(max_interior=3), min_size=1, max_size=5))
+def test_concat_of_blocks(maps):
+    # identity blocks meet collinearly, so whole runs of seams collapse
+    n = len(maps)
+    pieces = [
+        _k.affine_image(h._kbps, (1, n), (i, n), (1, n), (i, n))
+        for i, h in enumerate(maps)
+    ]
+    got = _k.concat(pieces)
+    assert got == oracle_concat(pieces)
+    assert _k.canonical(got) == got
+
+
+# ------------------------------------------------- canonical-input contract
+
+
+def _synthesis_reference():
+    """The benchmark's synthesis reference workload (perfbench/workloads.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.Synthesis.reference(None)
+
+
+def test_callers_pass_canonical_inputs(monkeypatch):
+    """Every compose and concat call in the campaigns and synthesis is canonical."""
+    calls = {"compose": 0, "concat": 0}
+    real_compose, real_concat = _k.compose, _k.concat
+
+    def compose(f, g):
+        assert _k.canonical(f) == f, "compose got a non-canonical f"
+        assert _k.canonical(g) == g, "compose got a non-canonical g"
+        calls["compose"] += 1
+        return real_compose(f, g)
+
+    def concat(pieces):
+        for piece in pieces:
+            assert _k.canonical(piece) == piece, "concat got a non-canonical piece"
+        calls["concat"] += 1
+        return real_concat(pieces)
+
+    monkeypatch.setattr(_k, "compose", compose)
+    monkeypatch.setattr(_k, "concat", concat)
+    for suite in VERIFY_SUITES:
+        report = run_verify_suite(ExperimentConfig(suite=suite, trials=3, seed=1))
+        assert report.all_ok(), suite
+    ref, ops = _synthesis_reference()
+    for op in ops:
+        ref.run(op)
+    assert calls["compose"] > 1000 and calls["concat"] > 50

@@ -17,7 +17,8 @@ layer enforces this once at construction.
 canonical input: no interior breakpoint collinear with its neighbours. They
 test collinearity only where a kink can vanish, so a collinear point in the
 input would survive into the output. Typed maps are canonical, and so are
-the lists that compose, concat, restrict, pl_sub, pl_min and pl_max return.
+the lists that compose, concat, restrict, pl_sub, pl_min and pl_max return,
+and the affine_image of a canonical list under a map with sy != 0.
 """
 
 from math import gcd
@@ -377,15 +378,58 @@ def restrict(bps, a, b):
 
 
 def affine_image(bps, sx, ox, sy, oy):
-    """Apply x -> sx*x + ox and y -> sy*y + oy to every breakpoint (sx != 0)."""
+    """Apply x -> sx*x + ox and y -> sy*y + oy to every breakpoint (sx != 0).
+
+    Each coordinate is one normalization of (s_n*n*o_d + o_n*s_d*d) over
+    s_d*d*o_d. With sy != 0 the image of a canonical list is canonical:
+    an invertible affine map keeps collinear points collinear, and no others.
+    """
+    sxn, sxd = sx
+    oxn, oxd = ox
+    syn, syd = sy
+    oyn, oyd = oy
     out = []
-    for p in bps:
-        nx = radd(rmul(sx, (p[0], p[1])), ox)
-        ny = radd(rmul(sy, (p[2], p[3])), oy)
+    for xn, xd, yn, yd in bps:
+        nx = rnorm(sxn * xn * oxd + oxn * sxd * xd, sxd * xd * oxd)
+        ny = rnorm(syn * yn * oyd + oyn * syd * yd, syd * yd * oyd)
         out.append((nx[0], nx[1], ny[0], ny[1]))
-    if sx[0] < 0:
+    if sxn < 0:
         out.reverse()
     return out
+
+
+def segment_affines(bps):
+    """(slope, offset) of y = slope*x + offset on each segment, as pairs.
+
+    Entry i belongs to the segment from bps[i] to bps[i + 1].
+    """
+    out = []
+    for k in range(len(bps) - 1):
+        x0n, x0d, y0n, y0d = bps[k]
+        x1n, x1d, y1n, y1d = bps[k + 1]
+        slope = rnorm((y1n * y0d - y0n * y1d) * x1d * x0d,
+                      (x1n * x0d - x0n * x1d) * y1d * y0d)
+        offset = rnorm(y0n * slope[1] * x0d - slope[0] * x0n * y0d,
+                       y0d * slope[1] * x0d)
+        out.append((slope, offset))
+    return out
+
+
+def segment_of(bps, lo, hi):
+    """Index i of the segment bps[i]..bps[i + 1] that holds [lo, hi], or None.
+
+    lo <= hi must lie in the domain. The range may start or end on a
+    breakpoint; a single point on an interior breakpoint gets the segment
+    to its right, and the last breakpoint gets the last segment. None when
+    an interior breakpoint lies strictly between lo and hi.
+    """
+    i = _locate(bps, lo)
+    if i == len(bps) - 1:
+        i -= 1
+    q = bps[i + 1]
+    if hi[0] * q[1] <= q[0] * hi[1]:
+        return i
+    return None
 
 
 def concat(pieces):

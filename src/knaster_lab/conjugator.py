@@ -20,6 +20,16 @@ most the length of that hull. At the attracting end the hull is C itself;
 at the repelling end it is C grown by one extra orbit step, which is why
 the backward orbit runs until the previous point is inside the margin.
 
+Affine tail: each orbit piece is the graph of the previous one under
+(x, y) ↦ (g(x), f(y)), or (g⁻¹(x), f⁻¹(y)) backward. Near a component end
+the cells shrink, so most pieces lie inside one segment of g and take
+values inside one segment of f; there the step is one affine image of the
+previous piece, with both slopes positive. An invertible affine map keeps
+collinear points collinear and the rest not, so the image of a canonical
+piece is canonical, and since the canonical list of a map is unique it is
+bit for bit what restricting and composing would give. Only a piece that
+straddles a breakpoint of g or f is restricted and composed.
+
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
 conjugator must compress that g-interval into a tiny window around the
@@ -44,7 +54,7 @@ from .plmap import (
 )
 from .randgen import derive_rng, rand_signature_homeo
 from .rational import format_rational
-from .signatures import fixed_intervals, signature, signature_reflect
+from .signatures import fixed_intervals, gap_signs, signature, signature_reflect
 from .tents import block_sum, check_size, oplus_power, oplus_size
 
 
@@ -72,10 +82,6 @@ def _fp(x):
     return (x.numerator, x.denominator)
 
 
-def _frac(pair):
-    return Fraction(pair[0], pair[1])
-
-
 def _affine_piece(x0, y0, x1, y1):
     return [_fp(x0) + _fp(y0), _fp(x1) + _fp(y1)]
 
@@ -98,12 +104,41 @@ def _outside(x, end, margin):
     return abs(end[0] * x[1] - x[0] * end[1]) * margin[1] > margin[0] * end[1] * x[1]
 
 
+def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
+    """Orbit pieces after piece, each the graph of the last under (xmap, ymap).
+
+    xmap carries piece's x cell onto the neighbouring cell, to the right
+    when rightward, and ymap carries its values likewise; a new piece is
+    f^±1 ∘ piece ∘ g^∓1 on the new cell. Steps while the end piece[near]
+    of the last piece lies outside margin of stop, one budget step each.
+    """
+    xaff = _k.segment_affines(xmap)
+    yaff = _k.segment_affines(ymap)
+    pieces = []
+    while _outside(piece[near][:2], stop, margin):
+        budget.spend()
+        first, last = piece[0], piece[-1]
+        i = _k.segment_of(xmap, first[:2], last[:2])
+        j = None if i is None else _k.segment_of(ymap, first[2:], last[2:])
+        if j is not None:
+            piece = _k.affine_image(piece, *xaff[i], *yaff[j])
+        else:
+            if rightward:
+                lo = last[:2]
+                hi = _k.eval_at(xmap, lo)
+            else:
+                hi = first[:2]
+                lo = _k.eval_at(xmap, hi)
+            piece = _k.compose(ymap, _k.compose(piece, _k.restrict(xinv, lo, hi)))
+        pieces.append(piece)
+    return pieces
+
+
 def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns (pieces, ql, pl, qh, ph): kernel pieces in ascending x order
     covering [ql, qh] on the g side, with h(ql) = pl and h(qh) = ph.
-    The orbit points travel as kernel pairs.
     """
     a, b = fcomp
     c, d = gcomp
@@ -121,39 +156,21 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     attract = _fp(d if sign > 0 else c)
     repel = _fp(c if sign > 0 else d)
     margin = _fp(eta_cap)
+    # a piece's end toward the attracting end: q1 on h0. Forward, it is
+    # the newest orbit point; backward, it is g of the newest one, and the
+    # cap bound at the repelling end is that previous orbit point, so keep
+    # stepping until it is already inside the margin
+    near = -1 if sign > 0 else 0
+    fwd = _orbit(h0, g_loc, ginv, f_loc, sign > 0, near, attract, margin, budget)
+    back = _orbit(h0, ginv, g_loc, finv, sign < 0, near, repel, margin, budget)
 
-    fwd_pieces = []
-    piece, q_cur, p_cur = h0, q1, p1
-    while _outside(q_cur, attract, margin):
-        budget.spend()
-        q_next = _k.eval_at(g_loc, q_cur)
-        p_next = _k.eval_at(f_loc, p_cur)
-        lo, hi = (q_cur, q_next) if sign > 0 else (q_next, q_cur)
-        step = _k.compose(piece, _k.restrict(ginv, lo, hi))
-        piece = _k.compose(f_loc, step)
-        fwd_pieces.append(piece)
-        q_cur, p_cur = q_next, p_next
-
-    back_pieces = []
-    piece, r_cur, z_cur = h0, q0, p0
-    # the cap bound at the repelling end is the previous orbit point, so
-    # keep stepping until g(r) is already inside the margin
-    while _outside(_k.eval_at(g_loc, r_cur), repel, margin):
-        budget.spend()
-        r_next = _k.eval_at(ginv, r_cur)
-        z_next = _k.eval_at(finv, z_cur)
-        lo, hi = (r_next, r_cur) if sign > 0 else (r_cur, r_next)
-        step = _k.compose(piece, _k.restrict(g_loc, lo, hi))
-        piece = _k.compose(finv, step)
-        back_pieces.append(piece)
-        r_cur, z_cur = r_next, z_next
-
-    r_cur, z_cur, q_cur, p_cur = map(_frac, (r_cur, z_cur, q_cur, p_cur))
     if sign > 0:
-        pieces = list(reversed(back_pieces)) + [h0] + fwd_pieces
-        return pieces, r_cur, z_cur, q_cur, p_cur
-    pieces = list(reversed(fwd_pieces)) + [h0] + back_pieces
-    return pieces, q_cur, p_cur, r_cur, z_cur
+        pieces = back[::-1] + [h0] + fwd
+    else:
+        pieces = fwd[::-1] + [h0] + back
+    lo, hi = pieces[0][0], pieces[-1][-1]
+    return (pieces, Fraction(lo[0], lo[1]), Fraction(lo[2], lo[3]),
+            Fraction(hi[0], hi[1]), Fraction(hi[2], hi[3]))
 
 
 def _slope_bound(f, lo, hi):
@@ -235,17 +252,12 @@ def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
     return pieces, m - th_l, m + th_r
 
 
-def _build_conjugator(f, g, eta_cap, budget):
-    f_ivs = fixed_intervals(f)
-    g_ivs = fixed_intervals(g)
-    ncomp = len(f_ivs) - 1
-
+def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
+    ncomp = len(signs)
     comps = []
-    for j in range(ncomp):
+    for j, sign in enumerate(signs):
         fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
         gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
-        mid = (gcomp[0] + gcomp[1]) / 2
-        sign = 1 if g(mid) > mid else -1
         comps.append(_transport(f, g, fcomp, gcomp, sign, eta_cap, budget))
 
     parts = []
@@ -276,13 +288,17 @@ def approx_conjugator(f, g, eta, max_steps=1_000_000):
         raise ValueError("eta must be positive")
     if f == g:
         return identity()
-    if signature(f) != signature(g):
+    f_ivs = fixed_intervals(f)
+    g_ivs = fixed_intervals(g)
+    signs = gap_signs(g, g_ivs)
+    if gap_signs(f, f_ivs) != signs:
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"
         )
     budget = _Budget(max_steps)
     for attempt in range(6):
-        h = _build_conjugator(f, g, eta / (2 ** (attempt + 1)), budget)
+        eta_cap = eta / (2 ** (attempt + 1))
+        h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
         achieved = sup_dist(compose(compose(h.invert(), f), h), g)
         if achieved < eta:
             return h

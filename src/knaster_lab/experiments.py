@@ -357,12 +357,14 @@ def _t_density(cfg, rng):
         fm = identity()
         target = identity()
         h = identity()
+        signs = []
     else:
         k = cfg.integer("generic_k", 2)
         spec = PseudoGenericSpec(k, seed=rng.getrandbits(32))
         f0 = pseudo_generic(spec)
         fm = lift(DiagonalHomeo(0, f0), m, P).inducer
-        target = rand_signature_homeo(rng, signature(fm))
+        signs = signature(fm)
+        target = rand_signature_homeo(rng, signs)
         h = approx_conjugator(fm, target, eps)
     conj = compose(compose(h.invert(), fm), h)
     gap = sup_dist(conj, target)
@@ -383,7 +385,7 @@ def _t_density(cfg, rng):
         "m": m,
         "eta": format_rational(eta),
         "eps": format_rational(eps),
-        "signs": signature_to_string(signature(fm)) or "(none)",
+        "signs": signature_to_string(signs) or "(none)",
         "sup_gap": format_rational(gap),
         "lower": format_rational(dist.lower),
         "upper": format_rational(dist.upper),

@@ -62,7 +62,11 @@ def fixed_intervals(h):
 
 def signature(h):
     """Signs of h - id on the gaps between consecutive fixed intervals."""
-    ivs = fixed_intervals(h)
+    return gap_signs(h, fixed_intervals(h))
+
+
+def gap_signs(h, ivs):
+    """Signature of h from its fixed intervals ivs = fixed_intervals(h)."""
     signs = []
     for k in range(len(ivs) - 1):
         a = ivs[k][1]

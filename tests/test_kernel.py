@@ -138,6 +138,76 @@ def test_affine_image_reflection():
     assert got == [(0, 1, 0, 1), (1, 2, 1, 4), (1, 1, 1, 1)]
 
 
+def old_affine_image(bps, sx, ox, sy, oy):
+    """affine_image as first written: a product and a sum per coordinate."""
+    out = []
+    for p in bps:
+        nx = k.radd(k.rmul(sx, (p[0], p[1])), ox)
+        ny = k.radd(k.rmul(sy, (p[2], p[3])), oy)
+        out.append((nx[0], nx[1], ny[0], ny[1]))
+    if sx[0] < 0:
+        out.reverse()
+    return out
+
+
+def _rand_rational(rng, nonzero=False):
+    while True:
+        r = k.rnorm(rng.randint(-40, 40), rng.randint(1, 40))
+        if r[0] or not nonzero:
+            return r
+
+
+def test_affine_image_matches_old_body():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        xs = sorted({k.rnorm(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(3 * n)},
+                    key=lambda r: r[0] / r[1])[:n]
+        if len(xs) < 2:
+            continue
+        bps = [x + _rand_rational(rng) for x in xs]
+        sx = _rand_rational(rng, nonzero=True)  # sx < 0 takes the reflect path
+        args = (sx, _rand_rational(rng), _rand_rational(rng), _rand_rational(rng))
+        assert k.affine_image(bps, *args) == old_affine_image(bps, *args)
+    # both signs of sx on a fixed list
+    for sx in [(-3, 2), (3, 2)]:
+        args = (sx, (1, 7), (-5, 3), (2, 9))
+        assert k.affine_image(TENT4, *args) == old_affine_image(TENT4, *args)
+
+
+def test_segment_of():
+    # TENT4 has segments [0,1/4], [1/4,1/2], [1/2,3/4], [3/4,1]
+    assert k.segment_of(TENT4, (0, 1), (1, 4)) == 0
+    assert k.segment_of(TENT4, (1, 4), (1, 2)) == 1  # both ends on breakpoints
+    assert k.segment_of(TENT4, (1, 4), (1, 4)) == 1  # a point starts a segment
+    assert k.segment_of(TENT4, (5, 8), (11, 16)) == 2
+    assert k.segment_of(TENT4, (3, 4), (1, 1)) == 3
+    assert k.segment_of(TENT4, (1, 1), (1, 1)) == 3  # the last breakpoint
+    assert k.segment_of(TENT4, (7, 8), (1, 1)) == 3
+    # ranges across an interior breakpoint lie in no one segment
+    assert k.segment_of(TENT4, (1, 8), (3, 8)) is None
+    assert k.segment_of(TENT4, (1, 4), (5, 8)) is None
+    assert k.segment_of(TENT4, (0, 1), (1, 1)) is None
+    assert k.segment_of(ID, (0, 1), (1, 1)) == 0
+
+
+def test_segment_affines_reproduce_breakpoints():
+    rng = random.Random(7)
+    lists = [BUMP, TENT2, TENT4, ID, [(1, 3, -2, 5), (1, 2, 7, 3), (9, 4, 7, 3)]]
+    for _ in range(50):
+        xs = sorted({k.rnorm(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(6)},
+                    key=lambda r: r[0] / r[1])
+        lists.append([x + _rand_rational(rng) for x in xs])
+    for bps in lists:
+        aff = k.segment_affines(bps)
+        assert len(aff) == len(bps) - 1
+        for i, (slope, offset) in enumerate(aff):
+            for p in bps[i], bps[i + 1]:
+                y = k.radd(k.rmul(slope, (p[0], p[1])), offset)
+                assert y == (p[2], p[3])
+            assert slope == k.rnorm(*slope) and offset == k.rnorm(*offset)
+
+
 def test_outputs_stay_normalized():
     # representation equality relies on every tuple being in lowest terms
     from math import gcd

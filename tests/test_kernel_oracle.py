@@ -210,14 +210,19 @@ def test_concat_of_blocks(maps):
 # ------------------------------------------------- canonical-input contract
 
 
-def _synthesis_reference():
-    """The benchmark's synthesis reference workload (perfbench/workloads.py)."""
+def _synthesis_workload():
+    """A small seed-0 synthesis workload of the benchmark (perfbench/workloads.py).
+
+    Larger than its reference inputs, so compose still runs over a
+    thousand times now that most orbit steps are affine images.
+    """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return workloads.Synthesis.reference(None)
+    wl = workloads.Synthesis(0, regular=24, squeeze=6, grid=4)
+    return wl, wl.ops
 
 
 def test_callers_pass_canonical_inputs(monkeypatch):
@@ -242,7 +247,7 @@ def test_callers_pass_canonical_inputs(monkeypatch):
     for suite in VERIFY_SUITES:
         report = run_verify_suite(ExperimentConfig(suite=suite, trials=3, seed=1))
         assert report.all_ok(), suite
-    ref, ops = _synthesis_reference()
+    wl, ops = _synthesis_workload()
     for op in ops:
-        ref.run(op)
+        wl.run(op)
     assert calls["compose"] > 1000 and calls["concat"] > 50

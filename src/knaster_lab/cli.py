@@ -30,7 +30,6 @@ from .conjugator import (
     snap_to_grid,
 )
 from .experiments import (
-    VERIFY_SUITES,
     render_table,
     replay_config,
     run_density_experiment,
@@ -252,6 +251,18 @@ _PARAM_FLAGS = {
     "target": str,
 }
 
+# the flags of each verify suite: one entry per key of VERIFY_SUITES
+_SUITE_PARAMS = {
+    "semiconj": ["d_max", "max_breakpoints"],
+    "oplus-scaling": ["d_max"],
+    "grid-fix": ["d_max"],
+    "mod-bound": ["eps", "n_max"],
+    "tent-witness": ["delta", "d", "method"],
+    "separation": ["eta", "n_max"],
+    "comod": ["delta"],
+    "signature-laws": ["d_max"],
+}
+
 
 def _campaign_config(args, suite):
     cfg = ExperimentConfig.from_file(args.config) if args.config else None
@@ -440,18 +451,7 @@ def build_parser():
 
     ve = sub.add_parser("verify", help="seeded verification campaigns")
     ves = ve.add_subparsers(dest="suite_cmd", required=True)
-    suite_params = {
-        "semiconj": ["d_max", "max_breakpoints"],
-        "oplus-scaling": ["d_max"],
-        "grid-fix": ["d_max"],
-        "mod-bound": ["eps", "n_max"],
-        "tent-witness": ["delta", "d", "method"],
-        "separation": ["eta", "n_max"],
-        "comod": ["delta"],
-        "signature-laws": ["d_max"],
-    }
-    assert set(suite_params) == set(VERIFY_SUITES)
-    for name, params in suite_params.items():
+    for name, params in _SUITE_PARAMS.items():
         p = ves.add_parser(name)
         _add_campaign_flags(p, params)
         p.set_defaults(func=_cmd_verify, suite=name)

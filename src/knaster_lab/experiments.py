@@ -368,14 +368,8 @@ def _t_density(cfg, rng):
         h = approx_conjugator(fm, target, eps)
     conj = compose(compose(h.invert(), fm), h)
     gap = sup_dist(conj, target)
-    dist = None
-    for N in range(m, m + 9):
-        dist = diag_dist(
-            DiagonalHomeo(m, conj), DiagonalHomeo(m, target), N, P
-        )
-        if dist.upper < eta:
-            break
-    else:
+    dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
+    if dist.upper >= eta:
         raise CheckFailure(
             "could not certify the conjugated distance under eta",
             {"upper": format_rational(dist.upper)},

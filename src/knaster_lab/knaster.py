@@ -13,7 +13,8 @@ Distances are never floats. The metric
 
 is reported as a CertifiedDistance: an exact rational interval
 [lower, upper] containing the value the untruncated objects would have,
-with the tail beyond the truncation absorbed into the upper bound.
+with the tail beyond the truncation absorbed into the upper bound; for
+diagonal maps on "all2" that bound is the untruncated value itself.
 
 Nothing is lifted to the truncation. Above M = max(F.base_coord,
 G.base_coord) both inducers are block sums of their level-M forms, so
@@ -231,9 +232,10 @@ def extend_point(x, n, P):
 class CertifiedDistance:
     """An exact interval [lower, upper] around an untruncatable metric value.
 
-    upper - lower never exceeds the schedule's closed-form tail bound at
-    the truncation; witness, when present, is an input stalk realizing
-    the lower bound.
+    lower is the metric truncated at coordinate `truncation`. upper -
+    lower never exceeds the schedule's closed-form tail bound there; for
+    diag_dist, upper is a sup under a high tail weight, exact on "all2".
+    witness, when present, is an input stalk realizing the lower bound.
     """
 
     lower: Fraction
@@ -389,9 +391,10 @@ def diag_dist(F, G, N, P):
     it lies in block 0 at every level above M, so the tents carry it
     back to s unreflected.
 
-    The upper bound adds the smaller of two tails: the generic bound
-    2*weight(N+1), and the contraction-aware bound that scales
-    sup|D_N| = sup|D_M| / (p_{M+1}...p_N) down the remaining tower.
+    Untruncated, the level-M weight is C(M, inf), whose terms past N
+    shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
+    r_N = 4/(3 p_1...p_{N+1} p_{M+1}...p_{N+1}), equal on "all2". upper
+    is the sup under that high weight, the untruncated distance on "all2".
     """
     if N < F.base_coord or N < G.base_coord:
         raise ValueError("truncation is below a base coordinate")
@@ -415,39 +418,37 @@ def diag_dist(F, G, N, P):
     for _, D in levels[1:]:
         xs = _k.merged_xs(xs, D)
 
+    # the weighted levels below M, then level M under both weights
+    below = [(0, 1)] * len(xs)
+    for m, D in levels[1:]:
+        w = _level_weight(m, P)
+        w = (w.numerator, w.denominator)
+        for i, v in enumerate(_k.eval_sorted(D, xs)):
+            if v[0]:
+                below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
+
     collapsed = sum(
         _level_weight(i, P) / P.product(M + 1, i) for i in range(M, N + 1)
     )
-    totals = [(0, 1)] * len(xs)
-    sup_top = (0, 1)
-    for m, D in levels:
-        w = _level_weight(m, P) if m < M else collapsed
-        w = (w.numerator, w.denominator)
-        vals = _k.eval_sorted(D, xs)
-        for i, v in enumerate(vals):
-            a = _k.rabs(v)
-            if m == M and _k.rcmp(a, sup_top) > 0:
-                sup_top = a
-            if a[0]:
-                totals[i] = _k.radd(totals[i], _k.rmul(a, w))
-
-    best = (-1, 1)
+    high = collapsed + Fraction(
+        4, 3 * P.product(1, N + 1) * P.product(M + 1, N + 1)
+    )
+    c = (collapsed.numerator, collapsed.denominator)
+    h = (high.numerator, high.denominator)
+    lower = upper = (-1, 1)
     wit = xs[0]
-    for i, tot in enumerate(totals):
-        if _k.rcmp(tot, best) > 0:
-            best = tot
-            wit = xs[i]
+    for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
+        a = _k.rabs(v)
+        lo = _k.radd(b, _k.rmul(a, c))
+        if _k.rcmp(lo, lower) > 0:
+            lower = lo
+            wit = x
+        hi = _k.radd(b, _k.rmul(a, h))
+        if _k.rcmp(hi, upper) > 0:
+            upper = hi
 
-    lower = Fraction(*best)
-    above = P.product(M + 1, N)
-    # Coordinates past N are block sums of the level-N inducers, so the
-    # level-m difference is sup|D_N|/(p_{N+1}...p_m); the weighted tail
-    # is geometric with ratio <= 1/4.
-    pn1 = P.prime(N + 1)
-    sharp = Fraction(*sup_top) / above * Fraction(4, 3 * P.product(1, N + 1) * pn1)
-    tail = min(P.tail_bound(N), sharp)
-    witness = extend_point(Fraction(*wit) / above, N, P)
-    return CertifiedDistance(lower, lower + tail, N, witness)
+    witness = extend_point(Fraction(*wit) / P.product(M + 1, N), N, P)
+    return CertifiedDistance(Fraction(*lower), Fraction(*upper), N, witness)
 
 
 @dataclass(frozen=True)

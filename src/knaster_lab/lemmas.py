@@ -69,14 +69,16 @@ class ModBoundCertificate:
         }
 
 
-def certify_mod_bound(g, h, n, eps, P, max_extra=8):
+def certify_mod_bound(g, h, n, eps, P):
     """Certify that the diagonal distance of (n,g) and (n,h) is below eps.
 
-    Requires sup_dist(g, h) < eps/(p_1...p_n). Walks the truncation up
-    from n until the certified upper bound drops under eps. The weighted
-    coordinate differences keep the lower part under 5*eps/6 at every
-    truncation while the tail term shrinks geometrically, so the first
-    or second truncation certifies unless the implementation is wrong.
+    Requires sup_dist(g, h) < eps/(p_1...p_n); one diag_dist at N = n
+    then certifies. The tents are p-Lipschitz, so the level-m difference
+    is below eps/(p_1...p_m), and the terms of diag_dist's upper bound
+    are below eps/2 at level 0, eps/(p_1...p_m)^2 at level m >= 1 and
+    4 eps/(3 (p_1...p_{n+1})^2) for the tail weight r_n. As every
+    p_i >= 2, they sum to at most eps (1/2 + sum_{i>=1} 4^-i) = 5 eps/6,
+    so an upper bound at or above eps raises CounterexampleError.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -89,21 +91,18 @@ def certify_mod_bound(g, h, n, eps, P, max_extra=8):
         raise ValueError(
             f"sup distance {gap} is not below eps/(p_1...p_n) = {bound}"
         )
-    a = DiagonalHomeo(n, g)
-    b = DiagonalHomeo(n, h)
-    for N in range(n, n + max_extra + 1):
-        d = diag_dist(a, b, N, P)
-        if d.upper < eps:
-            return ModBoundCertificate(n, eps, d, True)
-    raise CounterexampleError(
-        "no truncation certified the mod bound",
-        {
-            "g": to_json_dict(g),
-            "h": to_json_dict(h),
-            "coord": n,
-            "eps": format_rational(eps),
-        },
-    )
+    d = diag_dist(DiagonalHomeo(n, g), DiagonalHomeo(n, h), n, P)
+    if d.upper >= eps:
+        raise CounterexampleError(
+            "the certified upper bound is not below eps",
+            {
+                "g": to_json_dict(g),
+                "h": to_json_dict(h),
+                "coord": n,
+                "eps": format_rational(eps),
+            },
+        )
+    return ModBoundCertificate(n, eps, d, True)
 
 
 class TentWitness(NamedTuple):

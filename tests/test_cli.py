@@ -273,3 +273,13 @@ def test_shared_parser_matches_fresh_parsers(maps, capsys):
         assert vars(cli._parser().parse_args(argv)) == vars(
             cli.build_parser().parse_args(argv)
         )
+
+
+def test_every_verify_suite_has_a_subcommand():
+    from knaster_lab import cli
+
+    assert set(cli._SUITE_PARAMS) == set(VERIFY_SUITES)
+    for name, params in cli._SUITE_PARAMS.items():
+        args = cli._parser().parse_args(["verify", name])
+        assert args.suite == name
+        assert all(hasattr(args, p) for p in params)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import knaster_lab.experiments as experiments
 from knaster_lab.config import ExperimentConfig, SEED_ENV_VAR, radius_schedule
 from knaster_lab.experiments import (
     CheckFailure,
@@ -16,7 +17,7 @@ from knaster_lab.experiments import (
     run_suite,
     run_verify_suite,
 )
-from knaster_lab.knaster import PrimeSequence
+from knaster_lab.knaster import CertifiedDistance, PrimeSequence
 from knaster_lab.rational import parse_rational
 
 ALL2 = PrimeSequence("all2")
@@ -179,6 +180,22 @@ def test_density_identity_target_is_trivial():
     for o in report.outcomes:
         assert o.details["sup_gap"] == "0"
         assert o.details["upper"] == "0"
+
+
+def test_density_self_check_reports_a_failed_trial(monkeypatch):
+    # a diag_dist that reports eta itself must fail the trial, not pass it
+    def too_far(a, b, N, P):
+        return CertifiedDistance(F(0), F(1, 4), N, None)
+
+    monkeypatch.setattr(experiments, "diag_dist", too_far)
+    report = run_density_experiment(
+        cfg_for("density", trials=2, seed=3, params={"m": 1, "eta": "1/4"})
+    )
+    assert report.failed == 2
+    for o in report.outcomes:
+        assert not o.ok
+        assert "under eta" in o.details["error"]
+        assert o.details["diagnostics"] == {"upper": "1/4"}
 
 
 def test_run_suite_dispatches_density():

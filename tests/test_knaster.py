@@ -257,8 +257,9 @@ class TestDiagDist:
         )
         assert d.lower == F(3, 16)
         assert d.witness.coords == (F(1, 2), F(1, 4))
-        # contraction-aware tail: sup at level 1 is 1/8, giving
-        # (1/8) * 4/(3 * 4 * 2) = 1/48 on top of the partial sup
+        # high tail weight: C(0, 1) = 3/4 plus r_1 = 4/(3 * 4 * 4) = 1/12
+        # is C(0, inf) = 5/6 on all2, and sup|g - id| = 1/4, so the upper
+        # bound is the untruncated distance 5/24 = 3/16 + 1/48
         assert d.upper == F(3, 16) + F(1, 48)
 
     def test_lower_monotone_in_truncation(self):

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import knaster_lab.lemmas as lemmas
 from knaster_lab.knaster import (
+    CertifiedDistance,
     DiagonalHomeo,
     PrimeSequence,
     TruncatedKnasterPoint,
@@ -23,7 +25,7 @@ from knaster_lab.lemmas import (
     separation_lower_bound,
     tent_witness,
 )
-from knaster_lab.plmap import PLHomeo, identity, sup_dist
+from knaster_lab.plmap import PLHomeo, from_json_dict, identity, sup_dist
 from knaster_lab.randgen import (
     derive_rng,
     nudge_homeo,
@@ -55,7 +57,7 @@ def test_mod_bound_equal_maps_is_zero():
 def test_mod_bound_frozen_bump_vs_identity():
     # coord 0, all2, eps = 1/3: sup gap 1/4 < 1/3. At N = 0 the only
     # level is D0 = bump - id with sup 1/4 at x = 1/2, so lower = 1/8;
-    # the contraction tail is (1/4)*4/(3*2*2) = 1/12, upper = 5/24 < 1/3.
+    # the tail weight 4/(3*2*2) = 1/3 lifts 1/2 to 5/6, upper = 5/24 < 1/3.
     cert = certify_mod_bound(bump("1/2", "3/4"), identity(), 0, F(1, 3), ALL2)
     assert cert.certified
     assert cert.distance.truncation == 0
@@ -99,7 +101,25 @@ def test_mod_bound_seeded_sweep(P, eps):
         h, _ = rand_nudge(rng, g, eps / P.product(1, n))
         cert = certify_mod_bound(g, h, n, eps, P)
         assert cert.certified
-        assert cert.distance.upper < eps
+        assert cert.distance.truncation == n
+        # the bound of certify_mod_bound's docstring, well inside eps
+        assert cert.distance.upper < 5 * eps / 6
+
+
+def test_mod_bound_self_check_raises_with_replay_payload(monkeypatch):
+    # a diag_dist that reports eps itself must not pass as a certificate
+    def too_far(a, b, N, P):
+        return CertifiedDistance(F(0), F(1, 10), N, None)
+
+    monkeypatch.setattr(lemmas, "diag_dist", too_far)
+    h = bump("1/2", F(1, 2) + F(1, 25))
+    with pytest.raises(CounterexampleError) as err:
+        certify_mod_bound(identity(), h, 1, F(1, 10), DIAG)
+    payload = err.value.payload
+    assert from_json_dict(payload["g"]) == identity()
+    assert from_json_dict(payload["h"]) == h
+    assert payload["coord"] == 1
+    assert payload["eps"] == "1/10"
 
 
 # -------------------------------------------------------------- tent witness

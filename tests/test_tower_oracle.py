@@ -5,8 +5,11 @@ weights the level-M difference by the collapsed tail C(M, N);
 eval_diagonal walks the stalk's block indices. The oracles below are
 the straightforward versions: lift both inducers to the truncation N
 (p_1...p_N copies), fold every level down to 0, and evaluate the lifted
-inducer directly. Bounds must agree exactly, and both witnesses must
-realize the lower bound.
+inducer directly. The lower bounds and witnesses must agree exactly,
+and both witnesses must realize the lower bound. diag_dist's upper bound
+puts the tail inside the sup instead of adding it after, so it may only
+be tighter than the oracle's; on all2 it must equal the untruncated
+distance, folded independently below.
 """
 
 from fractions import Fraction
@@ -30,7 +33,7 @@ from knaster_lab.knaster import (
     lift,
     validate_point,
 )
-from knaster_lab.plmap import PLHomeo
+from knaster_lab.plmap import PLHomeo, compose
 from knaster_lab.randgen import derive_rng, rand_homeo
 import knaster_lab.tents as tents
 from knaster_lab.tents import MAX_BREAKPOINTS, check_size, oplus_power, tent
@@ -103,21 +106,41 @@ def tower_cases(draw):
     rng = derive_rng("tower-oracle", draw(st.integers(0, 10**6)))
     Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=size, den=32))
     Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=size, den=32))
-    return P, N, Fd, Gd
+    return P, n_max, N, Fd, Gd
+
+
+def _check_against_oracle(got, want, deeper):
+    """Same lower and witness as the oracle, and an upper bound no looser.
+
+    The oracle's upper bound adds a tail to its lower bound; diag_dist
+    puts the tail weight inside the sup, so its upper bound may only be
+    tighter, and must still sit above the oracle's lower bound at every
+    deeper truncation in `deeper`.
+    """
+    assert got.lower == want.lower
+    assert got.witness == want.witness
+    assert got.truncation == want.truncation
+    assert got.upper <= want.upper
+    for d in deeper:
+        assert d.lower <= got.upper, d.truncation
 
 
 @given(tower_cases())
 @settings(max_examples=60, deadline=None)
 def test_diag_dist_matches_oracle(case):
-    P, N, Fd, Gd = case
+    P, n_max, N, Fd, Gd = case
     got = diag_dist(Fd, Gd, N, P)
+    # one level deeper only: the oracle's deepest lifts of these inducers
+    # take seconds, and the sweep below checks every deeper level
+    deeper = [oracle_diag_dist(Fd, Gd, N + 1, P)] if N < n_max else []
     want = oracle_diag_dist(Fd, Gd, N, P)
-    assert (got.lower, got.upper) == (want.lower, want.upper)
-    assert got.truncation == N
+    _check_against_oracle(got, want, deeper)
     validate_point(got.witness, P)
     assert _realizes(Fd, Gd, got, P, eval_diagonal)
     assert _realizes(Fd, Gd, got, P, oracle_eval_diagonal)
     assert _realizes(Fd, Gd, want, P, eval_diagonal)
+    uppers = [diag_dist(Fd, Gd, n, P).upper for n in range(N, n_max + 1)]
+    assert uppers == sorted(uppers, reverse=True)
 
 
 def test_diag_dist_matches_oracle_at_every_depth():
@@ -127,11 +150,55 @@ def test_diag_dist_matches_oracle_at_every_depth():
         for bf, bg in ((0, 0), (1, 2), (3, 0), (2, 3)):
             Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=2, den=16))
             Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=2, den=16))
-            for N in range(max(bf, bg), n_max + 1):
-                got = diag_dist(Fd, Gd, N, P)
-                want = oracle_diag_dist(Fd, Gd, N, P)
-                assert (got.lower, got.upper) == (want.lower, want.upper), (name, bf, bg, N)
-                assert _realizes(Fd, Gd, got, P, eval_diagonal)
+            depths = range(max(bf, bg), n_max + 1)
+            wants = [oracle_diag_dist(Fd, Gd, N, P) for N in depths]
+            gots = [diag_dist(Fd, Gd, N, P) for N in depths]
+            for k, (got, want) in enumerate(zip(gots, wants)):
+                _check_against_oracle(got, want, wants[k + 1:])
+                assert _realizes(Fd, Gd, got, P, eval_diagonal), (name, bf, bg, got.truncation)
+            uppers = [got.upper for got in gots]
+            assert uppers == sorted(uppers, reverse=True), (name, bf, bg)
+
+
+def untruncated_all2_dist(Fd, Gd):
+    """The untruncated all2 distance, folded with Fractions.
+
+    Above M every level repeats |D_M| halved once per level, so the
+    whole tail is the weight C(M, inf) = sum_{i>=M} w_i / 2^(i-M): 5/6
+    at M = 0 (1/2 + sum 4^-i) and 4/(3 * 2^M) above.
+    """
+    P = PrimeSequence("all2")
+    M = max(Fd.base_coord, Gd.base_coord)
+    f = lift(Fd, M, P).inducer
+    g = lift(Gd, M, P).inducer
+    pairs = [(f, g)]
+    for _ in range(M):
+        f, g = compose(tent(2), f), compose(tent(2), g)
+        pairs.append((f, g))
+    pairs.reverse()  # pairs[m] is level m
+    xs = sorted({x for pair in pairs for h in pair for x, _ in h.breakpoints})
+    weights = [F(1, 2) if m == 0 else F(1, 2**m) for m in range(M)]
+    weights.append(F(5, 6) if M == 0 else F(4, 3 * 2**M))
+    assert len(weights) == len(pairs)
+    return max(
+        sum(w * abs(f(x) - g(x)) for w, (f, g) in zip(weights, pairs))
+        for x in xs
+    )
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_all2_upper_is_the_untruncated_distance(bf, bg, seed):
+    P = PrimeSequence("all2")
+    rng = derive_rng("tower-all2-exact", seed)
+    Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=5, den=32))
+    Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=5, den=32))
+    M = max(bf, bg)
+    exact = untruncated_all2_dist(Fd, Gd)
+    for N in range(M, M + 6):
+        d = diag_dist(Fd, Gd, N, P)
+        assert d.upper == exact, N
+        assert d.lower <= exact
 
 
 @st.composite

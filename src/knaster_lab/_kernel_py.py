@@ -312,29 +312,9 @@ def crossings(f, g):
     return roots
 
 
-def _merge_sorted(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        c = rcmp(a[i], b[j])
-        if c < 0:
-            out.append(a[i])
-            i += 1
-        elif c > 0:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
 def pl_extremum(f, g, take_max):
     """Pointwise min (or max) of two PL functions on a common domain."""
-    xs = _merge_sorted(merged_xs(f, g), crossings(f, g))
+    xs = merged_xs(merged_xs(f, g), crossings(f, g))
     fv = eval_sorted(f, xs)
     gv = eval_sorted(g, xs)
     out = []

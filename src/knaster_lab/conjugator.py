@@ -13,12 +13,24 @@ the conjugator is f^j ∘ h₀ ∘ g^{-j}, which satisfies the conjugacy
 equation exactly; the only error comes from the affine caps that stop the
 (infinite) orbit once it is within a margin of the component ends.
 
-Cap error accounting, used to pick stopping rules: with the cap placed on
-the g-side cell C next to a component end, both g(x) and h⁻¹(f(h(x)))
-stay inside the convex hull of C's g-image for x in C, so the error is at
-most the length of that hull. At the attracting end the hull is C itself;
-at the repelling end it is C grown by one extra orbit step, which is why
-the backward orbit runs until the previous point is inside the margin.
+Cap error accounting, which is why one build at eta_cap = η/2 meets η:
+the cap is affine on the g-side cell C next to a component end, and h
+maps that end to a fixed point of f. For x in C or with g(x) in C, both
+g(x) and h⁻¹(f(h(x))) then stay inside the hull of C ∪ g(C); elsewhere
+in the transported range the conjugacy is exact.
+  * Attracting cap: the hull is C, no longer than eta_cap.
+  * Repelling cap: the hull is C grown by one orbit step, and the
+    backward orbit runs until that previous point is inside eta_cap.
+  * Pinch anchor: the anchor (0, 1 or a midpoint) lies in f's fixed
+    interval, so f fixes it and the two cap bounds above hold as they are.
+  * Squeeze window (below): f's slopes and inverse slopes near m are
+    under 2^k, so f scales a value's distance to m by a factor between
+    2^-k and 2^k. The window halves that distance per piece of width
+    w ≤ eta_cap/(k+3), so inside it h⁻¹ ∘ f ∘ h moves x by under
+    (k+1)·w < eta_cap. The cap next to the window ends at a value f does
+    not fix, so there h⁻¹ ∘ f ∘ h can cross between the cap and the
+    first k pieces; the error stays under eta_cap + k·w < 2·eta_cap = η.
+The exact post-check still refuses any miss.
 
 Affine tail: each orbit piece is the graph of the previous one under
 (x, y) ↦ (g(x), f(y)), or (g⁻¹(x), f⁻¹(y)) backward. Near a component end
@@ -67,7 +79,7 @@ class OrbitCapError(RuntimeError):
 
 
 class ConjugatorError(RuntimeError):
-    """The synthesized map failed its exact post-check even after retries."""
+    """The synthesized map failed its exact post-check."""
 
 
 class GridNotFixedError(ValueError):
@@ -279,9 +291,11 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
 def approx_conjugator(f, g, eta, max_steps=1_000_000):
     """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
 
-    Requires signature(f) == signature(g). Raises OrbitCapError when the
-    orbit matching needs more than max_steps iterations, and
-    ConjugatorError when the exact post-check cannot be met.
+    Requires signature(f) == signature(g). One build at eta_cap = eta/2
+    meets eta by the module's cap error accounting, and the exact
+    post-check confirms it. Raises OrbitCapError when the orbit matching
+    needs more than max_steps iterations, and ConjugatorError when the
+    post-check fails.
     """
     eta = Fraction(eta)
     if eta <= 0:
@@ -295,16 +309,13 @@ def approx_conjugator(f, g, eta, max_steps=1_000_000):
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"
         )
-    budget = _Budget(max_steps)
-    for attempt in range(6):
-        eta_cap = eta / (2 ** (attempt + 1))
-        h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
-        achieved = sup_dist(compose(compose(h.invert(), f), h), g)
-        if achieved < eta:
-            return h
-    raise ConjugatorError(
-        f"post-check failed: achieved {achieved}, needed < {eta}"
-    )
+    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta / 2, _Budget(max_steps))
+    achieved = sup_dist(compose(compose(h.invert(), f), h), g)
+    if achieved >= eta:
+        raise ConjugatorError(
+            f"post-check failed: achieved {achieved}, needed < {eta}"
+        )
+    return h
 
 
 def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):

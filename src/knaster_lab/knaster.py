@@ -191,10 +191,6 @@ class TruncatedKnasterPoint:
     def truncation(self):
         return len(self.coords) - 1
 
-    @property
-    def top(self):
-        return self.coords[-1]
-
     def to_json_dict(self):
         return {"coords": [format_rational(c) for c in self.coords]}
 

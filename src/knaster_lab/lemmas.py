@@ -53,22 +53,6 @@ class CounterexampleError(RuntimeError):
         self.payload = payload
 
 
-@dataclass(frozen=True)
-class ModBoundCertificate:
-    coord: int
-    eps: Fraction
-    distance: CertifiedDistance
-    certified: bool
-
-    def to_json_dict(self):
-        return {
-            "coord": self.coord,
-            "eps": format_rational(self.eps),
-            "distance": self.distance.to_json_dict(),
-            "certified": self.certified,
-        }
-
-
 def certify_mod_bound(g, h, n, eps, P):
     """Certify that the diagonal distance of (n,g) and (n,h) is below eps.
 
@@ -78,7 +62,8 @@ def certify_mod_bound(g, h, n, eps, P):
     are below eps/2 at level 0, eps/(p_1...p_m)^2 at level m >= 1 and
     4 eps/(3 (p_1...p_{n+1})^2) for the tail weight r_n. As every
     p_i >= 2, they sum to at most eps (1/2 + sum_{i>=1} 4^-i) = 5 eps/6,
-    so an upper bound at or above eps raises CounterexampleError.
+    so an upper bound at or above eps raises CounterexampleError; else
+    that CertifiedDistance is returned.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -102,7 +87,7 @@ def certify_mod_bound(g, h, n, eps, P):
                 "eps": format_rational(eps),
             },
         )
-    return ModBoundCertificate(n, eps, d, True)
+    return d
 
 
 class TentWitness(NamedTuple):
@@ -247,14 +232,6 @@ def check_tent_witness(f, g, d, delta, w):
 class SeparationCertificate:
     bound: Fraction
     distance: CertifiedDistance
-    certified: bool
-
-    def to_json_dict(self):
-        return {
-            "bound": format_rational(self.bound),
-            "distance": self.distance.to_json_dict(),
-            "certified": self.certified,
-        }
 
 
 def separation_lower_bound(F, h_window, m, eta, P):
@@ -290,7 +267,7 @@ def separation_lower_bound(F, h_window, m, eta, P):
                 "eta": format_rational(eta),
             },
         )
-    return SeparationCertificate(bound, dist, True)
+    return SeparationCertificate(bound, dist)
 
 
 @dataclass(frozen=True)
@@ -300,17 +277,6 @@ class ComodCertificate:
     coordinate: int
     route: str
     witness: TruncatedKnasterPoint
-    certified: bool
-
-    def to_json_dict(self):
-        return {
-            "bound": format_rational(self.bound),
-            "achieved": format_rational(self.achieved),
-            "coordinate": self.coordinate,
-            "route": self.route,
-            "witness": self.witness.to_json_dict(),
-            "certified": self.certified,
-        }
 
 
 def comod_lower_bound_check(p_prime, n, g_phi, j, delta, P):
@@ -365,4 +331,4 @@ def comod_lower_bound_check(p_prime, n, g_phi, j, delta, P):
                 "witness": x.to_json_dict(),
             },
         )
-    return ComodCertificate(bound, dist.lower, coord_used, route, x, True)
+    return ComodCertificate(bound, dist.lower, coord_used, route, x)

@@ -20,11 +20,6 @@ def derive_rng(seed, *labels):
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def rand_fraction(rng, den=64):
-    """Uniform-ish rational in [0,1] with denominator dividing den."""
-    return Fraction(rng.randint(0, den), den)
-
-
 def rand_partition(rng, interior, den=64):
     """0 = x_0 < ... < x_{interior+1} = 1 on the grid of denominator den."""
     if interior > den - 1:

@@ -101,16 +101,3 @@ def decide_conjugate(f, g):
 def signature_to_string(signs):
     """Sign list as a compact string, e.g. [1, -1, 1] -> "+-+"."""
     return "".join("+" if s > 0 else "-" for s in signs)
-
-
-def signature_from_string(text):
-    """Inverse of signature_to_string; only '+' and '-' are allowed."""
-    signs = []
-    for c in text:
-        if c == "+":
-            signs.append(1)
-        elif c == "-":
-            signs.append(-1)
-        else:
-            raise ValueError(f"invalid sign character {c!r}")
-    return signs

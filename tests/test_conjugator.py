@@ -231,6 +231,21 @@ def _fake_plhomeo(result):
     return Fake
 
 
+def test_one_build_then_postcheck_raises(monkeypatch):
+    # a build that misses eta is refused, never rebuilt at a finer cap
+    caps = []
+
+    def build(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
+        caps.append(eta_cap)
+        return identity()
+
+    monkeypatch.setattr(conjugator, "_build_conjugator", build)
+    g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
+    with pytest.raises(ConjugatorError, match="post-check failed"):
+        approx_conjugator(BUMP, g, F(1, 100))
+    assert caps == [F(1, 200)]
+
+
 def test_blockwise_norm_postcheck_raises(monkeypatch):
     monkeypatch.setattr(conjugator, "block_sum", lambda blocks: identity())
     f = BUMP

@@ -90,6 +90,7 @@ def test_reports_are_reproducible_modulo_timing():
     without = json.loads(a.to_json(with_timing=False))
     assert "elapsed_seconds" not in without
     assert all("seconds" not in t for t in without["trials"])
+    assert all(set(t["details"]) == {"n", "eps", "upper"} for t in without["trials"])
 
 
 def test_trial_streams_are_splittable():
@@ -147,10 +148,14 @@ def test_density_all_trials_certify():
         cfg_for("density", trials=6, seed=3, params={"m": 1, "eta": "1/4"})
     )
     assert report.all_ok()
+    eta = F(1, 4)
     for o in report.outcomes:
+        assert set(o.details) == {"m", "eta", "eps", "signs", "sup_gap", "lower", "upper"}
         assert o.details["eps"] == "1/16"
-        assert o.details["tail_ok"] is True
-        assert parse_rational(o.details["upper"]) < F(1, 4)
+        lower = parse_rational(o.details["lower"])
+        upper = parse_rational(o.details["upper"])
+        assert upper - lower < eta / 2
+        assert upper < eta
 
 
 def test_density_coordinate_two():

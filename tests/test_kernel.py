@@ -260,3 +260,15 @@ def test_every_kernel_function_is_used():
     ]
     assert "crossings" in public
     assert sorted(set(public) - used) == []
+
+
+def test_no_assert_under_src():
+    # python -O strips asserts, and certificates must check themselves there
+    src = Path(k.__file__).parent
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

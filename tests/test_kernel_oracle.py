@@ -1,11 +1,13 @@
-"""The merge-walk compose and seam-only concat against the code they replaced.
+"""The merge-walk compose, seam-only concat and pl_extremum against the code
+they replaced.
 
 compose walks one index through f and tests only g's interior breakpoints
 for collinearity; concat tests only the seams. Both rely on canonical
 inputs. The oracles below are the straightforward versions: compose
 locates every g segment in f by binary search and canonicalizes the whole
-output, concat canonicalizes the glued list. Outputs must be bit-identical
-and canonical.
+output, concat canonicalizes the glued list. pl_extremum merges the
+crossings in with merged_xs; its oracle keeps the private merge it used
+before. Outputs must be bit-identical and canonical.
 """
 
 import sys
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from knaster_lab import _kernel_py as _k
 from knaster_lab.config import ExperimentConfig
 from knaster_lab.experiments import VERIFY_SUITES, run_verify_suite
-from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap
+from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, reflect
+from knaster_lab.randgen import rand_homeo
 from knaster_lab.tents import tent
 
 F = Fraction
@@ -63,6 +66,36 @@ def oracle_concat(pieces):
         if out[-1] != piece[0]:
             raise ValueError(f"pieces do not meet: {out[-1]} vs {piece[0]}")
         out.extend(piece[1:])
+    return _k.canonical(out)
+
+
+def oracle_pl_extremum(f, g, take_max):
+    """Pointwise min (or max), merging the crossings in by rcmp."""
+    a = _k.merged_xs(f, g)
+    b = _k.crossings(f, g)
+    xs = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        c = _k.rcmp(a[i], b[j])
+        if c < 0:
+            xs.append(a[i])
+            i += 1
+        elif c > 0:
+            xs.append(b[j])
+            j += 1
+        else:
+            xs.append(a[i])
+            i += 1
+            j += 1
+    xs.extend(a[i:])
+    xs.extend(b[j:])
+    fv = _k.eval_sorted(f, xs)
+    gv = _k.eval_sorted(g, xs)
+    out = []
+    for k in range(len(xs)):
+        c = _k.rcmp(fv[k], gv[k])
+        pick = fv[k] if (c >= 0) == take_max else gv[k]
+        out.append((xs[k][0], xs[k][1], pick[0], pick[1]))
     return _k.canonical(out)
 
 
@@ -205,6 +238,22 @@ def test_concat_of_blocks(maps):
     got = _k.concat(pieces)
     assert got == oracle_concat(pieces)
     assert _k.canonical(got) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_pl_extremum_matches_oracle(rng, reflected):
+    # reflected pairs cross each other symmetrically about 1/2
+    f = rand_homeo(rng, 8, 24)
+    g = reflect(f) if reflected else rand_homeo(rng, 8, 24)
+    crosses = _k.crossings(f._kbps, g._kbps)
+    for take_max, op in ((False, _k.pl_min), (True, _k.pl_max)):
+        got = op(f._kbps, g._kbps)
+        assert got == oracle_pl_extremum(f._kbps, g._kbps, take_max)
+        assert _k.canonical(got) == got
+        # a strict crossing lies inside a segment of both maps, where f - g
+        # has nonzero slope, so it is a kink of the extremum
+        assert set(crosses) <= {p[:2] for p in got}
 
 
 # ------------------------------------------------- canonical-input contract

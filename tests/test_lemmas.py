@@ -48,10 +48,9 @@ def bump(x, y):
 
 def test_mod_bound_equal_maps_is_zero():
     cert = certify_mod_bound(identity(), identity(), 2, F(1, 10), DIAG)
-    assert cert.certified
-    assert cert.distance.lower == 0
-    assert cert.distance.upper == 0
-    assert cert.distance.truncation == 2
+    assert cert.lower == 0
+    assert cert.upper == 0
+    assert cert.truncation == 2
 
 
 def test_mod_bound_frozen_bump_vs_identity():
@@ -59,24 +58,22 @@ def test_mod_bound_frozen_bump_vs_identity():
     # level is D0 = bump - id with sup 1/4 at x = 1/2, so lower = 1/8;
     # the tail weight 4/(3*2*2) = 1/3 lifts 1/2 to 5/6, upper = 5/24 < 1/3.
     cert = certify_mod_bound(bump("1/2", "3/4"), identity(), 0, F(1, 3), ALL2)
-    assert cert.certified
-    assert cert.distance.truncation == 0
-    assert cert.distance.lower == F(1, 8)
-    assert cert.distance.upper == F(5, 24)
-    assert cert.distance.witness == TruncatedKnasterPoint((F(1, 2),))
+    assert cert.truncation == 0
+    assert cert.lower == F(1, 8)
+    assert cert.upper == F(5, 24)
+    assert cert.witness == TruncatedKnasterPoint((F(1, 2),))
 
 
 def test_mod_bound_close_pair_certifies_under_a_tenth():
     # first prime 2, coordinate 1: the precondition asks for sup < 1/20
     h = bump("1/2", F(1, 2) + F(1, 25))
     cert = certify_mod_bound(identity(), h, 1, F(1, 10), DIAG)
-    assert cert.certified
-    assert cert.distance.upper < F(1, 10)
+    assert cert.upper < F(1, 10)
     # the certificate is literally the certified interval at its truncation
     again = diag_dist(
-        DiagonalHomeo(1, identity()), DiagonalHomeo(1, h), cert.distance.truncation, DIAG
+        DiagonalHomeo(1, identity()), DiagonalHomeo(1, h), cert.truncation, DIAG
     )
-    assert again == cert.distance
+    assert again == cert
 
 
 def test_mod_bound_rejects_pair_at_the_threshold():
@@ -100,10 +97,9 @@ def test_mod_bound_seeded_sweep(P, eps):
         n = rng.randint(0, 3)
         h, _ = rand_nudge(rng, g, eps / P.product(1, n))
         cert = certify_mod_bound(g, h, n, eps, P)
-        assert cert.certified
-        assert cert.distance.truncation == n
+        assert cert.truncation == n
         # the bound of certify_mod_bound's docstring, well inside eps
-        assert cert.distance.upper < 5 * eps / 6
+        assert cert.upper < 5 * eps / 6
 
 
 def test_mod_bound_self_check_raises_with_replay_payload(monkeypatch):
@@ -216,7 +212,6 @@ def test_separation_frozen_grid_bump():
     Fd = DiagonalHomeo(0, identity())
     h = bump("1/2", "5/8")
     cert = separation_lower_bound(Fd, h, 1, F(1, 16), ALL2)
-    assert cert.certified
     assert cert.bound == F(1, 32)
     assert cert.distance.lower == F(3, 16)
     assert cert.distance.upper == F(3, 16) + F(1, 48)
@@ -227,7 +222,6 @@ def test_separation_spec_eta():
     cert = separation_lower_bound(
         DiagonalHomeo(0, identity()), bump("1/2", "5/8"), 1, F(1, 20), ALL2
     )
-    assert cert.certified
     assert cert.bound == F(1, 40)
 
 
@@ -258,7 +252,6 @@ def test_separation_seeded_sweep(P):
         shift = 2 * eta + F(rng.randint(0, 8), 128)
         h = perturb_homeo(rand_homeo(rng, 4), F(1, d), F(1, d) + shift)
         cert = separation_lower_bound(Fd, h, m, eta, P)
-        assert cert.certified
         assert cert.distance.lower >= cert.bound
 
 
@@ -271,7 +264,6 @@ def test_comod_equal_coords_uses_sup_witness():
     # by 4/5, 2/5, 1/5 coordinatewise, total 13/20 >= 1/20.
     p_prime = bump("1/2", "7/10")
     cert = comod_lower_bound_check(p_prime, 2, identity(), 2, F(1, 5), ALL2)
-    assert cert.certified
     assert cert.route == "direct"
     assert cert.coordinate == 2
     assert cert.bound == F(1, 20)
@@ -284,7 +276,6 @@ def test_comod_one_level_up_case_one():
     # case 1 at x = 1/4, certified through coordinate j = 2
     p_prime = bump("1/4", "7/20")
     cert = comod_lower_bound_check(p_prime, 3, identity(), 2, F(1, 5), ALL2)
-    assert cert.certified
     assert cert.route == "tent-case-1"
     assert cert.coordinate == 2
     assert cert.bound == F(1, 20)
@@ -298,7 +289,6 @@ def test_comod_one_level_up_case_two():
     # and the degree-2 tent amplifies it to 4/11 >= delta at j-1 = 1
     p_prime = bump("9/20", "11/20")
     cert = comod_lower_bound_check(p_prime, 3, identity(), 2, F(1, 5), ALL2)
-    assert cert.certified
     assert cert.route == "tent-case-2"
     assert cert.coordinate == 1
     assert cert.achieved == F(53, 88)
@@ -340,7 +330,6 @@ def test_comod_seeded_sweep(P):
         y0 = y + need if y + need < 1 else y - need
         p_prime = perturb_homeo(lifted, x0, y0)
         cert = comod_lower_bound_check(p_prime, n, g_phi, j, delta, P)
-        assert cert.certified
         assert cert.bound == delta / P.product(1, j)
         assert cert.achieved >= cert.bound
         if n == j:

@@ -24,7 +24,7 @@ from .conjugator import (
     OrbitCapError,
     SignatureMismatchError,
     SnapMarginError,
-    approx_conjugator,
+    _checked_conjugator,
     conjugator_certificate,
     grid_block_conjugate,
     snap_to_grid,
@@ -158,8 +158,8 @@ def _cmd_conj_decide(args):
 def _cmd_conj_synthesize(args):
     f, g = _load_map(args.f), _load_map(args.g)
     eta = parse_rational(args.eta)
-    h = approx_conjugator(f, g, eta)
-    cert = conjugator_certificate(f, g, h, eta)
+    h, achieved = _checked_conjugator(f, g, eta)
+    cert = conjugator_certificate(f, g, h, eta, achieved)
     _emit(cert, args.output)
     return 0 if cert["ok"] else 1
 

@@ -32,6 +32,14 @@ in the transported range the conjugacy is exact.
     first k pieces; the error stays under eta_cap + k·w < 2·eta_cap = η.
 The exact post-check still refuses any miss.
 
+Anchor: each component's fundamental domain starts at an interior
+breakpoint q0 of g and is sent to an interior breakpoint p0 of f. On cell
+k the conjugator is f^k ∘ h0 ∘ g^-k, so a breakpoint of g or f adds a kink
+to every cell its orbit passes through, and one inside h0's own cell adds
+a kink to every cell on both sides. Anchored so, the orbits of q0 and p0
+are cell ends and add none, and fewer orbit pieces straddle a breakpoint.
+The cap error accounting above never uses where the anchor sits.
+
 Affine tail: each orbit piece is the graph of the previous one under
 (x, y) ↦ (g(x), f(y)), or (g⁻¹(x), f⁻¹(y)) backward. Near a component end
 the cells shrink, so most pieces lie inside one segment of g and take
@@ -116,6 +124,15 @@ def _outside(x, end, margin):
     return abs(end[0] * x[1] - x[0] * end[1]) * margin[1] > margin[0] * end[1] * x[1]
 
 
+def _orbit_anchor(loc):
+    """The middle interior breakpoint of a map restricted to one component.
+
+    A map with no interior breakpoint on the component would be affine
+    there and fix both ends, so it would fix the component pointwise.
+    """
+    return loc[len(loc) // 2][:2]
+
+
 def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
     """Orbit pieces after piece, each the graph of the last under (xmap, ymap).
 
@@ -151,6 +168,11 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
 
     Returns (pieces, ql, pl, qh, ph): kernel pieces in ascending x order
     covering [ql, qh] on the g side, with h(ql) = pl and h(qh) = ph.
+
+    Anchor: the fundamental domain h0 maps [q0, g(q0)] affinely onto
+    [p0, f(p0)], where q0 is an interior breakpoint of g and p0 one of f
+    (_orbit_anchor), so their orbits fall on cell ends and add no kink;
+    see the module docstring.
     """
     a, b = fcomp
     c, d = gcomp
@@ -159,8 +181,8 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     f_loc = _k.restrict(f._kbps, _fp(a), _fp(b))
     finv = _k.invert(f_loc)
 
-    q0 = _fp((c + d) / 2)
-    p0 = _fp((a + b) / 2)
+    q0 = _orbit_anchor(g_loc)
+    p0 = _orbit_anchor(f_loc)
     q1 = _k.eval_at(g_loc, q0)
     p1 = _k.eval_at(f_loc, p0)
     h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
@@ -288,20 +310,13 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
     return PLHomeo._from_kernel(_k.concat(parts))
 
 
-def approx_conjugator(f, g, eta, max_steps=1_000_000):
-    """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
-
-    Requires signature(f) == signature(g). One build at eta_cap = eta/2
-    meets eta by the module's cap error accounting, and the exact
-    post-check confirms it. Raises OrbitCapError when the orbit matching
-    needs more than max_steps iterations, and ConjugatorError when the
-    post-check fails.
-    """
+def _checked_conjugator(f, g, eta, max_steps=1_000_000):
+    """approx_conjugator's build and post-check: (h, sup_dist(h⁻¹ ∘ f ∘ h, g))."""
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity()
+        return identity(), Fraction(0)
     f_ivs = fixed_intervals(f)
     g_ivs = fixed_intervals(g)
     signs = gap_signs(g, g_ivs)
@@ -315,7 +330,19 @@ def approx_conjugator(f, g, eta, max_steps=1_000_000):
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h
+    return h, achieved
+
+
+def approx_conjugator(f, g, eta, max_steps=1_000_000):
+    """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
+
+    Requires signature(f) == signature(g). One build at eta_cap = eta/2
+    meets eta by the module's cap error accounting, and the exact
+    post-check confirms it. Raises OrbitCapError when the orbit matching
+    needs more than max_steps iterations, and ConjugatorError when the
+    post-check fails.
+    """
+    return _checked_conjugator(f, g, eta, max_steps)[0]
 
 
 def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
@@ -325,8 +352,10 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
     conjugate to f (even block) or to its reflection (odd block). The
     returned g fixes the grid, and sup_dist(g, id) equals the largest
     block conjugator norm divided by d, exactly. Refuses (ValueError)
-    up front when oplus_power(f, d) would be too large to build.
+    up front when d < 1 or oplus_power(f, d) would be too large to build.
     """
+    if d < 1:
+        raise ValueError("degree must be a positive integer")
     check_size(oplus_size(f, d), f"oplus_power of degree {d}")
     eta = Fraction(eta)
     blocks = []
@@ -372,8 +401,11 @@ def snap_to_grid(h, d, reference, delta):
     reference must itself fix the grid (it plays the role of the block sum
     being approximated). h′ agrees with h outside small windows around the
     moved grid points and lies between the identity and h there. Raises
-    SnapMarginError when δ leaves no feasible pinch window.
+    ValueError when d < 1, and SnapMarginError when δ leaves no feasible
+    pinch window.
     """
+    if d < 1:
+        raise ValueError("degree must be a positive integer")
     delta = Fraction(delta)
     bound = delta / d
     for i in range(d + 1):
@@ -470,9 +502,14 @@ def pseudo_generic(spec):
     return h
 
 
-def conjugator_certificate(f, g, h, eta):
-    """JSON-ready record of an approximate-conjugacy verification."""
-    achieved = sup_dist(compose(compose(h.invert(), f), h), g)
+def conjugator_certificate(f, g, h, eta, achieved=None):
+    """JSON-ready record of an approximate-conjugacy verification.
+
+    achieved is sup_dist(h⁻¹ ∘ f ∘ h, g), computed here unless the caller
+    passes the value its post-check already found.
+    """
+    if achieved is None:
+        achieved = sup_dist(compose(compose(h.invert(), f), h), g)
     eta = Fraction(eta)
     return {
         "f": to_json_dict(f),

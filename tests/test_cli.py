@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import knaster_lab.conjugator as conjugator
 from knaster_lab.cli import main
 from knaster_lab.experiments import CheckFailure, VERIFY_SUITES
 
@@ -95,6 +96,42 @@ def test_conj_synthesize_rejects_nonconjugate(maps, capsys):
     rc = main(["conj", "synthesize", "-f", maps["bump"], "-g", maps["id"]])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_conj_synthesize_postchecks_once(maps, tmp_path, monkeypatch):
+    # the certificate reuses the distance the post-check computed
+    calls = []
+    real = conjugator.sup_dist
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(conjugator, "sup_dist", counted)
+    g2 = write_map(tmp_path / "g2.json", [("0", "0"), ("1/4", "1/2"), ("1", "1")])
+    cert = tmp_path / "cert.json"
+    rc = main(
+        ["conj", "synthesize", "-f", maps["bump"], "-g", g2, "--eta", "1/100", "-o", str(cert)]
+    )
+    assert rc == 0
+    assert json.loads(cert.read_text())["ok"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_conj_degree_below_one_exits_two(maps, tmp_path, capsys, d):
+    target = tmp_path / "target.json"
+    assert main(["tent", "oplus", "-f", maps["bump"], "-d", "2", "-o", str(target)]) == 0
+    capsys.readouterr()
+    assert main(
+        ["conj", "blockwise", "-f", maps["bump"], "-d", d, "--target", str(target)]
+    ) == 2
+    assert "degree must be a positive integer" in capsys.readouterr().err
+    assert main(
+        ["conj", "snap", "-f", str(target), "-d", d, "--reference", str(target),
+         "--delta", "1/20"]
+    ) == 2
+    assert "degree must be a positive integer" in capsys.readouterr().err
 
 
 def test_knaster_group(maps, tmp_path, capsys):

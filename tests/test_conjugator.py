@@ -115,6 +115,10 @@ def test_certificate():
     assert cert["ok"] is True
     assert cert["eta"] == "1/100"
     assert set(cert) == {"f", "g", "conjugator", "achieved_distance", "eta", "ok"}
+    # the post-check's distance makes the same certificate
+    h2, achieved = conjugator._checked_conjugator(BUMP, g, F(1, 100))
+    assert h2 == h
+    assert conjugator_certificate(BUMP, g, h, F(1, 100), achieved) == cert
 
 
 def test_grid_block_conjugate():
@@ -152,6 +156,15 @@ def test_grid_block_errors():
     h = oplus_power(DIP, 2)
     with pytest.raises(SignatureMismatchError):
         grid_block_conjugate(BUMP, 2, h, F(1, 10))
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_degree_below_one_refused(d):
+    ref = oplus_power(BUMP, 2)
+    with pytest.raises(ValueError, match="degree must be a positive integer"):
+        grid_block_conjugate(BUMP, d, ref, F(1, 10))
+    with pytest.raises(ValueError, match="degree must be a positive integer"):
+        snap_to_grid(SNAP_H, d, ref, F(1, 8))
 
 
 def test_snap_to_grid():

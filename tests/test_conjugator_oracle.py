@@ -5,7 +5,9 @@ conjugator._transport steps each orbit piece to the next by the map
 affine image when the piece lies in one segment of each map. The oracle
 below is the straightforward version: every step restricts g⁻¹ (or g) to
 the new cell and composes twice, and every orbit point is evaluated
-afresh. Pieces, end points and spent budget steps must be identical.
+afresh. Both take the fundamental domain's anchor from
+conjugator._orbit_anchor, so the stepping is what is compared. Pieces, end
+points and spent budget steps must be identical.
 """
 
 import random
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 import knaster_lab.conjugator as conjugator
 from knaster_lab import _kernel_py as _k
-from knaster_lab.conjugator import OrbitCapError, _Budget, _fp, _outside
-from knaster_lab.plmap import PLHomeo, reflect
+from knaster_lab.conjugator import OrbitCapError, _Budget, _fp, _orbit_anchor, _outside
+from knaster_lab.plmap import PLHomeo, compose, reflect, sup_dist
 from knaster_lab.randgen import rand_homeo
 from knaster_lab.signatures import fixed_intervals, gap_signs
 
@@ -47,8 +49,8 @@ def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     f_loc = _k.restrict(f._kbps, _fp(a), _fp(b))
     finv = _k.invert(f_loc)
 
-    q0 = _fp((c + d) / 2)
-    p0 = _fp((a + b) / 2)
+    q0 = _orbit_anchor(g_loc)
+    p0 = _orbit_anchor(f_loc)
     q1 = _k.eval_at(g_loc, q0)
     p1 = _k.eval_at(f_loc, p0)
     h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
@@ -221,3 +223,45 @@ def test_both_branches_run(monkeypatch):
                 got = _run(conjugator._transport, *args)
             assert got == want
     assert calls["affine_image"] > 0 and calls["compose"] > 0
+
+
+# ------------------------------------------------------------ anchor
+
+
+def _midpoint_anchor(loc):
+    """The anchor before: the middle of the component."""
+    return _fp((_frac(loc[0][:2]) + _frac(loc[-1][:2])) / 2)
+
+
+def _conjugator_bps(f, g, eta):
+    h = conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+    assert sup_dist(compose(compose(h.invert(), f), h), g) < eta
+    return len(h._kbps)
+
+
+def test_anchor_on_breakpoints_shrinks_conjugators(monkeypatch):
+    pairs = [p for p in (_draw_pair(seed, False) for seed in range(8)) if p]
+    pairs += [(reflect(f), reflect(g)) for f, g in pairs]
+    domains = []
+    real_orbit = conjugator._orbit
+
+    def spy(piece, *args):
+        domains.append(piece)
+        return real_orbit(piece, *args)
+
+    monkeypatch.setattr(conjugator, "_orbit", spy)
+    anchored = 0
+    for f, g in pairs:
+        g_bps = {p[:2] for p in g._kbps[1:-1]}
+        f_bps = {p[:2] for p in f._kbps[1:-1]}
+        for eta in ETAS:
+            domains.clear()
+            anchored += _conjugator_bps(f, g, eta)
+            # h0 seeds the forward and the backward orbit of each component
+            assert len(domains) == 2 * len(list(_components(f, g)))
+            for h0 in domains:
+                # q0 (a breakpoint of g) goes to p0 (a breakpoint of f)
+                assert any(e[:2] in g_bps and e[2:] in f_bps for e in (h0[0], h0[-1]))
+    monkeypatch.setattr(conjugator, "_orbit_anchor", _midpoint_anchor)
+    midpoint = sum(_conjugator_bps(f, g, eta) for f, g in pairs for eta in ETAS)
+    assert anchored < midpoint

@@ -263,14 +263,15 @@ def _synthesis_workload():
     """A small seed-0 synthesis workload of the benchmark (perfbench/workloads.py).
 
     Larger than its reference inputs, so compose still runs over a
-    thousand times now that most orbit steps are affine images.
+    thousand times now that most orbit steps are affine images and the
+    orbit anchors sit on breakpoints.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    wl = workloads.Synthesis(0, regular=24, squeeze=6, grid=4)
+    wl = workloads.Synthesis(0, regular=32, squeeze=8, grid=4)
     return wl, wl.ops
 
 

@@ -24,17 +24,11 @@ from .conjugator import (
     OrbitCapError,
     SignatureMismatchError,
     SnapMarginError,
-    _checked_conjugator,
     conjugator_certificate,
     grid_block_conjugate,
     snap_to_grid,
 )
-from .experiments import (
-    render_table,
-    replay_config,
-    run_density_experiment,
-    run_verify_suite,
-)
+from .experiments import render_table, replay_config, run_suite
 from .lemmas import CounterexampleError
 from .plmap import compose, degree, from_json_dict, reflect, sup_dist, to_json_dict
 from .rational import format_rational, parse_rational
@@ -157,11 +151,8 @@ def _cmd_conj_decide(args):
 
 def _cmd_conj_synthesize(args):
     f, g = _load_map(args.f), _load_map(args.g)
-    eta = parse_rational(args.eta)
-    h, achieved = _checked_conjugator(f, g, eta)
-    cert = conjugator_certificate(f, g, h, eta, achieved)
-    _emit(cert, args.output)
-    return 0 if cert["ok"] else 1
+    _emit(conjugator_certificate(f, g, parse_rational(args.eta)), args.output)
+    return 0
 
 
 def _cmd_conj_blockwise(args):
@@ -247,7 +238,6 @@ _PARAM_FLAGS = {
     "delta": str,
     "eps": str,
     "eta": str,
-    "method": str,
     "target": str,
 }
 
@@ -257,16 +247,16 @@ _SUITE_PARAMS = {
     "oplus-scaling": ["d_max"],
     "grid-fix": ["d_max"],
     "mod-bound": ["eps", "n_max"],
-    "tent-witness": ["delta", "d", "method"],
+    "tent-witness": ["delta", "d"],
     "separation": ["eta", "n_max"],
     "comod": ["delta"],
     "signature-laws": ["d_max"],
 }
 
 
-def _campaign_config(args, suite):
+def _cmd_campaign(args):
     cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    fields = {"suite": suite}
+    fields = {"suite": args.suite}
     if args.trials is not None:
         fields["trials"] = args.trials
     if args.seed is not None:
@@ -281,10 +271,7 @@ def _campaign_config(args, suite):
         val = getattr(args, name, None)
         if val is not None:
             cfg.params[name] = val
-    return cfg
-
-
-def _finish_campaign(report):
+    report = run_suite(cfg)
     print(render_table(report))
     if report.config.output:
         Path(report.config.output).write_text(report.to_json() + "\n")
@@ -299,16 +286,6 @@ def _finish_campaign(report):
         path.write_text(json.dumps(replay_config(report, o.index), indent=2) + "\n")
         print(f"replay file written to {path}", file=sys.stderr)
     return 1
-
-
-def _cmd_verify(args):
-    cfg = _campaign_config(args, args.suite)
-    return _finish_campaign(run_verify_suite(cfg))
-
-
-def _cmd_experiment_density(args):
-    cfg = _campaign_config(args, "density")
-    return _finish_campaign(run_density_experiment(cfg))
 
 
 # ----------------------------------------------------------------- parser
@@ -454,13 +431,13 @@ def build_parser():
     for name, params in _SUITE_PARAMS.items():
         p = ves.add_parser(name)
         _add_campaign_flags(p, params)
-        p.set_defaults(func=_cmd_verify, suite=name)
+        p.set_defaults(func=_cmd_campaign, suite=name)
 
     ex = sub.add_parser("experiment", help="end-to-end certified experiments")
     exs = ex.add_subparsers(dest="cmd", required=True)
     p = exs.add_parser("density")
     _add_campaign_flags(p, ["m", "eta", "generic_k", "target"])
-    p.set_defaults(func=_cmd_experiment_density)
+    p.set_defaults(func=_cmd_campaign, suite="density")
 
     return top
 

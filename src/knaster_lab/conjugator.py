@@ -401,11 +401,12 @@ def snap_to_grid(h, d, reference, delta):
     reference must itself fix the grid (it plays the role of the block sum
     being approximated). h′ agrees with h outside small windows around the
     moved grid points and lies between the identity and h there. Raises
-    ValueError when d < 1, and SnapMarginError when δ leaves no feasible
-    pinch window.
+    ValueError when d < 1 or the d + 1 grid points are too many to walk,
+    and SnapMarginError when δ leaves no feasible pinch window.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
+    check_size(d + 1, f"grid of degree {d}")
     delta = Fraction(delta)
     bound = delta / d
     for i in range(d + 1):
@@ -502,14 +503,13 @@ def pseudo_generic(spec):
     return h
 
 
-def conjugator_certificate(f, g, h, eta, achieved=None):
-    """JSON-ready record of an approximate-conjugacy verification.
+def conjugator_certificate(f, g, eta):
+    """JSON-ready record of approx_conjugator(f, g, eta) and its post-check.
 
-    achieved is sup_dist(h⁻¹ ∘ f ∘ h, g), computed here unless the caller
-    passes the value its post-check already found.
+    achieved_distance is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) the post-check
+    found; a failed post-check raises, so "ok" is always true.
     """
-    if achieved is None:
-        achieved = sup_dist(compose(compose(h.invert(), f), h), g)
+    h, achieved = _checked_conjugator(f, g, eta)
     eta = Fraction(eta)
     return {
         "f": to_json_dict(f),

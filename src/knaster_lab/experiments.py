@@ -232,10 +232,9 @@ def _gapped_pair(rng, delta, d, base):
 def _t_tent_witness(cfg, rng):
     delta = cfg.fraction("delta", Fraction(1, 5))
     d = cfg.integer("d") or rng.choice([2, 3, 4, 6, 8])
-    method = cfg.params.get("method", "search")
     f = rand_homeo(rng, 6)
     g = _gapped_pair(rng, delta, d, f)
-    w = tent_witness(f, g, d, delta, method=method)
+    w = tent_witness(f, g, d, delta)
     if not check_tent_witness(f, g, d, delta, w):
         raise CheckFailure(
             "witness certificate failed its exact recheck",

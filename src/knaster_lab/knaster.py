@@ -30,6 +30,8 @@ from fractions import Fraction
 
 from . import _kernel_py as _k
 from .plmap import OpenPLMap, PLHomeo
+from .plmap import from_json_dict as _map_from
+from .plmap import to_json_dict as _map_json
 from .rational import format_rational, parse_rational
 from .tents import check_size, oplus_power, oplus_size, tent, tent_value
 
@@ -248,17 +250,6 @@ class CertifiedDistance:
             "witness": [format_rational(c) for c in coords],
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        coords = data.get("witness") or []
-        wit = TruncatedKnasterPoint(tuple(parse_rational(c) for c in coords)) if coords else None
-        return cls(
-            parse_rational(data["lower"]),
-            parse_rational(data["upper"]),
-            int(data["N"]),
-            wit,
-        )
-
 
 def knaster_dist(x, y, P):
     """Certified metric distance between two stalks of equal truncation."""
@@ -292,8 +283,6 @@ class DiagonalHomeo:
             raise TypeError("inducer must be an increasing homeomorphism")
 
     def to_json_dict(self):
-        from .plmap import to_json_dict as _map_json
-
         return {
             "base_coord": self.base_coord,
             "inducer": _map_json(self.inducer),
@@ -301,8 +290,6 @@ class DiagonalHomeo:
 
     @classmethod
     def from_json_dict(cls, data):
-        from .plmap import from_json_dict as _map_from
-
         return cls(int(data["base_coord"]), _map_from(data["inducer"]))
 
 
@@ -472,8 +459,6 @@ class GeneralDiagonalMap:
                 raise TypeError("window must be an open interval map")
 
     def to_json_dict(self):
-        from .plmap import to_json_dict as _map_json
-
         return {
             "target_coord": self.target_coord,
             "source_coord": self.source_coord,
@@ -482,20 +467,11 @@ class GeneralDiagonalMap:
 
     @classmethod
     def from_json_dict(cls, data):
-        from .plmap import from_json_dict as _map_from
-
         return cls(
             int(data["target_coord"]),
             int(data["source_coord"]),
             _map_from(data["window"]),
         )
-
-
-def as_general(F):
-    """View a degree-one diagonal homeomorphism as a general diagonal map."""
-    return GeneralDiagonalMap(
-        F.base_coord, F.base_coord, OpenPLMap(F.inducer.breakpoints)
-    )
 
 
 def degree_diagonal(F, P):

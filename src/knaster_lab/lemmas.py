@@ -8,7 +8,9 @@ rational certificate that a distance bound holds:
     CertifiedDistance whose upper bound is strictly below eps.
   * tent_witness: a sup gap of delta/d survives composition with the
     degree-d tent, either undiminished (case 1) or halved but pinned to
-    a boundary value (case 2); returns the witness point.
+    a boundary value (case 2); one exact search over the tent
+    composites' sup and the grid preimages returns the witness point,
+    and check_tent_witness rechecks it.
   * separation_lower_bound: a window that moves the grid point 1/d is
     uniformly far from every diagonal induced below it.
   * comod_lower_bound_check: a sup gap at a high coordinate forces a
@@ -33,14 +35,7 @@ from .knaster import (
     knaster_dist,
     lift,
 )
-from .plmap import (
-    PLHomeo,
-    compose,
-    reflect,
-    sup_dist,
-    sup_dist_witness,
-    to_json_dict,
-)
+from .plmap import compose, sup_dist, sup_dist_witness, to_json_dict
 from .rational import format_rational
 from .tents import tent, tent_value
 
@@ -99,16 +94,26 @@ def _tent_pair(f, g, d, x):
     return tent_value(d, f(x)), tent_value(d, g(x))
 
 
-def _payload(f, g, d, delta):
-    return {
-        "f": to_json_dict(f),
-        "g": to_json_dict(g),
-        "d": d,
-        "delta": format_rational(delta),
-    }
+def tent_witness(f, g, d, delta):
+    """A point where the degree-d tent keeps f and g visibly apart.
 
+    Requires delta < 1/4 and sup_dist(f, g) >= delta/d. Returns
+    TentWitness(x, case) with case 1 meaning |T∘f - T∘g| >= delta at x,
+    and case 2 meaning the gap is >= delta/2 with one side in {0, 1}.
 
-def _witness_by_search(f, g, d, delta):
+    The search takes the exact sup of the tent composites and, when
+    that falls under delta, the finitely many grid preimages f⁻¹(k/d)
+    and g⁻¹(k/d). Every case-2 point the proof's anchored walk can end
+    on is one of them, so the search finds a witness whenever the
+    lemma holds.
+    """
+    delta = Fraction(delta)
+    if d < 1:
+        raise ValueError("tent degree must be positive")
+    if not 0 < delta < Fraction(1, 4):
+        raise ValueError("delta must lie in (0, 1/4)")
+    if sup_dist(f, g) < delta / d:
+        raise ValueError("pair is closer than delta/d in the sup metric")
     t = tent(d)
     tf = compose(t, f)
     tg = compose(t, g)
@@ -129,94 +134,13 @@ def _witness_by_search(f, g, d, delta):
             return TentWitness(x, 2)
     raise CounterexampleError(
         "no tent witness on a pair meeting the preconditions",
-        _payload(f, g, d, delta),
+        {
+            "f": to_json_dict(f),
+            "g": to_json_dict(g),
+            "d": d,
+            "delta": format_rational(delta),
+        },
     )
-
-
-def _trace_up(lo, hi, d, delta, j):
-    """Walk the anchored grid indices upward until a witness appears.
-
-    Invariant entering each step: hi exceeds lo by at least delta/(2d)
-    at the point where lo hits k/d. The composed values then either
-    separate enough to answer, or hi's value is within delta/(2d) of a
-    grid point of the same parity at least two steps up.
-    """
-    half = delta / 2
-    width = delta / (2 * d)
-    k = j
-    for _ in range(d + 2):
-        x = lo.preimage(Fraction(k, d))
-        a = Fraction(k & 1)
-        b = tent_value(d, hi(x))
-        diff = abs(a - b)
-        if diff >= delta:
-            return TentWitness(x, 1)
-        if diff >= half:
-            return TentWitness(x, 2)
-        v = hi(x) * d + Fraction(1, 2)
-        kp = v.numerator // v.denominator
-        if (
-            abs(hi(x) - Fraction(kp, d)) >= width
-            or kp % 2 != k % 2
-            or kp < k + 2
-        ):
-            raise CounterexampleError(
-                "tent trace lost the walk invariant",
-                {"k": k, "kp": kp, "x": format_rational(x)},
-            )
-        k = kp - 1
-    raise CounterexampleError("tent trace failed to terminate", {"k": k})
-
-
-def _witness_by_trace(f, g, d, delta):
-    m, x0 = sup_dist_witness(f, g)
-    a, b = _tent_pair(f, g, d, x0)
-    if abs(a - b) >= delta:
-        return TentWitness(x0, 1)
-    lo, hi = (f, g) if f(x0) < g(x0) else (g, f)
-    va, vb = lo(x0), hi(x0)
-    js = [j for j in range(1, d) if va < Fraction(j, d) < vb]
-    if not js:
-        raise CounterexampleError(
-            "trace found no separating grid point", _payload(f, g, d, delta)
-        )
-    width = delta / (2 * d)
-    up = [j for j in js if vb - Fraction(j, d) >= width]
-    if up:
-        return _trace_up(lo, hi, d, delta, max(up))
-    down = [j for j in js if Fraction(j, d) - va >= width]
-    if down:
-        # mirror through x -> 1-x; tent values reflect within {0,1}
-        w = _trace_up(reflect(hi), reflect(lo), d, delta, d - min(down))
-        return TentWitness(1 - w.x, w.case)
-    raise CounterexampleError(
-        "neither walk direction had enough margin", _payload(f, g, d, delta)
-    )
-
-
-def tent_witness(f, g, d, delta, method="search"):
-    """A point where the degree-d tent keeps f and g visibly apart.
-
-    Requires delta < 1/4 and sup_dist(f, g) >= delta/d. Returns
-    TentWitness(x, case) with case 1 meaning |T∘f - T∘g| >= delta at x,
-    and case 2 meaning the gap is >= delta/2 with one side in {0, 1}.
-
-    method "search" takes the exact sup and then the finitely many grid
-    preimages; "trace" replays the anchored walk that proves those
-    candidates suffice, at matching cost but with more steps shown.
-    """
-    delta = Fraction(delta)
-    if d < 1:
-        raise ValueError("tent degree must be positive")
-    if not 0 < delta < Fraction(1, 4):
-        raise ValueError("delta must lie in (0, 1/4)")
-    if sup_dist(f, g) < delta / d:
-        raise ValueError("pair is closer than delta/d in the sup metric")
-    if method == "search":
-        return _witness_by_search(f, g, d, delta)
-    if method == "trace":
-        return _witness_by_trace(f, g, d, delta)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def check_tent_witness(f, g, d, delta, w):

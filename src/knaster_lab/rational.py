@@ -10,9 +10,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_rational(text):
     """Parse "p/q" or "p" with optional sign. Whitespace around is allowed."""

@@ -134,8 +134,3 @@ def straighten(f, g):
     if compose(g, h) != f:
         raise AssertionError("straightening failed its exact post-check")
     return h
-
-
-def grid_points(d):
-    """The fixed grid i/d for i = 0..d."""
-    return [Fraction(i, d) for i in range(d + 1)]

@@ -1,10 +1,12 @@
 """CLI surface: subcommand wiring, exit codes, JSON I/O, replay files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import knaster_lab.conjugator as conjugator
+import knaster_lab.tents as tents
 from knaster_lab.cli import main
 from knaster_lab.experiments import CheckFailure, VERIFY_SUITES
 
@@ -134,6 +136,15 @@ def test_conj_degree_below_one_exits_two(maps, tmp_path, capsys, d):
     assert "degree must be a positive integer" in capsys.readouterr().err
 
 
+def test_conj_snap_oversized_grid_exits_two(maps, monkeypatch, capsys):
+    monkeypatch.setattr(tents, "MAX_BREAKPOINTS", 8)
+    assert main(
+        ["conj", "snap", "-f", maps["id"], "-d", "8", "--reference", maps["id"],
+         "--delta", "1/10"]
+    ) == 2
+    assert "grid of degree 8" in capsys.readouterr().err
+
+
 def test_knaster_group(maps, tmp_path, capsys):
     pt = tmp_path / "pt.json"
     assert main(
@@ -189,6 +200,13 @@ def test_verify_tent_witness_spec_invocation(capsys):
     )
     assert rc == 0
     assert "25 passed, 0 failed" in capsys.readouterr().out
+
+
+def test_verify_tent_witness_refuses_method_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tent-witness", "--method", "trace"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(maps, tmp_path, capsys):
@@ -320,3 +338,29 @@ def test_every_verify_suite_has_a_subcommand():
         args = cli._parser().parse_args(["verify", name])
         assert args.suite == name
         assert all(hasattr(args, p) for p in params)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_campaign_sessions():
+    """(argv, printed table) of each README shell block running a campaign."""
+    sessions = []
+    for block in README.read_text().split("```sh\n")[1:]:
+        command, *output = block.split("```")[0].splitlines()
+        argv = command.split()[2:]
+        if command.startswith("$ knaster-lab ") and argv[0] in ("verify", "experiment"):
+            sessions.append((argv, "\n".join(output)))
+    return sessions
+
+
+def test_readme_campaign_sessions_replay(monkeypatch, capsys):
+    monkeypatch.delenv("KNASTER_LAB_SEED", raising=False)
+    sessions = _readme_campaign_sessions()
+    assert [argv for argv, _ in sessions] == [
+        ["verify", "tent-witness", "--trials", "5", "--seed", "42"],
+        ["experiment", "density", "--m", "1", "--trials", "2", "--seed", "7"],
+    ]
+    for argv, table in sessions:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table + "\n"

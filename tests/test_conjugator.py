@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 import knaster_lab.conjugator as conjugator
-from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist
+import knaster_lab.tents as tents
+from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
 from knaster_lab.conjugator import (
     ConjugatorError,
     GridNotFixedError,
@@ -20,8 +21,9 @@ from knaster_lab.conjugator import (
     snap_to_grid,
 )
 from knaster_lab.randgen import derive_rng, rand_sign_list, rand_signature_homeo
+from knaster_lab.rational import format_rational
 from knaster_lab.signatures import signature
-from knaster_lab.tents import grid_points, oplus_power
+from knaster_lab.tents import oplus_power
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 DIP = PLHomeo([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -110,15 +112,16 @@ def test_orbit_cap_guard():
 
 def test_certificate():
     g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
-    h = approx_conjugator(BUMP, g, F(1, 100))
-    cert = conjugator_certificate(BUMP, g, h, F(1, 100))
+    cert = conjugator_certificate(BUMP, g, F(1, 100))
     assert cert["ok"] is True
     assert cert["eta"] == "1/100"
     assert set(cert) == {"f", "g", "conjugator", "achieved_distance", "eta", "ok"}
-    # the post-check's distance makes the same certificate
-    h2, achieved = conjugator._checked_conjugator(BUMP, g, F(1, 100))
-    assert h2 == h
-    assert conjugator_certificate(BUMP, g, h, F(1, 100), achieved) == cert
+    # the certificate records approx_conjugator's map and the exact
+    # distance its post-check found
+    h = approx_conjugator(BUMP, g, F(1, 100))
+    assert cert["conjugator"] == to_json_dict(h)
+    achieved = sup_dist(compose(compose(h.invert(), BUMP), h), g)
+    assert cert["achieved_distance"] == format_rational(achieved)
 
 
 def test_grid_block_conjugate():
@@ -133,13 +136,13 @@ def test_grid_block_conjugate():
     from knaster_lab.tents import block_sum
 
     h = block_sum(blocks)
-    for p in grid_points(d):
-        assert h(p) == p
+    for i in range(d + 1):
+        assert h(F(i, d)) == F(i, d)
     g = grid_block_conjugate(f, d, h, F(1, 40))
     conj = compose(compose(g.invert(), oplus_power(f, d)), g)
     assert sup_dist(conj, h) < F(1, 40)
-    for p in grid_points(d):
-        assert g(p) == p
+    for i in range(d + 1):
+        assert g(F(i, d)) == F(i, d)
 
 
 def test_grid_block_trivial():
@@ -201,6 +204,15 @@ def test_snap_noop_and_errors():
     assert snap_to_grid(ident, 3, ident, F(1, 10)) == ident
     with pytest.raises(SnapMarginError):
         snap_to_grid(BUMP, 2, ref, F(1, 1000))
+
+
+def test_snap_refuses_oversized_grid(monkeypatch):
+    # d + 1 grid points past the breakpoint limit are refused before the
+    # walk, as tent(d) refuses them
+    monkeypatch.setattr(tents, "MAX_BREAKPOINTS", 8)
+    with pytest.raises(ValueError, match="grid of degree 8"):
+        snap_to_grid(identity(), 8, identity(), F(1, 10))
+    assert snap_to_grid(identity(), 7, identity(), F(1, 10)) == identity()
 
 
 def test_pseudo_generic():

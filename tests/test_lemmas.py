@@ -19,13 +19,23 @@ from knaster_lab.knaster import (
 )
 from knaster_lab.lemmas import (
     CounterexampleError,
+    TentWitness,
+    _tent_pair,
     certify_mod_bound,
     check_tent_witness,
     comod_lower_bound_check,
     separation_lower_bound,
     tent_witness,
 )
-from knaster_lab.plmap import PLHomeo, from_json_dict, identity, sup_dist
+from knaster_lab.plmap import (
+    PLHomeo,
+    from_json_dict,
+    identity,
+    reflect,
+    sup_dist,
+    sup_dist_witness,
+    to_json_dict,
+)
 from knaster_lab.randgen import (
     derive_rng,
     nudge_homeo,
@@ -33,6 +43,8 @@ from knaster_lab.randgen import (
     rand_homeo,
     rand_nudge,
 )
+from knaster_lab.rational import format_rational
+from knaster_lab.tents import tent_value
 
 ALL2 = PrimeSequence("all2")
 DIAG = PrimeSequence("diagonal")
@@ -121,6 +133,84 @@ def test_mod_bound_self_check_raises_with_replay_payload(monkeypatch):
 # -------------------------------------------------------------- tent witness
 
 
+# The anchored walk of the proof, kept as an oracle for tent_witness's
+# search: from the sup point of f and g it walks grid indices upward
+# (or, mirrored through x -> 1-x, downward) until the tent composites
+# separate, so its case-2 answers are grid preimages the search visits.
+
+
+def _payload(f, g, d, delta):
+    return {
+        "f": to_json_dict(f),
+        "g": to_json_dict(g),
+        "d": d,
+        "delta": format_rational(delta),
+    }
+
+
+def _trace_up(lo, hi, d, delta, j):
+    """Walk the anchored grid indices upward until a witness appears.
+
+    Invariant entering each step: hi exceeds lo by at least delta/(2d)
+    at the point where lo hits k/d. The composed values then either
+    separate enough to answer, or hi's value is within delta/(2d) of a
+    grid point of the same parity at least two steps up.
+    """
+    half = delta / 2
+    width = delta / (2 * d)
+    k = j
+    for _ in range(d + 2):
+        x = lo.preimage(Fraction(k, d))
+        a = Fraction(k & 1)
+        b = tent_value(d, hi(x))
+        diff = abs(a - b)
+        if diff >= delta:
+            return TentWitness(x, 1)
+        if diff >= half:
+            return TentWitness(x, 2)
+        v = hi(x) * d + Fraction(1, 2)
+        kp = v.numerator // v.denominator
+        if (
+            abs(hi(x) - Fraction(kp, d)) >= width
+            or kp % 2 != k % 2
+            or kp < k + 2
+        ):
+            raise CounterexampleError(
+                "tent trace lost the walk invariant",
+                {"k": k, "kp": kp, "x": format_rational(x)},
+            )
+        k = kp - 1
+    raise CounterexampleError("tent trace failed to terminate", {"k": k})
+
+
+def oracle_walk_witness(f, g, d, delta):
+    """The walk's TentWitness; same preconditions as tent_witness."""
+    delta = Fraction(delta)
+    m, x0 = sup_dist_witness(f, g)
+    a, b = _tent_pair(f, g, d, x0)
+    if abs(a - b) >= delta:
+        return TentWitness(x0, 1)
+    lo, hi = (f, g) if f(x0) < g(x0) else (g, f)
+    va, vb = lo(x0), hi(x0)
+    js = [j for j in range(1, d) if va < Fraction(j, d) < vb]
+    if not js:
+        raise CounterexampleError(
+            "trace found no separating grid point", _payload(f, g, d, delta)
+        )
+    width = delta / (2 * d)
+    up = [j for j in js if vb - Fraction(j, d) >= width]
+    if up:
+        return _trace_up(lo, hi, d, delta, max(up))
+    down = [j for j in js if Fraction(j, d) - va >= width]
+    if down:
+        # mirror through x -> 1-x; tent values reflect within {0,1}
+        w = _trace_up(reflect(hi), reflect(lo), d, delta, d - min(down))
+        return TentWitness(1 - w.x, w.case)
+    raise CounterexampleError(
+        "neither walk direction had enough margin", _payload(f, g, d, delta)
+    )
+
+
 def test_tent_witness_degree_one_is_plain_sup():
     w = tent_witness(identity(), bump("1/2", "7/10"), 1, F(1, 5))
     assert w == (F(1, 2), 1)
@@ -147,8 +237,10 @@ def test_tent_witness_straddling_gap_needs_case_two():
 
 
 def test_tent_witness_trace_matches_on_straddling_gap():
+    # the walk answers at the identity's preimage of 1/2, the search at
+    # g's; both are grid preimages the search enumerates
     g = bump("9/20", "11/20")
-    w = tent_witness(identity(), g, 2, F(1, 5), method="trace")
+    w = oracle_walk_witness(identity(), g, 2, F(1, 5))
     assert w == (F(1, 2), 2)
     assert check_tent_witness(identity(), g, 2, F(1, 5), w)
 
@@ -158,7 +250,7 @@ def test_tent_witness_trace_walks_the_mirror():
     # the identity sits 1/40 under the fold (no upward margin) while g
     # sits 3/40 below it, so the mirrored walk answers at x = 1/2
     g = bump("21/40", "17/40")
-    w = tent_witness(identity(), g, 2, F(1, 5), method="trace")
+    w = oracle_walk_witness(identity(), g, 2, F(1, 5))
     assert w == (F(1, 2), 2)
     assert check_tent_witness(identity(), g, 2, F(1, 5), w)
     w2 = tent_witness(identity(), g, 2, F(1, 5))
@@ -173,15 +265,18 @@ def test_tent_witness_rejects_bad_inputs():
         tent_witness(identity(), g, 0, F(1, 5))
     with pytest.raises(ValueError):
         tent_witness(identity(), bump("1/2", "51/100"), 2, F(1, 5))
-    with pytest.raises(ValueError):
-        tent_witness(identity(), g, 2, F(1, 5), method="bogus")
 
 
-@pytest.mark.parametrize("method", ["search", "trace"])
-def test_tent_witness_seeded_sweep(method):
+@pytest.mark.parametrize("stream", ["search", "trace"])
+def test_tent_witness_seeded_sweep(stream):
+    # search and walk on each draw: both witnesses recheck exactly, and
+    # every case-2 point of the walk is a grid preimage of f or g, one
+    # of the candidates the search enumerates. Of the two 40-draw
+    # streams, only "trace" gives a case-2 walk witness (one).
     deltas = [F(1, 5), F(1, 8), F(1, 6)]
+    walk_case_two = 0
     for trial in range(40):
-        rng = derive_rng(20260819, "tentwit", method, trial)
+        rng = derive_rng(20260819, "tentwit", stream, trial)
         d = rng.choice([2, 3, 4, 6, 8])
         delta = rng.choice(deltas)
         f = rand_homeo(rng, 6)
@@ -191,8 +286,17 @@ def test_tent_witness_seeded_sweep(method):
         y0 = y + need if y + need < 1 else y - need
         g = perturb_homeo(f, x0, y0)
         assert sup_dist(f, g) >= delta / d
-        w = tent_witness(f, g, d, delta, method=method)
+        w = tent_witness(f, g, d, delta)
         assert check_tent_witness(f, g, d, delta, w)
+        walk = oracle_walk_witness(f, g, d, delta)
+        assert check_tent_witness(f, g, d, delta, walk)
+        if walk.case == 2:
+            walk_case_two += 1
+            grid = [F(k, d) for k in range(d + 1)]
+            cands = {h.preimage(y) for h in (f, g) for y in grid}
+            assert walk.x in cands
+    if stream == "trace":
+        assert walk_case_two >= 1
 
 
 def test_tent_witness_is_deterministic():

@@ -19,13 +19,12 @@ from .plmap import (
     sup_dist_witness,
     to_json_dict,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 
 __all__ = [
     "OpenPLMap",
     "PLHomeo",
     "PLMap",
-    "Rational",
     "compose",
     "degree",
     "format_rational",

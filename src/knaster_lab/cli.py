@@ -28,7 +28,13 @@ from .conjugator import (
     grid_block_conjugate,
     snap_to_grid,
 )
-from .experiments import render_table, replay_config, run_suite
+from .experiments import (
+    SUITE_PARAMS,
+    VERIFY_SUITES,
+    render_table,
+    replay_config,
+    run_suite,
+)
 from .lemmas import CounterexampleError
 from .plmap import compose, degree, from_json_dict, reflect, sup_dist, to_json_dict
 from .rational import format_rational, parse_rational
@@ -228,49 +234,16 @@ def _cmd_knaster_degree(args):
 
 # ----------------------------------------------------- verify / experiment
 
-_PARAM_FLAGS = {
-    "d_max": int,
-    "d": int,
-    "n_max": int,
-    "m": int,
-    "generic_k": int,
-    "max_breakpoints": int,
-    "delta": str,
-    "eps": str,
-    "eta": str,
-    "target": str,
-}
-
-# the flags of each verify suite: one entry per key of VERIFY_SUITES
-_SUITE_PARAMS = {
-    "semiconj": ["d_max", "max_breakpoints"],
-    "oplus-scaling": ["d_max"],
-    "grid-fix": ["d_max"],
-    "mod-bound": ["eps", "n_max"],
-    "tent-witness": ["delta", "d"],
-    "separation": ["eta", "n_max"],
-    "comod": ["delta"],
-    "signature-laws": ["d_max"],
-}
-
 
 def _cmd_campaign(args):
-    cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    fields = {"suite": args.suite}
-    if args.trials is not None:
-        fields["trials"] = args.trials
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.primes is not None:
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    fields = {k: given[k] for k in ("suite", "trials", "seed", "output") if k in given}
+    if "primes" in given:
         fields["primes"] = _primes(args.primes)
-    if args.output is not None:
-        fields["output"] = args.output
+    cfg = ExperimentConfig.from_file(args.config) if args.config else None
     # built in one step so ExperimentConfig validates the flag values too
     cfg = dataclasses.replace(cfg, **fields) if cfg else ExperimentConfig(**fields)
-    for name in _PARAM_FLAGS:
-        val = getattr(args, name, None)
-        if val is not None:
-            cfg.params[name] = val
+    cfg.params.update((k, given[k]) for k in SUITE_PARAMS[args.suite] if k in given)
     report = run_suite(cfg)
     print(render_table(report))
     if report.config.output:
@@ -295,15 +268,17 @@ def _add_out(p):
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
 
 
-def _add_campaign_flags(p, params):
+def _add_campaign(parsers, suite):
+    p = parsers.add_parser(suite)
+    p.set_defaults(func=_cmd_campaign, suite=suite)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--primes", help='"diagonal", "all2", or comma list like 2,3,5')
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--output", help="write the JSON report here")
-    for name in params:
-        kind = _PARAM_FLAGS[name]
-        p.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
+    for name, default in SUITE_PARAMS[suite].items():
+        shown = "drawn per trial" if default is None else default
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, help=f"default {shown}")
 
 
 def build_parser():
@@ -428,16 +403,12 @@ def build_parser():
 
     ve = sub.add_parser("verify", help="seeded verification campaigns")
     ves = ve.add_subparsers(dest="suite_cmd", required=True)
-    for name, params in _SUITE_PARAMS.items():
-        p = ves.add_parser(name)
-        _add_campaign_flags(p, params)
-        p.set_defaults(func=_cmd_campaign, suite=name)
+    for name in VERIFY_SUITES:
+        _add_campaign(ves, name)
 
     ex = sub.add_parser("experiment", help="end-to-end certified experiments")
     exs = ex.add_subparsers(dest="cmd", required=True)
-    p = exs.add_parser("density")
-    _add_campaign_flags(p, ["m", "eta", "generic_k", "target"])
-    p.set_defaults(func=_cmd_campaign, suite="density")
+    _add_campaign(exs, "density")
 
     return top
 

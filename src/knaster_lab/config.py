@@ -1,8 +1,9 @@
 """Experiment configuration: one config fully determines a campaign.
 
-Configs serialize to JSON with every rational as a "p/q" string. The
-environment variable KNASTER_LAB_SEED, when set, overrides the seed from
-any source; command-line flags override file values field by field.
+Configs serialize to JSON with every rational as a "p/q" string.
+KNASTER_LAB_SEED, when set, replaces the seed from any source as the
+config is built, so reports record it. Command-line flags override file
+values field by field. experiments.SUITE_PARAMS declares the params.
 """
 
 import json
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .knaster import PrimeSequence
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 SEED_ENV_VAR = "KNASTER_LAB_SEED"
 
@@ -28,18 +29,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count must be positive")
-
-    def fraction(self, key, default=None):
-        v = self.params.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, str):
-            return parse_rational(v)
-        return Fraction(v)
-
-    def integer(self, key, default=None):
-        v = self.params.get(key, default)
-        return None if v is None else int(v)
+        env = os.environ.get(SEED_ENV_VAR)
+        if env:
+            self.seed = int(env)
 
     def to_json_dict(self):
         params = {}
@@ -69,11 +61,6 @@ class ExperimentConfig:
     def from_file(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-    def resolved_seed(self):
-        """Campaign seed, honoring the KNASTER_LAB_SEED override."""
-        env = os.environ.get(SEED_ENV_VAR)
-        return int(env) if env else self.seed
 
 
 def radius_schedule(delta, j, n, P):

@@ -5,10 +5,16 @@ seed, one derived stream per trial, order-independent aggregation. A
 failed trial never raises out of the runner; it lands in the report
 with enough detail to replay (see replay_config), and the CLI turns it
 into a standalone replay file plus a nonzero exit code.
+
+SUITE_PARAMS declares each suite's params once, with their defaults.
+resolve_config checks a campaign's params against it before the first
+trial, raising ValueError on an undeclared key or a badly typed value,
+and the report records every param as the trials read it.
 """
 
 import json
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 
@@ -38,7 +44,7 @@ from .randgen import (
     rand_nudge,
     rand_signature_homeo,
 )
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 from .signatures import (
     signature,
     signature_oplus,
@@ -118,7 +124,7 @@ class CertificateReport:
 
 def render_table(report):
     """Human-readable report: one row per trial, then the tally."""
-    lines = [f"suite {report.suite}  (seed {report.config.resolved_seed()})"]
+    lines = [f"suite {report.suite}  (seed {report.config.seed})"]
     for o in report.outcomes:
         status = "ok  " if o.ok else "FAIL"
         parts = "  ".join(f"{k}={v}" for k, v in o.details.items())
@@ -134,21 +140,60 @@ def replay_config(report, index):
     """Config that reruns exactly one trial through the same subcommand."""
     data = report.config.to_json_dict()
     data["params"] = dict(data["params"], replay_trial=index)
-    data["seed"] = report.config.resolved_seed()
     data["output"] = None
     return data
 
 
-def _run_campaign(cfg, trial_fn):
-    seed = cfg.resolved_seed()
+# A default's type is its param's type. A Fraction makes a rational ("p/q"
+# or an int), a str a string, an int or None an integer (an int or its
+# decimal string). Any suite also takes an integer replay_trial.
+SUITE_PARAMS = {
+    "semiconj": {"d_max": 7, "max_breakpoints": 12},
+    "oplus-scaling": {"d_max": 7},
+    "grid-fix": {"d_max": 7},
+    "mod-bound": {"eps": Fraction(1, 10), "n_max": 3},
+    "tent-witness": {"delta": Fraction(1, 5), "d": None},
+    "separation": {"eta": Fraction(1, 40), "n_max": 1},
+    "comod": {"delta": Fraction(1, 5)},
+    "signature-laws": {"d_max": 5},
+    "density": {"m": 1, "eta": Fraction(1, 4), "generic_k": 2, "target": "generic"},
+}
+
+
+def _param_value(name, default, value):
+    """value as a param of the type of default; ValueError if it is none."""
+    rational = isinstance(default, Fraction)
+    if type(value) is type(default) or type(value) is int and (rational or default is None):
+        return Fraction(value) if rational else value
+    if isinstance(value, str):
+        with suppress(ValueError):
+            return parse_rational(value) if rational else int(value)
+    kind = {Fraction: "a rational", str: "a string"}.get(type(default), "an integer")
+    raise ValueError(f"param {name} takes {kind}, not {value!r}")
+
+
+def resolve_config(cfg):
+    """cfg with the params of its suite checked, typed and defaulted."""
+    declared = dict(SUITE_PARAMS[cfg.suite])
     if "replay_trial" in cfg.params:
-        indices = [cfg.integer("replay_trial")]
+        declared["replay_trial"] = 0
+    unknown = sorted(set(cfg.params) - set(declared))
+    if unknown:
+        raise ValueError(f"suite {cfg.suite} takes no param {', '.join(unknown)}")
+    params = {k: _param_value(k, v, cfg.params.get(k, v)) for k, v in declared.items()}
+    return replace(cfg, params=params)
+
+
+def _run_campaign(cfg, trial_fn):
+    cfg = resolve_config(cfg)
+    if "replay_trial" in cfg.params:
+        indices = [cfg.params["replay_trial"]]
     else:
         indices = range(cfg.trials)
     outcomes = []
     t0 = perf_counter()
     for i in indices:
-        rng = derive_rng(seed, cfg.suite, i)
+        rng = derive_rng(cfg.seed, cfg.suite, i)
         s0 = perf_counter()
         try:
             details = trial_fn(cfg, rng)
@@ -167,8 +212,8 @@ def _run_campaign(cfg, trial_fn):
 
 
 def _t_semiconj(cfg, rng):
-    d_max = cfg.integer("d_max", 7)
-    g = rand_homeo(rng, cfg.integer("max_breakpoints", 12))
+    d_max = cfg.params["d_max"]
+    g = rand_homeo(rng, cfg.params["max_breakpoints"])
     for d in range(1, d_max + 1):
         if compose(g, tent(d)) != compose(tent(d), oplus_power(g, d)):
             raise CheckFailure(
@@ -179,7 +224,7 @@ def _t_semiconj(cfg, rng):
 
 
 def _t_oplus_scaling(cfg, rng):
-    d = rng.randint(1, cfg.integer("d_max", 7))
+    d = rng.randint(1, cfg.params["d_max"])
     g1 = rand_homeo(rng, 8)
     g2 = rand_homeo(rng, 8)
     want = sup_dist(g1, g2) / d
@@ -193,7 +238,7 @@ def _t_oplus_scaling(cfg, rng):
 
 
 def _t_grid_fix(cfg, rng):
-    d = rng.randint(1, cfg.integer("d_max", 7))
+    d = rng.randint(1, cfg.params["d_max"])
     g = rand_homeo(rng, 8)
     h = oplus_power(g, d)
     for i in range(d + 1):
@@ -208,8 +253,8 @@ def _t_grid_fix(cfg, rng):
 
 def _t_mod_bound(cfg, rng):
     P = cfg.primes
-    eps = cfg.fraction("eps", Fraction(1, 10))
-    n = rng.randint(0, cfg.integer("n_max", 3))
+    eps = cfg.params["eps"]
+    n = rng.randint(0, cfg.params["n_max"])
     g = rand_homeo(rng, 5)
     h, _ = rand_nudge(rng, g, eps / P.product(1, n))
     cert = certify_mod_bound(g, h, n, eps, P)
@@ -230,8 +275,12 @@ def _gapped_pair(rng, delta, d, base):
 
 
 def _t_tent_witness(cfg, rng):
-    delta = cfg.fraction("delta", Fraction(1, 5))
-    d = cfg.integer("d") or rng.choice([2, 3, 4, 6, 8])
+    delta = cfg.params["delta"]
+    d = cfg.params["d"]
+    if d is None:
+        d = rng.choice([2, 3, 4, 6, 8])
+    elif d < 1:
+        raise ValueError(f"tent degree d must be at least 1, not {d}")
     f = rand_homeo(rng, 6)
     g = _gapped_pair(rng, delta, d, f)
     w = tent_witness(f, g, d, delta)
@@ -250,8 +299,8 @@ def _t_tent_witness(cfg, rng):
 
 def _t_separation(cfg, rng):
     P = cfg.primes
-    eta = cfg.fraction("eta", Fraction(1, 40))
-    n = rng.randint(0, cfg.integer("n_max", 1))
+    eta = cfg.params["eta"]
+    n = rng.randint(0, cfg.params["n_max"])
     m = n + rng.randint(1, 2)
     F = DiagonalHomeo(n, rand_homeo(rng, 4))
     d = P.product(n + 1, m)
@@ -270,7 +319,7 @@ def _t_separation(cfg, rng):
 
 def _t_comod(cfg, rng):
     P = cfg.primes
-    delta = cfg.fraction("delta", Fraction(1, 5))
+    delta = cfg.params["delta"]
     j = rng.choice([2, 3])
     n = j + rng.randint(0, 1)
     pj = P.prime(j)
@@ -295,7 +344,7 @@ def _t_comod(cfg, rng):
 
 def _t_signature_laws(cfg, rng):
     f = rand_homeo(rng, 8)
-    d = rng.randint(1, cfg.integer("d_max", 5))
+    d = rng.randint(1, cfg.params["d_max"])
     sig = signature(f)
     if signature(reflect(f)) != signature_reflect(sig):
         raise CheckFailure("reflection law failed", {"f": to_json_dict(f)})
@@ -346,17 +395,21 @@ def proof_slack_sum(m, P):
 
 def _t_density(cfg, rng):
     P = cfg.primes
-    m = cfg.integer("m", 1)
-    eta = cfg.fraction("eta", Fraction(1, 4))
+    m, eta, kind = cfg.params["m"], cfg.params["eta"], cfg.params["target"]
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if m < 0:
+        raise ValueError("target coordinate must be nonnegative")
+    if kind not in ("generic", "identity"):
+        raise ValueError(f"target must be generic or identity, not {kind!r}")
     eps = eta / (4 * proof_slack_sum(m, P))
-    if cfg.params.get("target") == "identity":
+    if kind == "identity":
         fm = identity()
         target = identity()
         h = identity()
         signs = []
     else:
-        k = cfg.integer("generic_k", 2)
-        spec = PseudoGenericSpec(k, seed=rng.getrandbits(32))
+        spec = PseudoGenericSpec(cfg.params["generic_k"], seed=rng.getrandbits(32))
         f0 = pseudo_generic(spec)
         fm = lift(DiagonalHomeo(0, f0), m, P).inducer
         signs = signature(fm)
@@ -386,12 +439,6 @@ def run_density_experiment(cfg):
     from the synthesis engine at the proof's epsilon, then a certified
     upper bound under eta. Synthesis failures are reported, not raised.
     """
-    m = cfg.integer("m", 1)
-    eta = cfg.fraction("eta", Fraction(1, 4))
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if m < 0:
-        raise ValueError("target coordinate must be nonnegative")
     return _run_campaign(cfg, _t_density)
 
 

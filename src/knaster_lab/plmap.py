@@ -96,10 +96,6 @@ class PLMap:
         )
         return f"{type(self).__name__}([{pts}])"
 
-    def compose(self, other):
-        """self after other, with the tightest class the operands allow."""
-        return compose(self, other)
-
 
 class PLHomeo(PLMap):
     """Strictly increasing PL self-homeomorphism of [0,1] fixing 0 and 1."""

@@ -1,14 +1,12 @@
 """Exact rational scalars.
 
-``Rational`` is ``fractions.Fraction``: arbitrary precision, always lowest
+Scalars are ``fractions.Fraction``: arbitrary precision, always lowest
 terms, positive denominator. The helpers here pin the text format used by
 the CLI and the JSON files to the strict form ``"p/q"`` (or ``"p"`` for
 integers) so serialized output round-trips exactly.
 """
 
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def parse_rational(text):

@@ -8,7 +8,7 @@ import pytest
 import knaster_lab.conjugator as conjugator
 import knaster_lab.tents as tents
 from knaster_lab.cli import main
-from knaster_lab.experiments import CheckFailure, VERIFY_SUITES
+from knaster_lab.experiments import SUITE_PARAMS, CheckFailure, VERIFY_SUITES
 
 
 def write_map(path, points):
@@ -202,6 +202,62 @@ def test_verify_tent_witness_spec_invocation(capsys):
     assert "25 passed, 0 failed" in capsys.readouterr().out
 
 
+def test_verify_tent_witness_refuses_degree_below_one(capsys):
+    assert main(["verify", "tent-witness", "--d", "0", "--trials", "2"]) == 2
+    assert "d must be at least 1" in capsys.readouterr().err
+    assert main(["verify", "tent-witness", "--d", "-3", "--trials", "2"]) == 2
+
+
+def test_density_refuses_unknown_target(capsys):
+    argv = ["experiment", "density", "--trials", "1", "--seed", "1"]
+    assert main(argv + ["--target", "idnetity"]) == 2
+    assert "target must be generic or identity" in capsys.readouterr().err
+    assert main(argv + ["--target", "identity"]) == 0
+    assert "sup_gap=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "file_suite, suite, params, message",
+    [
+        ("tent-witness", "tent-witness", {"detla": "1/7"}, "takes no param detla"),
+        ("mod-bound", "mod-bound", {"eps": 0.1}, "param eps takes"),
+        ("mod-bound", "semiconj", {"eps": "1/50", "n_max": 2}, "takes no param eps, n_max"),
+        ("grid-fix", "grid-fix", {"d_max": "3.5"}, "param d_max takes an integer"),
+        ("grid-fix", "grid-fix", {"d_max": True}, "param d_max takes an integer"),
+    ],
+)
+def test_campaign_config_with_bad_params_exits_two(
+    tmp_path, capsys, file_suite, suite, params, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": file_suite, "trials": 2, "params": params}))
+    assert main(["verify", suite, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_campaign_flag_of_wrong_type_exits_two(capsys):
+    assert main(["verify", "mod-bound", "--eps", "0.1", "--trials", "1"]) == 2
+    assert main(["verify", "grid-fix", "--d-max", "x", "--trials", "1"]) == 2
+    assert "param d_max takes an integer" in capsys.readouterr().err
+
+
+def test_report_records_resolved_params(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["verify", "tent-witness", "--trials", "1", "--delta", "2/10",
+               "--output", str(out)])
+    assert rc == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["params"] == {"delta": "1/5", "d": None}
+
+
+def test_campaign_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "tent-witness", "-h"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--delta DELTA default 1/5" in text
+    assert "--d D default drawn per trial" in text
+
+
 def test_verify_tent_witness_refuses_method_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "tent-witness", "--method", "trace"])
@@ -279,6 +335,16 @@ def test_seed_env_var_overrides_cli(monkeypatch, capsys):
     assert base_rows == over_rows
 
 
+def test_seed_env_var_is_recorded_in_the_report(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("KNASTER_LAB_SEED", "99")
+    out = tmp_path / "r.json"
+    rc = main(["verify", "grid-fix", "--trials", "2", "--seed", "5",
+               "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("suite grid-fix  (seed 99)")
+    assert json.loads(out.read_text())["config"]["seed"] == 99
+
+
 def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):
     assert main(["verify", "grid-fix", "--trials", "0"]) == 2
     assert "trial count must be positive" in capsys.readouterr().err
@@ -333,11 +399,15 @@ def test_shared_parser_matches_fresh_parsers(maps, capsys):
 def test_every_verify_suite_has_a_subcommand():
     from knaster_lab import cli
 
-    assert set(cli._SUITE_PARAMS) == set(VERIFY_SUITES)
-    for name, params in cli._SUITE_PARAMS.items():
-        args = cli._parser().parse_args(["verify", name])
+    assert set(SUITE_PARAMS) == set(VERIFY_SUITES) | {"density"}
+    for name, params in SUITE_PARAMS.items():
+        argv = ["experiment", "density"] if name == "density" else ["verify", name]
+        args = cli._parser().parse_args(argv)
         assert args.suite == name
-        assert all(hasattr(args, p) for p in params)
+        assert all(getattr(args, p) is None for p in params)
+        flags = [f"--{p.replace('_', '-')}" for p in params]
+        args = cli._parser().parse_args(argv + [a for f in flags for a in (f, "1")])
+        assert all(getattr(args, p) == "1" for p in params)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,5 +1,6 @@
 """Campaign harness: determinism, splittable streams, replay, density."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,16 +9,19 @@ import pytest
 import knaster_lab.experiments as experiments
 from knaster_lab.config import ExperimentConfig, SEED_ENV_VAR, radius_schedule
 from knaster_lab.experiments import (
+    SUITE_PARAMS,
     CheckFailure,
     VERIFY_SUITES,
     proof_slack_sum,
     render_table,
     replay_config,
+    resolve_config,
     run_density_experiment,
     run_suite,
     run_verify_suite,
 )
 from knaster_lab.knaster import CertifiedDistance, PrimeSequence
+from knaster_lab.randgen import derive_rng
 from knaster_lab.rational import parse_rational
 
 ALL2 = PrimeSequence("all2")
@@ -46,16 +50,80 @@ def test_config_round_trips_through_json():
     back = ExperimentConfig.from_json_dict(data)
     assert back.suite == cfg.suite
     assert back.primes == ALL2
-    assert back.fraction("eps") == F(1, 50)
-    assert back.integer("n_max") == 2
+    assert back.params == {"eps": "1/50", "n_max": 2}
+    assert resolve_config(back).params == {"eps": F(1, 50), "n_max": 2}
     assert back.output == "report.json"
 
 
 def test_seed_env_var_wins(monkeypatch):
-    cfg = cfg_for("grid-fix", seed=5)
-    assert cfg.resolved_seed() == 5
+    assert cfg_for("grid-fix", seed=5).seed == 5
     monkeypatch.setenv(SEED_ENV_VAR, "99")
-    assert cfg.resolved_seed() == 99
+    assert cfg_for("grid-fix", seed=5).seed == 99
+    assert ExperimentConfig.from_json_dict({"suite": "grid-fix", "seed": 5}).seed == 99
+
+
+# ------------------------------------------------------------------ params
+
+
+def test_resolve_fills_defaults_and_types():
+    cfg = resolve_config(cfg_for("tent-witness", params={"delta": "2/10"}))
+    assert cfg.params == {"delta": F(1, 5), "d": None}
+    cfg = resolve_config(cfg_for("tent-witness", params={"delta": 1, "d": "3"}))
+    assert cfg.params == {"delta": F(1), "d": 3}
+    cfg = resolve_config(cfg_for("density", params={"replay_trial": "4"}))
+    assert cfg.params == {
+        "m": 1, "eta": F(1, 4), "generic_k": 2, "target": "generic", "replay_trial": 4,
+    }
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [
+        ("tent-witness", {"detla": "1/7"}),
+        ("semiconj", {"eps": "1/10"}),
+        ("mod-bound", {"eps": 0.1}),
+        ("mod-bound", {"eps": "0.1"}),
+        ("mod-bound", {"eps": None}),
+        ("mod-bound", {"n_max": 2.0}),
+        ("mod-bound", {"n_max": False}),
+        ("density", {"target": 1}),
+        ("density", {"replay_trial": "last"}),
+    ],
+)
+def test_resolve_rejects_undeclared_and_badly_typed_params(suite, params):
+    with pytest.raises(ValueError):
+        resolve_config(cfg_for(suite, params=params))
+    with pytest.raises(ValueError):
+        run_suite(cfg_for(suite, params=params))
+
+
+class _ReadLog(dict):
+    """Params that record the names a trial reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
+def test_trials_read_exactly_the_declared_params(suite):
+    # a param that is declared but never read, or read but never
+    # declared, fails here
+    trial = experiments._t_density if suite == "density" else VERIFY_SUITES[suite]
+    cfg = resolve_config(cfg_for(suite, seed=4))
+    log = _ReadLog(cfg.params)
+    cfg = dataclasses.replace(cfg, params=log)
+    for i in range(2):
+        trial(cfg, derive_rng(cfg.seed, suite, i))
+    assert log.read == set(SUITE_PARAMS[suite])
 
 
 def test_radius_schedule_frozen():

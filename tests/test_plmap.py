@@ -86,7 +86,6 @@ def test_compose_types_and_values():
     assert isinstance(compose(BUMP, BUMP), PLHomeo)
     assert isinstance(compose(TENT2, BUMP), OpenPLMap)
     assert isinstance(compose(TENT2, TENT2), OpenPLMap)
-    assert BUMP.compose(BUMP) == compose(BUMP, BUMP)
 
 
 def test_invert_frozen():

@@ -312,6 +312,49 @@ def crossings(f, g):
     return roots
 
 
+def fixed_structure(bps):
+    """Fixed intervals of h and the signs of h - id on the gaps between them.
+
+    bps is a canonical increasing homeomorphism of [0, 1]. Returns
+    (intervals, signs): intervals as ((ln, ld), (rn, rd)) pairs, a
+    degenerate one for an isolated fixed point, and one sign (+1 or -1)
+    per gap. h is canonical, so h - id has the breakpoints of h. The sign
+    of h - id at one is the sign of yn*xd - xn*yd; a run of zeros is a
+    fixed interval, and a strict sign change inside a segment is one
+    isolated root. A gap's sign is that of the first nonzero breakpoint
+    after the interval opening it: every gap holds one, since a segment
+    joining two fixed points would be fixed.
+    """
+    intervals = []
+    signs = []
+    run = None  # left end of the open run of fixed breakpoints
+    last = len(bps) - 1
+    for i in range(last + 1):
+        xn, xd, yn, yd = bps[i]
+        s = yn * xd - xn * yd
+        if s == 0:
+            if run is None:
+                run = (xn, xd)
+            end = (xn, xd)
+            continue
+        if run is not None:
+            intervals.append((run, end))
+            run = None
+        if len(signs) < len(intervals):
+            signs.append(1 if s > 0 else -1)
+        if i < last:
+            qn, qd, zn, zd = bps[i + 1]
+            t = zn * qd - qn * zd
+            if (t > 0 and s < 0) or (t < 0 and s > 0):
+                r = segment_root(
+                    (xn, xd), (qn, qd), rnorm(s, yd * xd), rnorm(t, zd * qd)
+                )
+                intervals.append((r, r))
+    if run is not None:
+        intervals.append((run, end))
+    return intervals, signs
+
+
 def pl_extremum(f, g, take_max):
     """Pointwise min (or max) of two PL functions on a common domain."""
     xs = merged_xs(merged_xs(f, g), crossings(f, g))

@@ -3,12 +3,13 @@
 Configs serialize to JSON with every rational as a "p/q" string.
 KNASTER_LAB_SEED, when set, replaces the seed from any source as the
 config is built, so reports record it. Command-line flags override file
-values field by field. experiments.SUITE_PARAMS declares the params.
+values field by field. A key other than the fields below is refused.
+experiments.SUITE_PARAMS declares the params.
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .knaster import PrimeSequence
@@ -48,6 +49,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data):
+        # a misspelled key would otherwise fall back to its default unseen
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(
             suite=data["suite"],
             primes=PrimeSequence.from_json_dict(data.get("primes", "diagonal")),

@@ -58,6 +58,12 @@ inverse slope. The squeeze glue instead halves the window per piece of
 equal width, so a displacement by a bounded slope ratio moves the image
 at most a few pieces sideways and the error stays proportional to the
 piece width, which we pick below the cap margin.
+
+Arithmetic: from the fixed structure of f and g down to the final concat,
+the construction runs on kernel pairs (n, d) and builds no Fraction. The
+Fraction boundary is eta, which becomes eta_cap = eta/2 as a pair once at
+the top of _checked_conjugator, and the typed maps: f and g come in as
+PLHomeo, and h leaves as one, for the exact post-check.
 """
 
 from dataclasses import dataclass
@@ -66,6 +72,7 @@ from fractions import Fraction
 from . import _kernel_py as _k
 from .plmap import (
     PLHomeo,
+    _to_kernel,
     compose,
     identity,
     reflect,
@@ -74,7 +81,7 @@ from .plmap import (
 )
 from .randgen import derive_rng, rand_signature_homeo
 from .rational import format_rational
-from .signatures import fixed_intervals, gap_signs, signature, signature_reflect
+from .signatures import fixed_intervals, fixed_structure, signature, signature_reflect
 from .tents import block_sum, check_size, oplus_power, oplus_size
 
 
@@ -96,14 +103,6 @@ class GridNotFixedError(ValueError):
 
 class SnapMarginError(ValueError):
     """δ leaves no room to pinch a grid point onto the diagonal."""
-
-
-def _fp(x):
-    return (x.numerator, x.denominator)
-
-
-def _affine_piece(x0, y0, x1, y1):
-    return [_fp(x0) + _fp(y0), _fp(x1) + _fp(y1)]
 
 
 class _Budget:
@@ -166,8 +165,9 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
 def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
-    Returns (pieces, ql, pl, qh, ph): kernel pieces in ascending x order
-    covering [ql, qh] on the g side, with h(ql) = pl and h(qh) = ph.
+    fcomp, gcomp and eta_cap are kernel pairs. Returns kernel pieces in
+    ascending x order; they run from h's breakpoint at the component's
+    low end on the g side to the one at its high end.
 
     Anchor: the fundamental domain h0 maps [q0, g(q0)] affinely onto
     [p0, f(p0)], where q0 is an interior breakpoint of g and p0 one of f
@@ -176,9 +176,9 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     """
     a, b = fcomp
     c, d = gcomp
-    g_loc = _k.restrict(g._kbps, _fp(c), _fp(d))
+    g_loc = _k.restrict(g._kbps, c, d)
     ginv = _k.invert(g_loc)
-    f_loc = _k.restrict(f._kbps, _fp(a), _fp(b))
+    f_loc = _k.restrict(f._kbps, a, b)
     finv = _k.invert(f_loc)
 
     q0 = _orbit_anchor(g_loc)
@@ -187,38 +187,35 @@ def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     p1 = _k.eval_at(f_loc, p0)
     h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
 
-    attract = _fp(d if sign > 0 else c)
-    repel = _fp(c if sign > 0 else d)
-    margin = _fp(eta_cap)
+    attract = d if sign > 0 else c
+    repel = c if sign > 0 else d
     # a piece's end toward the attracting end: q1 on h0. Forward, it is
     # the newest orbit point; backward, it is g of the newest one, and the
     # cap bound at the repelling end is that previous orbit point, so keep
     # stepping until it is already inside the margin
     near = -1 if sign > 0 else 0
-    fwd = _orbit(h0, g_loc, ginv, f_loc, sign > 0, near, attract, margin, budget)
-    back = _orbit(h0, ginv, g_loc, finv, sign < 0, near, repel, margin, budget)
+    fwd = _orbit(h0, g_loc, ginv, f_loc, sign > 0, near, attract, eta_cap, budget)
+    back = _orbit(h0, ginv, g_loc, finv, sign < 0, near, repel, eta_cap, budget)
 
     if sign > 0:
-        pieces = back[::-1] + [h0] + fwd
-    else:
-        pieces = fwd[::-1] + [h0] + back
-    lo, hi = pieces[0][0], pieces[-1][-1]
-    return (pieces, Fraction(lo[0], lo[1]), Fraction(lo[2], lo[3]),
-            Fraction(hi[0], hi[1]), Fraction(hi[2], hi[3]))
+        return back[::-1] + [h0] + fwd
+    return fwd[::-1] + [h0] + back
 
 
-def _slope_bound(f, lo, hi):
-    """Largest of slope and inverse slope of f over segments meeting (lo, hi)."""
-    worst = Fraction(1)
-    kb = f._kbps
+def _slope_bound(kb, lo, hi):
+    """Floor of the largest slope or inverse slope over segments meeting (lo, hi).
+
+    kb is an increasing kernel list, lo and hi are pairs; at least 1.
+    """
+    worst = 1
     for i in range(len(kb) - 1):
-        x0, x1 = Fraction(kb[i][0], kb[i][1]), Fraction(kb[i + 1][0], kb[i + 1][1])
-        if x1 <= lo or x0 >= hi:
+        x0n, x0d, y0n, y0d = kb[i]
+        x1n, x1d, y1n, y1d = kb[i + 1]
+        if x1n * lo[1] <= lo[0] * x1d or x0n * hi[1] >= hi[0] * x0d:
             continue
-        sl = (Fraction(kb[i + 1][2], kb[i + 1][3]) - Fraction(kb[i][2], kb[i][3])) / (
-            x1 - x0
-        )
-        worst = max(worst, sl, 1 / sl)
+        dy = (y1n * y0d - y0n * y1d) * x1d * x0d
+        dx = (x1n * x0d - x0n * x1d) * y1d * y0d
+        worst = max(worst, dy // dx, dx // dy)
     return worst
 
 
@@ -228,65 +225,81 @@ def _half_squeeze(u, v, m, theta, eta_cap, f, rising):
     rising=True: values climb from m - theta at u to exactly m at v.
     rising=False: values climb from exactly m at u to m + theta at v.
     The window halves per equal-width piece, so a point displaced by f
-    within a bounded slope ratio lands only a few pieces away.
+    within a bounded slope ratio lands only a few pieces away. All
+    arguments but f and rising are kernel pairs.
     """
-    ratio = _slope_bound(f, m - theta, m + theta)
-    c_const = 3 + (ratio.numerator // ratio.denominator + 1).bit_length()
-    width = eta_cap / c_const
-    span = v - u
-    npieces = max(1, -((-span.numerator * width.denominator) // (span.denominator * width.numerator)))
+    mn, md = m
+    tn, td = theta
+    ratio = _slope_bound(f, _k.rsub(m, theta), _k.radd(m, theta))
+    # width = eta_cap / c_const, and npieces = ceil((v - u) / width)
+    c_const = 3 + (ratio + 1).bit_length()
+    sn, sd = _k.rsub(v, u)
+    npieces = max(1, -((-sn * c_const * eta_cap[1]) // (sd * eta_cap[0])))
+    un, ud = u
+    sign = -1 if rising else 1
     pts = []
     for j in range(npieces + 1):
-        x = u + span * j / npieces
-        if rising:
-            y = m if j == npieces else m - theta / (2**j)
+        x = _k.rnorm(un * sd * npieces + j * sn * ud, ud * sd * npieces)
+        # m - theta/2^k rising, m + theta/2^k falling; m itself at k = npieces
+        k = j if rising else npieces - j
+        if k == npieces:
+            y = m
         else:
-            y = m if j == 0 else m + theta / (2 ** (npieces - j))
-        pts.append(_fp(x) + _fp(y))
+            y = _k.rnorm(mn * td * 2**k + sign * tn * md, md * td * 2**k)
+        pts.append(x + y)
     return _k.canonical(pts)
+
+
+def _mid(a, b):
+    """(a + b) / 2 on kernel pairs."""
+    return _k.rnorm(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])
 
 
 def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
     """Pieces over one fixed gap plus the anchor values at its two ends.
 
-    Returns (pieces, left_anchor, right_anchor): h's value at the gap's
-    left end (where the previous component's cap attaches) and right end
-    (where the next component's cap starts).
+    left and right are h's breakpoints at the inner ends of the
+    neighbouring components (None at 0 and 1). Returns (pieces,
+    left_anchor, right_anchor): h's value at the gap's left end (where
+    the previous component's cap attaches) and right end (where the next
+    component's cap starts). Everything is on kernel pairs; f is f's
+    kernel list.
     """
     u, v = gap_g
     fu, fv = gap_f
-    if u < v and fu < fv:
-        return [_affine_piece(u, fu, v, fv)], fu, fv
+    if u != v and fu != fv:
+        return [[u + fu, v + fv]], fu, fv
     if u == v and fu == fv:
         return [], fu, fu
     if u == v:
         # g pinches where f pauses: the neighbouring caps absorb the f-gap
         if j == 0:
-            anchor = Fraction(0)
+            anchor = (0, 1)
         elif j == ncomp:
-            anchor = Fraction(1)
+            anchor = (1, 1)
         else:
-            anchor = (fu + fv) / 2
+            anchor = _mid(fu, fv)
         return [], anchor, anchor
     # g pauses where f pinches: squeeze [u, v] into a geometric window
     m = fu
     if j == 0:
-        theta = (right[2] - m) / 2
-        return [_half_squeeze(u, v, m, theta, eta_cap, f, False)], m, m + theta
+        theta = _k.rmul(_k.rsub(right[2:], m), (1, 2))
+        return [_half_squeeze(u, v, m, theta, eta_cap, f, False)], m, _k.radd(m, theta)
     if j == ncomp:
-        theta = (m - left[4]) / 2
-        return [_half_squeeze(u, v, m, theta, eta_cap, f, True)], m - theta, m
-    mid = (u + v) / 2
-    th_l = (m - left[4]) / 2
-    th_r = (right[2] - m) / 2
+        theta = _k.rmul(_k.rsub(m, left[2:]), (1, 2))
+        return [_half_squeeze(u, v, m, theta, eta_cap, f, True)], _k.rsub(m, theta), m
+    mid = _mid(u, v)
+    th_l = _k.rmul(_k.rsub(m, left[2:]), (1, 2))
+    th_r = _k.rmul(_k.rsub(right[2:], m), (1, 2))
     pieces = [
         _half_squeeze(u, mid, m, th_l, eta_cap, f, True),
         _half_squeeze(mid, v, m, th_r, eta_cap, f, False),
     ]
-    return pieces, m - th_l, m + th_r
+    return pieces, _k.rsub(m, th_l), _k.radd(m, th_r)
 
 
 def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
+    """The conjugator, from fixed intervals and eta_cap as kernel pairs."""
     ncomp = len(signs)
     comps = []
     for j, sign in enumerate(signs):
@@ -296,41 +309,45 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
 
     parts = []
     for j in range(ncomp + 1):
-        left = comps[j - 1] if j > 0 else None
-        right = comps[j] if j < ncomp else None
+        left = comps[j - 1][-1][-1] if j > 0 else None
+        right = comps[j][0][0] if j < ncomp else None
         pieces, left_anchor, right_anchor = _gap_pieces(
-            j, ncomp, g_ivs[j], f_ivs[j], left, right, eta_cap, f
+            j, ncomp, g_ivs[j], f_ivs[j], left, right, eta_cap, f._kbps
         )
         if left is not None:
-            parts.append(_affine_piece(left[3], left[4], g_ivs[j][0], left_anchor))
+            parts.append([left, g_ivs[j][0] + left_anchor])
         parts.extend(pieces)
         if right is not None:
-            parts.append(_affine_piece(g_ivs[j][1], right_anchor, right[1], right[2]))
-            parts.extend(right[0])
+            parts.append([g_ivs[j][1] + right_anchor, right])
+            parts.extend(comps[j])
     return PLHomeo._from_kernel(_k.concat(parts))
 
 
 def _checked_conjugator(f, g, eta, max_steps=1_000_000):
-    """approx_conjugator's build and post-check: (h, sup_dist(h⁻¹ ∘ f ∘ h, g))."""
+    """approx_conjugator's build and post-check: (h, achieved, conj).
+
+    conj is h⁻¹ ∘ f ∘ h and achieved is sup_dist(conj, g), both exact.
+    """
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity(), Fraction(0)
-    f_ivs = fixed_intervals(f)
-    g_ivs = fixed_intervals(g)
-    signs = gap_signs(g, g_ivs)
-    if gap_signs(f, f_ivs) != signs:
+        return identity(), Fraction(0), f
+    f_ivs, f_signs = fixed_structure(f)
+    g_ivs, signs = fixed_structure(g)
+    if f_signs != signs:
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"
         )
-    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta / 2, _Budget(max_steps))
-    achieved = sup_dist(compose(compose(h.invert(), f), h), g)
+    eta_cap = _k.rnorm(eta.numerator, 2 * eta.denominator)
+    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, _Budget(max_steps))
+    conj = compose(compose(h.invert(), f), h)
+    achieved = sup_dist(conj, g)
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved
+    return h, achieved, conj
 
 
 def approx_conjugator(f, g, eta, max_steps=1_000_000):
@@ -365,7 +382,7 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
             raise GridNotFixedError(f"h moves the grid point {i}/{d}")
     sig_f = signature(f)
     for i in range(d):
-        kb = _k.restrict(h._kbps, _fp(Fraction(i, d)), _fp(Fraction(i + 1, d)))
+        kb = _k.restrict(h._kbps, _k.rnorm(i, d), _k.rnorm(i + 1, d))
         kb = _k.affine_image(kb, (d, 1), (-i, 1), (d, 1), (-i, 1))
         block = PLHomeo._from_kernel(kb)
         want = sig_f if i % 2 == 0 else signature_reflect(sig_f)
@@ -419,6 +436,7 @@ def snap_to_grid(h, d, reference, delta):
             f"sup_dist(h, reference) = {base} is not below {bound}"
         )
     ivs = fixed_intervals(h)
+    signs = signature(h)
     hinv = h.invert()
     pinches = []
     for i in range(1, d):
@@ -426,13 +444,8 @@ def snap_to_grid(h, d, reference, delta):
         disp = abs(h(w) - w)
         if disp == 0:
             continue
-        comp = None
-        for j in range(len(ivs) - 1):
-            if ivs[j][1] < w < ivs[j + 1][0]:
-                comp = (ivs[j][1], ivs[j + 1][0])
-                break
-        mid = (comp[0] + comp[1]) / 2
-        sgn = 1 if h(mid) > mid else -1
+        j = next(j for j in range(len(signs)) if ivs[j][1] < w < ivs[j + 1][0])
+        comp = (ivs[j][1], ivs[j + 1][0])
         upper = min((bound - base) / 2, w - comp[0], comp[1] - w, Fraction(1, 2 * d))
         if disp >= upper:
             raise SnapMarginError(
@@ -442,21 +455,22 @@ def snap_to_grid(h, d, reference, delta):
         mu = (disp + upper) / 2
         xl = hinv(w - mu)
         xr = hinv(w + mu)
-        wedge = [_fp(xl) + _fp(w - mu), _fp(w) + _fp(w), _fp(xr) + _fp(w + mu)]
-        window = _k.restrict(h._kbps, _fp(xl), _fp(xr))
-        mod = _k.pl_min(window, wedge) if sgn > 0 else _k.pl_max(window, wedge)
-        pinches.append((xl, xr, mod))
+        wedge = _to_kernel([(xl, w - mu), (w, w), (xr, w + mu)])
+        kxl, kxr = wedge[0][:2], wedge[-1][:2]
+        window = _k.restrict(h._kbps, kxl, kxr)
+        mod = _k.pl_min(window, wedge) if signs[j] > 0 else _k.pl_max(window, wedge)
+        pinches.append((kxl, kxr, mod))
     if not pinches:
         return h
     parts = []
-    cursor = Fraction(0)
-    for xl, xr, mod in pinches:
-        if cursor < xl:
-            parts.append(_k.restrict(h._kbps, _fp(cursor), _fp(xl)))
+    cursor = (0, 1)
+    for kxl, kxr, mod in pinches:
+        if _k.rcmp(cursor, kxl) < 0:
+            parts.append(_k.restrict(h._kbps, cursor, kxl))
         parts.append(mod)
-        cursor = xr
-    if cursor < 1:
-        parts.append(_k.restrict(h._kbps, _fp(cursor), _fp(Fraction(1))))
+        cursor = kxr
+    if cursor != (1, 1):
+        parts.append(_k.restrict(h._kbps, cursor, (1, 1)))
     out = PLHomeo._from_kernel(_k.concat(parts))
     for i in range(d + 1):
         p = Fraction(i, d)
@@ -509,7 +523,7 @@ def conjugator_certificate(f, g, eta):
     achieved_distance is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) the post-check
     found; a failed post-check raises, so "ok" is always true.
     """
-    h, achieved = _checked_conjugator(f, g, eta)
+    h, achieved, _ = _checked_conjugator(f, g, eta)
     eta = Fraction(eta)
     return {
         "f": to_json_dict(f),

@@ -24,7 +24,7 @@ from .conjugator import (
     OrbitCapError,
     PseudoGenericSpec,
     SignatureMismatchError,
-    approx_conjugator,
+    _checked_conjugator,
     pseudo_generic,
 )
 from .knaster import DiagonalHomeo, diag_dist, lift
@@ -212,8 +212,11 @@ def _run_campaign(cfg, trial_fn):
 
 
 def _t_semiconj(cfg, rng):
-    d_max = cfg.params["d_max"]
-    g = rand_homeo(rng, cfg.params["max_breakpoints"])
+    d_max, most = cfg.params["d_max"], cfg.params["max_breakpoints"]
+    if most < 1:
+        # rand_homeo(rng, 0) is always the identity, which tests nothing
+        raise ValueError(f"max_breakpoints must be at least 1, not {most}")
+    g = rand_homeo(rng, most)
     for d in range(1, d_max + 1):
         if compose(g, tent(d)) != compose(tent(d), oplus_power(g, d)):
             raise CheckFailure(
@@ -404,9 +407,7 @@ def _t_density(cfg, rng):
         raise ValueError(f"target must be generic or identity, not {kind!r}")
     eps = eta / (4 * proof_slack_sum(m, P))
     if kind == "identity":
-        fm = identity()
-        target = identity()
-        h = identity()
+        fm = target = identity()
         signs = []
     else:
         spec = PseudoGenericSpec(cfg.params["generic_k"], seed=rng.getrandbits(32))
@@ -414,9 +415,8 @@ def _t_density(cfg, rng):
         fm = lift(DiagonalHomeo(0, f0), m, P).inducer
         signs = signature(fm)
         target = rand_signature_homeo(rng, signs)
-        h = approx_conjugator(fm, target, eps)
-    conj = compose(compose(h.invert(), fm), h)
-    gap = sup_dist(conj, target)
+    # the post-check's own h⁻¹ ∘ fm ∘ h and its exact distance to target
+    _, gap, conj = _checked_conjugator(fm, target, eps)
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:
         raise CheckFailure(

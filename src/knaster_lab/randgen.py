@@ -10,7 +10,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .plmap import OpenPLMap, PLHomeo
+from .plmap import PLHomeo
 
 
 def derive_rng(seed, *labels):
@@ -35,27 +35,6 @@ def rand_homeo(rng, max_interior=10, den=64):
     xs = rand_partition(rng, m, den)
     ys = rand_partition(rng, m, den)
     return PLHomeo(list(zip(xs, ys)))
-
-
-def rand_open_map(rng, deg, den=32, lap_interior=2, start_up=None):
-    """Random open PL map with exactly ``deg`` monotone laps.
-
-    Each lap is an independent random homeomorphism squeezed into its lap
-    box, rising and falling alternately. ``start_up`` pins whether the
-    first lap rises (maps 0 to 0); None picks at random.
-    """
-    turns = rand_partition(rng, deg - 1, den)
-    rising = rng.choice([True, False]) if start_up is None else start_up
-    points = []
-    for j in range(deg):
-        a, b = turns[j], turns[j + 1]
-        h = rand_homeo(rng, rng.randint(0, lap_interior), den)
-        lap_pts = [
-            (a + (b - a) * x, y if rising else 1 - y) for x, y in h.breakpoints
-        ]
-        points.extend(lap_pts if j == 0 else lap_pts[1:])
-        rising = not rising
-    return OpenPLMap(points)
 
 
 def rand_signature_homeo(rng, signs, den=64):
@@ -127,13 +106,3 @@ def rand_nudge(rng, f, bound, den=16):
     mag = min(Fraction(bound), room) * Fraction(rng.randint(1, den - 1), 2 * den)
     amt = mag if rng.random() < 0.5 else -mag
     return nudge_homeo(f, x0, amt), amt
-
-
-def rand_sign_list(rng, k, alternating=False):
-    """k signs in {+1, -1}; alternating starts at a random sign."""
-    if k == 0:
-        return []
-    if alternating:
-        first = rng.choice([1, -1])
-        return [first * (-1) ** i for i in range(k)]
-    return [rng.choice([1, -1]) for _ in range(k)]

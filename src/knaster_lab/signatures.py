@@ -4,9 +4,18 @@ For an increasing homeomorphism h fixing 0 and 1 the fixed set is a finite
 union of closed intervals (h is PL), and on each complementary gap h - id
 keeps one sign. The ordered list of those gap signs is a complete conjugacy
 invariant: two such homeomorphisms are conjugate through an increasing
-homeomorphism exactly when their sign lists agree. The classes here compute
+homeomorphism exactly when their sign lists agree. The functions here compute
 the invariant, its behaviour under reflection and block sums, and the
 resulting (decidable) conjugacy test.
+
+The fixed intervals and the signature come from one integer pass over the breakpoints of h
+(_kernel_py.fixed_structure). h is canonical, so h - id breaks exactly
+where h does, and the sign of h - id at a breakpoint is an integer sign
+test. Runs of zeros are the fixed intervals, and a strict sign change
+inside a segment adds one isolated fixed point. No gap needs a point
+evaluated: each one holds a breakpoint where h - id is not zero, since a
+segment joining two fixed points is fixed, so the gap's sign is the sign
+at the first nonzero breakpoint after the interval that opens it.
 """
 
 from fractions import Fraction
@@ -14,7 +23,12 @@ from fractions import Fraction
 from . import _kernel_py as _k
 from .plmap import PLHomeo
 
-_ID = [(0, 1, 0, 1), (1, 1, 1, 1)]
+
+def fixed_structure(h):
+    """(intervals, signs) of _kernel_py.fixed_structure, on kernel pairs."""
+    if not isinstance(h, PLHomeo):
+        raise TypeError("fixed-point structure needs an increasing homeomorphism")
+    return _k.fixed_structure(h._kbps)
 
 
 def fixed_intervals(h):
@@ -23,57 +37,12 @@ def fixed_intervals(h):
     Degenerate intervals (left == right) are isolated fixed points. 0 and 1
     are always fixed, so the list starts at 0 and ends at 1.
     """
-    if not isinstance(h, PLHomeo):
-        raise TypeError("fixed-point structure needs an increasing homeomorphism")
-    diff = _k.pl_sub(h._kbps, _ID)
-    out = []
-    cur_left = None
-    prev_zero_x = None
-
-    def flush():
-        nonlocal cur_left, prev_zero_x
-        if cur_left is not None:
-            out.append((cur_left, prev_zero_x))
-            cur_left = None
-            prev_zero_x = None
-
-    n = len(diff)
-    for i in range(n):
-        xn, xd, yn, _ = diff[i]
-        x = Fraction(xn, xd)
-        if yn == 0:
-            if cur_left is None:
-                cur_left = x
-            prev_zero_x = x
-            continue
-        # nonzero value at this breakpoint: close any open run strictly
-        # before it, then look for an isolated crossing inside the segment
-        flush()
-        if i + 1 < n:
-            q = diff[i + 1]
-            if q[2] != 0 and (yn > 0) != (q[2] > 0):
-                r = _k.segment_root(
-                    (xn, xd), (q[0], q[1]), (yn, diff[i][3]), (q[2], q[3])
-                )
-                out.append((Fraction(*r), Fraction(*r)))
-    flush()
-    return out
+    return [(Fraction(*a), Fraction(*b)) for a, b in fixed_structure(h)[0]]
 
 
 def signature(h):
     """Signs of h - id on the gaps between consecutive fixed intervals."""
-    return gap_signs(h, fixed_intervals(h))
-
-
-def gap_signs(h, ivs):
-    """Signature of h from its fixed intervals ivs = fixed_intervals(h)."""
-    signs = []
-    for k in range(len(ivs) - 1):
-        a = ivs[k][1]
-        b = ivs[k + 1][0]
-        mid = (a + b) / 2
-        signs.append(1 if h(mid) > mid else -1)
-    return signs
+    return fixed_structure(h)[1]
 
 
 def signature_reflect(signs):

@@ -35,8 +35,6 @@ from knaster_lab.randgen import (
     perturb_homeo,
     rand_homeo,
     rand_nudge,
-    rand_open_map,
-    rand_sign_list,
     rand_signature_homeo,
 )
 from knaster_lab.signatures import (
@@ -46,6 +44,8 @@ from knaster_lab.signatures import (
     signature_reflect,
 )
 from knaster_lab.tents import oplus_power, straighten, tent
+
+from generators import rand_open_map, rand_sign_list
 
 F = Fraction
 SEED = 120260819

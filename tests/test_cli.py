@@ -208,6 +208,22 @@ def test_verify_tent_witness_refuses_degree_below_one(capsys):
     assert main(["verify", "tent-witness", "--d", "-3", "--trials", "2"]) == 2
 
 
+def test_verify_semiconj_refuses_no_breakpoints(capsys):
+    assert main(["verify", "semiconj", "--max-breakpoints", "0", "--trials", "2"]) == 2
+    assert "max_breakpoints must be at least 1, not 0" in capsys.readouterr().err
+    assert main(["verify", "semiconj", "--max-breakpoints", "1", "--trials", "2"]) == 0
+
+
+def test_campaign_config_with_unknown_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "grid-fix", "trails": 3}))
+    assert main(["verify", "grid-fix", "--config", str(cfg)]) == 2
+    assert "unknown config keys: trails" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"suite": "grid-fix", "trials": 3}))
+    assert main(["verify", "grid-fix", "--config", str(cfg)]) == 0
+    assert "3 trials" in capsys.readouterr().out
+
+
 def test_density_refuses_unknown_target(capsys):
     argv = ["experiment", "density", "--trials", "1", "--seed", "1"]
     assert main(argv + ["--target", "idnetity"]) == 2

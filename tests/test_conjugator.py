@@ -20,10 +20,12 @@ from knaster_lab.conjugator import (
     pseudo_generic,
     snap_to_grid,
 )
-from knaster_lab.randgen import derive_rng, rand_sign_list, rand_signature_homeo
+from knaster_lab.randgen import derive_rng, rand_signature_homeo
 from knaster_lab.rational import format_rational
 from knaster_lab.signatures import signature
 from knaster_lab.tents import oplus_power
+
+from generators import rand_sign_list
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 DIP = PLHomeo([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -268,7 +270,8 @@ def test_one_build_then_postcheck_raises(monkeypatch):
     g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
     with pytest.raises(ConjugatorError, match="post-check failed"):
         approx_conjugator(BUMP, g, F(1, 100))
-    assert caps == [F(1, 200)]
+    # eta_cap is eta/2 as a kernel pair
+    assert caps == [(1, 200)]
 
 
 def test_blockwise_norm_postcheck_raises(monkeypatch):

@@ -1,0 +1,105 @@
+"""Conjugator breakpoints, frozen bit for bit.
+
+The hash below was recorded from approx_conjugator before its glue moved
+onto kernel pairs. Any change to the construction that moves one
+breakpoint changes it, so a refactor that claims the same answers must
+keep it. Each pair runs as given and reflected, at three tolerances.
+"""
+
+import hashlib
+from fractions import Fraction as F
+
+from knaster_lab import PLHomeo, reflect
+from knaster_lab.conjugator import approx_conjugator
+
+ETAS = (F(1, 100), F(1, 1000), F(1, 10000))
+
+# both maps meet the diagonal at a point between their two gaps
+REGULAR = (
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 10)), (1, 1)]),
+)
+# g pauses on [1/2, 51/100] where f only touches the diagonal: the squeeze
+# glue; the pause is short so that eta 1/10000 stays cheap
+SQUEEZE = (
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)]),
+    PLHomeo(
+        [
+            (0, 0),
+            (F(1, 8), F(1, 4)),
+            (F(1, 2), F(1, 2)),
+            (F(51, 100), F(51, 100)),
+            (F(4, 5), F(7, 8)),
+            (1, 1),
+        ]
+    ),
+)
+# the reverse: g pinches where f pauses, and the caps absorb the f-gap
+PINCH = SQUEEZE[::-1]
+# f pauses on [0, 1/100] where g only touches: a pinch at the end 0 one
+# way round, a squeeze there the other
+BOUNDARY = (
+    PLHomeo([(0, 0), (F(1, 100), F(1, 100)), (F(1, 2), F(5, 8)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 2), F(7, 8)), (1, 1)]),
+)
+# rand_homeo draws of equal signature, where orbit pieces straddle kinks
+RANDOM = [
+    (
+        PLHomeo([(0, 0), (F(19, 64), F(23, 32)), (F(15, 16), F(49, 64)), (1, 1)]),
+        PLHomeo(
+            [
+                (0, 0),
+                (F(3, 64), F(13, 64)),
+                (F(1, 8), F(1, 2)),
+                (F(9, 32), F(35, 64)),
+                (F(33, 64), F(41, 64)),
+                (F(31, 32), F(29, 32)),
+                (1, 1),
+            ]
+        ),
+    ),
+    (
+        PLHomeo(
+            [
+                (0, 0),
+                (F(11, 32), F(1, 16)),
+                (F(7, 16), F(11, 64)),
+                (F(29, 64), F(15, 64)),
+                (F(25, 32), F(35, 64)),
+                (F(51, 64), F(63, 64)),
+                (1, 1),
+            ]
+        ),
+        PLHomeo(
+            [
+                (0, 0),
+                (F(13, 32), F(21, 64)),
+                (F(29, 64), F(43, 64)),
+                (F(11, 16), F(25, 32)),
+                (F(53, 64), F(27, 32)),
+                (F(29, 32), F(15, 16)),
+                (F(15, 16), F(63, 64)),
+                (1, 1),
+            ]
+        ),
+    ),
+]
+PAIRS = [REGULAR, SQUEEZE, PINCH, BOUNDARY, BOUNDARY[::-1], *RANDOM]
+
+FROZEN = "9b57bdd9ddee8c376e17d7a42f9bfe4e743d8ec435917eab812ab68d2288b129"
+
+
+def conjugators_digest():
+    """sha256 over every conjugator's kernel breakpoints, in hex."""
+    digest = hashlib.sha256()
+    for f, g in PAIRS:
+        for ff, gg in ((f, g), (reflect(f), reflect(g))):
+            for eta in ETAS:
+                for p in approx_conjugator(ff, gg, eta)._kbps:
+                    digest.update((",".join(format(v, "x") for v in p) + ";").encode())
+                digest.update(b"|")
+    return digest.hexdigest()
+
+
+def test_conjugator_breakpoints_are_frozen():
+    assert conjugators_digest() == FROZEN

@@ -6,8 +6,10 @@ affine image when the piece lies in one segment of each map. The oracle
 below is the straightforward version: every step restricts g⁻¹ (or g) to
 the new cell and composes twice, and every orbit point is evaluated
 afresh. Both take the fundamental domain's anchor from
-conjugator._orbit_anchor, so the stepping is what is compared. Pieces, end
-points and spent budget steps must be identical.
+conjugator._orbit_anchor, so the stepping is what is compared. Pieces and
+spent budget steps must be identical, and the oracle's pieces must end on
+the orbit points it evaluated. Components and eta_cap are kernel pairs,
+as conjugator._transport takes them.
 """
 
 import random
@@ -19,10 +21,9 @@ from hypothesis import strategies as st
 
 import knaster_lab.conjugator as conjugator
 from knaster_lab import _kernel_py as _k
-from knaster_lab.conjugator import OrbitCapError, _Budget, _fp, _orbit_anchor, _outside
+from knaster_lab.conjugator import OrbitCapError, _Budget, _orbit_anchor, _outside
 from knaster_lab.plmap import PLHomeo, compose, reflect, sup_dist
 from knaster_lab.randgen import rand_homeo
-from knaster_lab.signatures import fixed_intervals, gap_signs
 
 F = Fraction
 ETAS = (F(1, 100), F(1, 1000), F(1, 10000))
@@ -35,18 +36,23 @@ def _frac(pair):
     return Fraction(pair[0], pair[1])
 
 
+def _fp(x):
+    return (x.numerator, x.denominator)
+
+
 def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
-    Returns (pieces, ql, pl, qh, ph): kernel pieces in ascending x order
-    covering [ql, qh] on the g side, with h(ql) = pl and h(qh) = ph.
-    The orbit points travel as kernel pairs.
+    Returns kernel pieces in ascending x order covering [ql, qh] on the g
+    side, with h(ql) = pl and h(qh) = ph, where ql, pl, qh and ph are the
+    last orbit points, evaluated afresh. The orbit points travel as
+    kernel pairs.
     """
     a, b = fcomp
     c, d = gcomp
-    g_loc = _k.restrict(g._kbps, _fp(c), _fp(d))
+    g_loc = _k.restrict(g._kbps, c, d)
     ginv = _k.invert(g_loc)
-    f_loc = _k.restrict(f._kbps, _fp(a), _fp(b))
+    f_loc = _k.restrict(f._kbps, a, b)
     finv = _k.invert(f_loc)
 
     q0 = _orbit_anchor(g_loc)
@@ -55,13 +61,12 @@ def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     p1 = _k.eval_at(f_loc, p0)
     h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
 
-    attract = _fp(d if sign > 0 else c)
-    repel = _fp(c if sign > 0 else d)
-    margin = _fp(eta_cap)
+    attract = d if sign > 0 else c
+    repel = c if sign > 0 else d
 
     fwd_pieces = []
     piece, q_cur, p_cur = h0, q1, p1
-    while _outside(q_cur, attract, margin):
+    while _outside(q_cur, attract, eta_cap):
         budget.spend()
         q_next = _k.eval_at(g_loc, q_cur)
         p_next = _k.eval_at(f_loc, p_cur)
@@ -75,7 +80,7 @@ def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
     piece, r_cur, z_cur = h0, q0, p0
     # the cap bound at the repelling end is the previous orbit point, so
     # keep stepping until g(r) is already inside the margin
-    while _outside(_k.eval_at(g_loc, r_cur), repel, margin):
+    while _outside(_k.eval_at(g_loc, r_cur), repel, eta_cap):
         budget.spend()
         r_next = _k.eval_at(ginv, r_cur)
         z_next = _k.eval_at(finv, z_cur)
@@ -85,12 +90,14 @@ def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
         back_pieces.append(piece)
         r_cur, z_cur = r_next, z_next
 
-    r_cur, z_cur, q_cur, p_cur = map(_frac, (r_cur, z_cur, q_cur, p_cur))
     if sign > 0:
         pieces = list(reversed(back_pieces)) + [h0] + fwd_pieces
-        return pieces, r_cur, z_cur, q_cur, p_cur
-    pieces = list(reversed(fwd_pieces)) + [h0] + back_pieces
-    return pieces, q_cur, p_cur, r_cur, z_cur
+        ends = (r_cur + z_cur, q_cur + p_cur)
+    else:
+        pieces = list(reversed(fwd_pieces)) + [h0] + back_pieces
+        ends = (q_cur + p_cur, r_cur + z_cur)
+    assert (pieces[0][0], pieces[-1][-1]) == ends
+    return pieces
 
 
 # ------------------------------------------------------------ inputs
@@ -107,8 +114,8 @@ def _draw_pair(seed, squeeze, tries=400):
     waiting = {}
     for _ in range(tries):
         h = rand_homeo(rng)
-        ivs = fixed_intervals(h)
-        key = tuple(gap_signs(h, ivs))
+        ivs, signs = _k.fixed_structure(h._kbps)
+        key = tuple(signs)
         if not key:
             continue
         mate = waiting.pop(key, None)
@@ -132,8 +139,9 @@ def pairs(draw, squeeze=False):
 
 
 def _components(f, g):
-    f_ivs, g_ivs = fixed_intervals(f), fixed_intervals(g)
-    for j, sign in enumerate(gap_signs(g, g_ivs)):
+    f_ivs = _k.fixed_structure(f._kbps)[0]
+    g_ivs, signs = _k.fixed_structure(g._kbps)
+    for j, sign in enumerate(signs):
         yield (f_ivs[j][1], f_ivs[j + 1][0]), (g_ivs[j][1], g_ivs[j + 1][0]), sign
 
 
@@ -161,7 +169,7 @@ def check_pair(f, g, eta_cap):
 @given(pairs(), st.sampled_from(ETAS))
 def test_transport_matches_oracle(pair, eta):
     f, g = pair
-    check_pair(f, g, eta / 2)
+    check_pair(f, g, _fp(eta / 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,7 +177,7 @@ def test_transport_matches_oracle(pair, eta):
 def test_squeeze_pairs_match_oracle(pair):
     f, g = pair
     eta = F(1, 100)
-    check_pair(f, g, eta / 2)
+    check_pair(f, g, _fp(eta / 2))
     # the whole conjugator, squeeze glue included, is the same map
     h = conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
     real = conjugator._transport
@@ -186,7 +194,7 @@ def test_squeeze_pairs_match_oracle(pair):
 def test_cap_one_below_the_need_raises_on_both(pair, eta):
     f, g = pair
     for fcomp, gcomp, sign in _components(f, g):
-        args = (f, g, fcomp, gcomp, sign, eta / 2)
+        args = (f, g, fcomp, gcomp, sign, _fp(eta / 2))
         _, left = _run(oracle_transport, *args, CAP)
         assume(left >= 0)
         need = CAP - left
@@ -215,7 +223,7 @@ def test_both_branches_run(monkeypatch):
 
     for f, g in ((f, g), (reflect(f), reflect(g))):
         for fcomp, gcomp, sign in _components(f, g):
-            args = (f, g, fcomp, gcomp, sign, F(1, 2000), CAP)
+            args = (f, g, fcomp, gcomp, sign, (1, 2000), CAP)
             want = _run(oracle_transport, *args)
             with monkeypatch.context() as m:
                 for name in calls:

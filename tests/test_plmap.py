@@ -21,7 +21,9 @@ from knaster_lab import (
     sup_dist_witness,
     to_json_dict,
 )
-from knaster_lab.randgen import derive_rng, rand_homeo, rand_open_map
+from knaster_lab.randgen import derive_rng, rand_homeo
+
+from generators import rand_open_map
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 TENT2 = OpenPLMap([(0, 0), (F(1, 2), 1), (1, 0)])

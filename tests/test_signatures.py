@@ -10,7 +10,6 @@ from knaster_lab import PLHomeo, _kernel_py, compose, identity, reflect
 from knaster_lab.randgen import (
     derive_rng,
     rand_homeo,
-    rand_sign_list,
     rand_signature_homeo,
 )
 from knaster_lab.signatures import (
@@ -21,6 +20,8 @@ from knaster_lab.signatures import (
     signature_reflect,
 )
 from knaster_lab.tents import oplus_power
+
+from generators import rand_sign_list
 
 # fixed on [1/4,1/2], pushed up before, pulled down after
 PLATEAU = PLHomeo(

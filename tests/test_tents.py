@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import OpenPLMap, PLHomeo, compose, degree, reflect, sup_dist
-from knaster_lab.randgen import derive_rng, rand_homeo, rand_open_map
+from knaster_lab.randgen import derive_rng, rand_homeo
 from knaster_lab.tents import (
     block_sum,
     oplus_power,
@@ -15,6 +15,8 @@ from knaster_lab.tents import (
     tent,
     verify_semiconjugacy,
 )
+
+from generators import rand_open_map
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 

@@ -49,6 +49,18 @@ collinear points collinear and the rest not, so the image of a canonical
 piece is canonical, and since the canonical list of a map is unique it is
 bit for bit what restricting and composing would give. Only a piece that
 straddles a breakpoint of g or f is restricted and composed.
+Once a piece lies in the segment of g (g⁻¹ backward) that touches the
+component end it moves toward, and its values lie in the segment of f
+(f⁻¹) touching the matching end, every later step is that same affine
+map. The piece never leaves the end segment: f and g have the same sign
+on matched components, so each of the two maps moves every interior point
+of its component strictly toward the end the orbit approaches, and never
+past it, since it is increasing and fixes that end. A piece between the
+segment's inner breakpoint and the end therefore maps to points between
+the piece and the end, inside the segment. From there, _affine_tail takes
+each step with no segment search, one budget step per piece as before.
+Consecutive pieces share an endpoint: the image of a piece's back end is
+that piece's own front end, so only the other points are mapped.
 
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
@@ -139,15 +151,24 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
     when rightward, and ymap carries its values likewise; a new piece is
     f^±1 ∘ piece ∘ g^∓1 on the new cell. Steps while the end piece[near]
     of the last piece lies outside margin of stop, one budget step each.
+    Once a piece lies in xmap's end segment toward stop and takes values
+    in ymap's end segment the same way, _affine_tail takes every later step.
     """
     xaff = _k.segment_affines(xmap)
     yaff = _k.segment_affines(ymap)
+    xend = len(xaff) - 1 if rightward else 0
+    yend = len(yaff) - 1 if rightward else 0
     pieces = []
     while _outside(piece[near][:2], stop, margin):
-        budget.spend()
         first, last = piece[0], piece[-1]
         i = _k.segment_of(xmap, first[:2], last[:2])
         j = None if i is None else _k.segment_of(ymap, first[2:], last[2:])
+        if i == xend and j == yend:
+            tail = _affine_tail(
+                piece, xaff[i], yaff[j], rightward, near, stop, margin, budget
+            )
+            return pieces + tail
+        budget.spend()
         if j is not None:
             piece = _k.affine_image(piece, *xaff[i], *yaff[j])
         else:
@@ -158,6 +179,26 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
                 hi = first[:2]
                 lo = _k.eval_at(xmap, hi)
             piece = _k.compose(ymap, _k.compose(piece, _k.restrict(xinv, lo, hi)))
+        pieces.append(piece)
+    return pieces
+
+
+def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
+    """_orbit's pieces after piece when every step is (xaff, yaff).
+
+    xaff and yaff are (slope, offset) pairs of the end segments that hold
+    piece's cell and its values; the pieces never leave them (see the
+    module docstring). Each new piece starts where the last one ends
+    (ends where it starts, leftward), so that point is reused and only
+    the others are mapped.
+    """
+    pieces = []
+    while _outside(piece[near][:2], stop, margin):
+        budget.spend()
+        if rightward:
+            piece = [piece[-1]] + _k.affine_image(piece[1:], *xaff, *yaff)
+        else:
+            piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
         pieces.append(piece)
     return pieces
 

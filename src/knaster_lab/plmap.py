@@ -25,11 +25,15 @@ _ONE = Fraction(1)
 
 
 def _to_kernel(points):
+    """Kernel breakpoints of (x, y) points; ints and Fractions are read as
+    they are, anything else (a "p/q" string, a float) goes through Fraction."""
     out = []
     for x, y in points:
-        xf = Fraction(x)
-        yf = Fraction(y)
-        out.append((xf.numerator, xf.denominator, yf.numerator, yf.denominator))
+        if type(x) is not int and type(x) is not Fraction:
+            x = Fraction(x)
+        if type(y) is not int and type(y) is not Fraction:
+            y = Fraction(y)
+        out.append((x.numerator, x.denominator, y.numerator, y.denominator))
     return out
 
 

@@ -3,10 +3,32 @@
 Scalars are ``fractions.Fraction``: arbitrary precision, always lowest
 terms, positive denominator. The helpers here pin the text format used by
 the CLI and the JSON files to the strict form ``"p/q"`` (or ``"p"`` for
-integers) so serialized output round-trips exactly.
+integers) so serialized output round-trips exactly, at any size: CPython's
+limit on integer string conversion (4300 digits by default) is lifted for
+the one conversion that exceeds it.
 """
 
+import sys
 from fractions import Fraction
+
+
+def _int_text(convert, value):
+    """convert(value) between int and str, at any number of digits.
+
+    If CPython's digit limit refuses the conversion, it is lifted for one
+    retry and restored afterwards. Pythons without the limit never refuse.
+    """
+    try:
+        return convert(value)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            raise
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_rational(text):
@@ -18,13 +40,13 @@ def parse_rational(text):
         den = den.strip()
         if not _is_int(num) or not _is_int(den):
             raise ValueError(f"not a rational literal: {text!r}")
-        d = int(den)
+        d = _int_text(int, den)
         if d == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), d)
+        return Fraction(_int_text(int, num), d)
     if not _is_int(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(int(s))
+    return Fraction(_int_text(int, s))
 
 
 def _is_int(s):
@@ -37,5 +59,5 @@ def format_rational(q):
     """Inverse of parse_rational: "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(str, q.numerator)
+    return f"{_int_text(str, q.numerator)}/{_int_text(str, q.denominator)}"

@@ -214,6 +214,16 @@ def test_verify_semiconj_refuses_no_breakpoints(capsys):
     assert main(["verify", "semiconj", "--max-breakpoints", "1", "--trials", "2"]) == 0
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_verify_semiconj_refuses_more_breakpoints_than_the_grid(seed, capsys):
+    # the 1/64 grid holds 63 interior points; the refusal must not wait for
+    # a draw above that, so every seed exits 2
+    args = ["verify", "semiconj", "--trials", "3", "--seed", str(seed)]
+    assert main(args + ["--max-breakpoints", "70"]) == 2
+    assert "grid too coarse" in capsys.readouterr().err
+    assert main(args + ["--max-breakpoints", "63"]) == 0
+
+
 def test_campaign_config_with_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suite": "grid-fix", "trails": 3}))

@@ -63,6 +63,37 @@ def test_two_interval_pair():
     check(f, g, F(1, 50))
 
 
+def test_orbit_tail_skips_segment_search(monkeypatch):
+    # near each component end the orbit stays in one end segment of g and
+    # of f, so the tail steps without searching for a segment
+    f = PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)])
+    g = PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 10)), (1, 1)])
+    counts = {"segment_of": 0, "steps": 0, "tail_pieces": 0}
+    segment_of = conjugator._k.segment_of
+    spend = conjugator._Budget.spend
+    affine_tail = conjugator._affine_tail
+
+    def counted_segment_of(*args):
+        counts["segment_of"] += 1
+        return segment_of(*args)
+
+    def counted_spend(self):
+        counts["steps"] += 1
+        spend(self)
+
+    def counted_tail(*args):
+        pieces = affine_tail(*args)
+        counts["tail_pieces"] += len(pieces)
+        return pieces
+
+    monkeypatch.setattr(conjugator._k, "segment_of", counted_segment_of)
+    monkeypatch.setattr(conjugator._Budget, "spend", counted_spend)
+    monkeypatch.setattr(conjugator, "_affine_tail", counted_tail)
+    check(f, g, F(1, 10000))
+    assert counts["tail_pieces"] > 0
+    assert counts["segment_of"] < counts["steps"]
+
+
 def test_gap_both_nondegenerate():
     # both maps pause on a middle interval: the gap maps affinely, exactly
     f = PLHomeo([(0, 0), (F(1, 8), F(1, 4)), (F(2, 5), F(2, 5)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 8)), (1, 1)])

@@ -1,5 +1,6 @@
 """Typed layer: validation, evaluation, composition, reflection, JSON."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +45,20 @@ def test_parse_format_rational():
     for bad in ["", "1/0", "a/2", "1.5", "1/2/3"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_rational_round_trip_past_the_digit_limit():
+    # 10,000 digits, past CPython's default limit of 4300 for int <-> str
+    big = F(10**9999 + 7, 3)
+    limited = hasattr(sys, "get_int_max_str_digits")
+    limit = sys.get_int_max_str_digits() if limited else None
+    text = format_rational(big)
+    assert len(text.partition("/")[0]) == 10_000
+    assert parse_rational(text) == big
+    # the repunit of 5000 ones
+    assert parse_rational("1" * 5000 + "/3") == F((10**5000 - 1) // 9, 3)
+    if limited:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_construction_validation():
@@ -140,6 +155,38 @@ def test_json_roundtrip():
         assert type(g) is type(f)
     assert to_json_dict(BUMP)["kind"] == "homeo"
     assert to_json_dict(BUMP)["breakpoints"][1] == ["1/2", "3/4"]
+
+
+def test_typed_construction_reads_ints_fractions_and_strings_alike():
+    forms = [
+        [(0, 0), (F(1, 3), F(2, 5)), (F(3, 4), F(1, 2)), (1, 1)],
+        [(F(0), F(0)), (F(2, 6), F(4, 10)), (F(3, 4), F(1, 2)), (F(1), F(1))],
+        [("0", "0/7"), ("1/3", "2/5"), (" 6/8 ", "1/2"), ("1", "3/3")],
+        [(0, "0"), ("2/6", F(2, 5)), (F(3, 4), "2/4"), (1, F(1))],
+    ]
+    for cls in (PLMap, PLHomeo):
+        kbps = [cls(points)._kbps for points in forms]
+        assert all(kb == kbps[0] for kb in kbps)
+    assert kbps[0] == [(0, 1, 0, 1), (1, 3, 2, 5), (3, 4, 1, 2), (1, 1, 1, 1)]
+
+
+def _int_if_whole(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.fractions(0, 1), min_size=3, max_size=8),
+    st.lists(st.fractions(0, 1), min_size=3, max_size=8),
+)
+def test_typed_construction_forms_agree(xs, ys):
+    xs = sorted(set(xs) | {F(0), F(1)})
+    ys = (ys * len(xs))[: len(xs)]
+    as_fractions = PLMap(list(zip(xs, ys)))
+    as_text = PLMap([(format_rational(x), format_rational(y)) for x, y in zip(xs, ys)])
+    # 0 and 1 as ints, the rest as Fractions
+    as_ints = PLMap([(_int_if_whole(x), _int_if_whole(y)) for x, y in zip(xs, ys)])
+    assert as_fractions._kbps == as_text._kbps == as_ints._kbps
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,12 +13,13 @@ All functions assume well-formed input (at least two breakpoints, normalized
 entries, strict x order) and evaluation points inside the domain; the typed
 layer enforces this once at construction.
 
-``compose`` (its outer map f) and ``concat`` (each piece) also require
-canonical input: no interior breakpoint collinear with its neighbours. They
-test collinearity only where a kink can vanish, so a collinear point in the
-input would survive into the output. Typed maps are canonical, and so are
-the lists that compose, concat, restrict, pl_sub, pl_min and pl_max return,
-and the affine_image of a canonical list under a map with sy != 0.
+``compose`` (its outer map f), ``concat`` (each piece) and ``restrict`` also
+require canonical input: no interior breakpoint collinear with its
+neighbours. They test collinearity only where a kink can vanish (restrict
+nowhere), so a collinear point in the input would survive into the output.
+Typed maps are canonical, and so are the lists that compose, concat,
+restrict, pl_sub, pl_min and pl_max return, and the affine_image of a
+canonical list under a map with sy != 0.
 """
 
 from math import gcd
@@ -389,15 +390,17 @@ def pl_sub(f, g):
 
 
 def restrict(bps, a, b):
-    """Breakpoints of the restriction to [a, b] inside the domain (a < b)."""
-    va = eval_at(bps, a)
-    vb = eval_at(bps, b)
-    out = [(a[0], a[1], va[0], va[1])]
-    for p in bps:
-        if rcmp((p[0], p[1]), a) > 0 and rcmp((p[0], p[1]), b) < 0:
-            out.append(p)
-    out.append((b[0], b[1], vb[0], vb[1]))
-    return canonical(out)
+    """Breakpoints of the restriction to [a, b] inside the domain (a < b).
+
+    A slice of bps between the two ends. Each end lies on the segment of the
+    neighbour it replaces, so with bps canonical every kept point stays a kink.
+    """
+    i = _locate(bps, a)
+    j = _locate(bps, b)
+    out = [a + _interp(a, bps[i], bps[i + 1])] + bps[i + 1:j + 1]
+    if out[-1][:2] != b:
+        out.append(b + _interp(b, bps[j], bps[j + 1]))
+    return out
 
 
 def affine_image(bps, sx, ox, sy, oy):
@@ -421,21 +424,15 @@ def affine_image(bps, sx, ox, sy, oy):
     return out
 
 
-def segment_affines(bps):
-    """(slope, offset) of y = slope*x + offset on each segment, as pairs.
-
-    Entry i belongs to the segment from bps[i] to bps[i + 1].
-    """
-    out = []
-    for k in range(len(bps) - 1):
-        x0n, x0d, y0n, y0d = bps[k]
-        x1n, x1d, y1n, y1d = bps[k + 1]
-        slope = rnorm((y1n * y0d - y0n * y1d) * x1d * x0d,
-                      (x1n * x0d - x0n * x1d) * y1d * y0d)
-        offset = rnorm(y0n * slope[1] * x0d - slope[0] * x0n * y0d,
-                       y0d * slope[1] * x0d)
-        out.append((slope, offset))
-    return out
+def segment_affine(bps, k):
+    """(slope, offset) of y = slope*x + offset on the segment bps[k]..bps[k + 1]."""
+    x0n, x0d, y0n, y0d = bps[k]
+    x1n, x1d, y1n, y1d = bps[k + 1]
+    slope = rnorm((y1n * y0d - y0n * y1d) * x1d * x0d,
+                  (x1n * x0d - x0n * x1d) * y1d * y0d)
+    offset = rnorm(y0n * slope[1] * x0d - slope[0] * x0n * y0d,
+                   y0d * slope[1] * x0d)
+    return slope, offset
 
 
 def segment_of(bps, lo, hi):

@@ -62,6 +62,11 @@ each step with no segment search, one budget step per piece as before.
 Consecutive pieces share an endpoint: the image of a piece's back end is
 that piece's own front end, so only the other points are mapped.
 
+Whole maps: a component's segments are f's and g's own, so the orbit
+reads their whole lists, inverted once per synthesis, and copies no
+component out. The anchor and the end segments are found by bisection,
+and a segment's (slope, offset) is computed only when a step uses it.
+
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
 conjugator must compress that g-interval into a tiny window around the
@@ -135,13 +140,20 @@ def _outside(x, end, margin):
     return abs(end[0] * x[1] - x[0] * end[1]) * margin[1] > margin[0] * end[1] * x[1]
 
 
-def _orbit_anchor(loc):
-    """The middle interior breakpoint of a map restricted to one component.
+def _end_segment(bps, end, rightward):
+    """Index of the segment reaching a component's high (rightward) or low end."""
+    k = _k._locate(bps, end)
+    return k - 1 if rightward and bps[k][:2] == end else k
+
+
+def _orbit_anchor(bps, lo, hi):
+    """The middle breakpoint of bps restricted to the component (lo, hi).
 
     A map with no interior breakpoint on the component would be affine
     there and fix both ends, so it would fix the component pointwise.
     """
-    return loc[len(loc) // 2][:2]
+    i = _end_segment(bps, lo, False)
+    return bps[(i + _end_segment(bps, hi, True) + 2) // 2]
 
 
 def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
@@ -149,28 +161,30 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
 
     xmap carries piece's x cell onto the neighbouring cell, to the right
     when rightward, and ymap carries its values likewise; a new piece is
-    f^±1 ∘ piece ∘ g^∓1 on the new cell. Steps while the end piece[near]
-    of the last piece lies outside margin of stop, one budget step each.
-    Once a piece lies in xmap's end segment toward stop and takes values
-    in ymap's end segment the same way, _affine_tail takes every later step.
+    f^±1 ∘ piece ∘ g^∓1 on the new cell, and stop holds the component ends
+    it approaches, in x and in value. Steps while the end piece[near] of
+    the last piece lies outside margin of stop[0], one budget step each.
+    Once a piece lies in xmap's end segment and takes values in ymap's,
+    _affine_tail takes every later step.
     """
-    xaff = _k.segment_affines(xmap)
-    yaff = _k.segment_affines(ymap)
-    xend = len(xaff) - 1 if rightward else 0
-    yend = len(yaff) - 1 if rightward else 0
+    xend = _end_segment(xmap, stop[0], rightward)
+    yend = _end_segment(ymap, stop[1], rightward)
     pieces = []
-    while _outside(piece[near][:2], stop, margin):
+    while _outside(piece[near][:2], stop[0], margin):
         first, last = piece[0], piece[-1]
         i = _k.segment_of(xmap, first[:2], last[:2])
         j = None if i is None else _k.segment_of(ymap, first[2:], last[2:])
-        if i == xend and j == yend:
-            tail = _affine_tail(
-                piece, xaff[i], yaff[j], rightward, near, stop, margin, budget
-            )
-            return pieces + tail
+        if j is not None:
+            xaff = _k.segment_affine(xmap, i)
+            yaff = _k.segment_affine(ymap, j)
+            if i == xend and j == yend:
+                tail = _affine_tail(
+                    piece, xaff, yaff, rightward, near, stop[0], margin, budget
+                )
+                return pieces + tail
         budget.spend()
         if j is not None:
-            piece = _k.affine_image(piece, *xaff[i], *yaff[j])
+            piece = _k.affine_image(piece, *xaff, *yaff)
         else:
             if rightward:
                 lo = last[:2]
@@ -203,40 +217,31 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     return pieces
 
 
-def _transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
+def _transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
-    fcomp, gcomp and eta_cap are kernel pairs. Returns kernel pieces in
-    ascending x order; they run from h's breakpoint at the component's
-    low end on the g side to the one at its high end.
+    Maps are whole kernel lists, the rest kernel pairs. Returns kernel
+    pieces in ascending x order; they run from h's breakpoint at the
+    component's low end on the g side to the one at its high end.
 
-    Anchor: the fundamental domain h0 maps [q0, g(q0)] affinely onto
-    [p0, f(p0)], where q0 is an interior breakpoint of g and p0 one of f
-    (_orbit_anchor), so their orbits fall on cell ends and add no kink;
-    see the module docstring.
+    The fundamental domain h0 maps [q0, g(q0)] affinely onto [p0, f(p0)],
+    where q0 and p0 are the _orbit_anchor breakpoints of g and f.
     """
     a, b = fcomp
     c, d = gcomp
-    g_loc = _k.restrict(g._kbps, c, d)
-    ginv = _k.invert(g_loc)
-    f_loc = _k.restrict(f._kbps, a, b)
-    finv = _k.invert(f_loc)
+    q = _orbit_anchor(g, c, d)
+    p = _orbit_anchor(f, a, b)
+    h0 = [q[:2] + p[:2], q[2:] + p[2:]] if sign > 0 else [q[2:] + p[2:], q[:2] + p[:2]]
 
-    q0 = _orbit_anchor(g_loc)
-    p0 = _orbit_anchor(f_loc)
-    q1 = _k.eval_at(g_loc, q0)
-    p1 = _k.eval_at(f_loc, p0)
-    h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
-
-    attract = d if sign > 0 else c
-    repel = c if sign > 0 else d
+    attract = (d, b) if sign > 0 else (c, a)
+    repel = (c, a) if sign > 0 else (d, b)
     # a piece's end toward the attracting end: q1 on h0. Forward, it is
     # the newest orbit point; backward, it is g of the newest one, and the
     # cap bound at the repelling end is that previous orbit point, so keep
     # stepping until it is already inside the margin
     near = -1 if sign > 0 else 0
-    fwd = _orbit(h0, g_loc, ginv, f_loc, sign > 0, near, attract, eta_cap, budget)
-    back = _orbit(h0, ginv, g_loc, finv, sign < 0, near, repel, eta_cap, budget)
+    fwd = _orbit(h0, g, ginv, f, sign > 0, near, attract, eta_cap, budget)
+    back = _orbit(h0, ginv, g, finv, sign < 0, near, repel, eta_cap, budget)
 
     if sign > 0:
         return back[::-1] + [h0] + fwd
@@ -342,11 +347,15 @@ def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
 def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
     """The conjugator, from fixed intervals and eta_cap as kernel pairs."""
     ncomp = len(signs)
+    fk, gk = f._kbps, g._kbps
+    finv, ginv = _k.invert(fk), _k.invert(gk)
     comps = []
     for j, sign in enumerate(signs):
         fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
         gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
-        comps.append(_transport(f, g, fcomp, gcomp, sign, eta_cap, budget))
+        comps.append(
+            _transport(fk, finv, gk, ginv, fcomp, gcomp, sign, eta_cap, budget)
+        )
 
     parts = []
     for j in range(ncomp + 1):

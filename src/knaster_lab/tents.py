@@ -8,6 +8,10 @@ tent semiconjugates onto g:
 
     g ∘ tent(d) == tent(d) ∘ oplus_power(g, d)
 
+Its seams never kink: the reflection x -> 1 - g(1 - x) starts with the
+slope g ends with and ends with the slope g starts with, so at every seam
+i/d the segments of the two blocks meeting there have equal slopes.
+
 ``straighten`` produces the homeomorphism h with g ∘ h == f for two open
 maps of the same degree starting at the same endpoint value, by matching
 laps and transporting each lap of f through the inverse of the matching
@@ -16,9 +20,10 @@ lap of g.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import _kernel_py as _k
-from .plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect
+from .plmap import OpenPLMap, PLHomeo, PLMap, compose
 
 # Largest map tent, oplus_power, knaster.lift and grid_block_conjugate will
 # build; each checks its predicted breakpoint count before allocating.
@@ -88,12 +93,27 @@ def block_sum(maps):
 
 
 def oplus_power(g, d):
-    """Block sum of d copies of g, every odd block reflected."""
+    """Block sum of d copies of g, every odd block reflected; g must fix 0 and 1.
+
+    One pass, with no seam point (see the module docstring): block i sends
+    n/den to (n + i·den)/(d·den), where only a factor of d can cancel.
+    """
+    kb = g._kbps
     if d < 1:
         raise ValueError("degree must be a positive integer")
+    if kb[0][2] != 0 or kb[-1][2] != kb[-1][3]:
+        raise ValueError("oplus_power needs a map fixing 0 and 1")
     check_size(oplus_size(g, d), f"oplus_power of degree {d}")
-    r = reflect(g)
-    return block_sum([g if i % 2 == 0 else r for i in range(d)])
+    inner = kb[1:-1]
+    blocks = (inner, [(xd - xn, xd, yd - yn, yd) for xn, xd, yn, yd in inner[::-1]])
+    pts = [(0, 1, 0, 1)]
+    for i in range(d):
+        for xn, xd, yn, yd in blocks[i % 2]:
+            xn, yn = xn + i * xd, yn + i * yd
+            gx, gy = gcd(xn, d), gcd(yn, d)
+            pts.append((xn // gx, d * xd // gx, yn // gy, d * yd // gy))
+    pts.append((1, 1, 1, 1))
+    return (PLHomeo if isinstance(g, PLHomeo) else PLMap)._from_kernel(pts)
 
 
 def verify_semiconjugacy(g, d):

@@ -76,6 +76,14 @@ def test_tent_group(maps, tmp_path, capsys):
     assert ["1/4", "3/8"] in data["breakpoints"]
 
 
+def test_tent_oplus_of_a_map_moving_an_end_exits_two(tmp_path, capsys):
+    # tent(2) sends 1 to 0, so its blocks would not meet at the seams
+    t2 = tmp_path / "t2.json"
+    assert main(["tent", "build", "-d", "2", "-o", str(t2)]) == 0
+    assert main(["tent", "oplus", "-f", str(t2), "-d", "3"]) == 2
+    assert "fixing 0 and 1" in capsys.readouterr().err
+
+
 def test_conj_group(maps, tmp_path, capsys):
     assert main(["conj", "signature", "-f", maps["bump"]]) == 0
     assert capsys.readouterr().out.strip() == "+"

@@ -5,11 +5,13 @@ conjugator._transport steps each orbit piece to the next by the map
 affine image when the piece lies in one segment of each map. The oracle
 below is the straightforward version: every step restricts g⁻¹ (or g) to
 the new cell and composes twice, and every orbit point is evaluated
-afresh. Both take the fundamental domain's anchor from
-conjugator._orbit_anchor, so the stepping is what is compared. Pieces and
-spent budget steps must be identical, and the oracle's pieces must end on
-the orbit points it evaluated. Components and eta_cap are kernel pairs,
-as conjugator._transport takes them.
+afresh. It restricts f and g to the component and inverts the
+restrictions itself, and takes the fundamental domain's anchor from the
+middle of its own restricted list, so the transport's whole-map index
+arithmetic is checked, not shared. Pieces and spent budget steps must be
+identical, and the oracle's pieces must end on the orbit points it
+evaluated. Maps are kernel lists, components and eta_cap kernel pairs, as
+conjugator._transport takes them.
 """
 
 import random
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import knaster_lab.conjugator as conjugator
 from knaster_lab import _kernel_py as _k
-from knaster_lab.conjugator import OrbitCapError, _Budget, _orbit_anchor, _outside
+from knaster_lab.conjugator import OrbitCapError, _Budget, _outside
 from knaster_lab.plmap import PLHomeo, compose, reflect, sup_dist
 from knaster_lab.randgen import rand_homeo
 
@@ -40,23 +42,24 @@ def _fp(x):
     return (x.numerator, x.denominator)
 
 
-def oracle_transport(f, g, fcomp, gcomp, sign, eta_cap, budget):
+def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns kernel pieces in ascending x order covering [ql, qh] on the g
     side, with h(ql) = pl and h(qh) = ph, where ql, pl, qh and ph are the
     last orbit points, evaluated afresh. The orbit points travel as
-    kernel pairs.
+    kernel pairs. finv and ginv are not read: the oracle inverts its own
+    restrictions.
     """
     a, b = fcomp
     c, d = gcomp
-    g_loc = _k.restrict(g._kbps, c, d)
+    g_loc = _k.restrict(g, c, d)
     ginv = _k.invert(g_loc)
-    f_loc = _k.restrict(f._kbps, a, b)
+    f_loc = _k.restrict(f, a, b)
     finv = _k.invert(f_loc)
 
-    q0 = _orbit_anchor(g_loc)
-    p0 = _orbit_anchor(f_loc)
+    q0 = g_loc[len(g_loc) // 2][:2]
+    p0 = f_loc[len(f_loc) // 2][:2]
     q1 = _k.eval_at(g_loc, q0)
     p1 = _k.eval_at(f_loc, p0)
     h0 = [q0 + p0, q1 + p1] if sign > 0 else [q1 + p1, q0 + p0]
@@ -145,10 +148,15 @@ def _components(f, g):
         yield (f_ivs[j][1], f_ivs[j + 1][0]), (g_ivs[j][1], g_ivs[j + 1][0]), sign
 
 
-def _run(transport, f, g, fcomp, gcomp, sign, eta_cap, cap):
+def _maps(f, g):
+    """f, f⁻¹, g and g⁻¹ as whole kernel lists, as _transport takes them."""
+    return f._kbps, _k.invert(f._kbps), g._kbps, _k.invert(g._kbps)
+
+
+def _run(transport, f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, cap):
     budget = _Budget(cap)
     try:
-        out = transport(f, g, fcomp, gcomp, sign, eta_cap, budget)
+        out = transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget)
     except OrbitCapError:
         return "cap", budget.left
     return out, budget.left
@@ -156,7 +164,7 @@ def _run(transport, f, g, fcomp, gcomp, sign, eta_cap, cap):
 
 def check_pair(f, g, eta_cap):
     for fcomp, gcomp, sign in _components(f, g):
-        args = (f, g, fcomp, gcomp, sign, eta_cap, CAP)
+        args = (*_maps(f, g), fcomp, gcomp, sign, eta_cap, CAP)
         want = _run(oracle_transport, *args)
         got = _run(conjugator._transport, *args)
         assert got == want
@@ -194,7 +202,7 @@ def test_squeeze_pairs_match_oracle(pair):
 def test_cap_one_below_the_need_raises_on_both(pair, eta):
     f, g = pair
     for fcomp, gcomp, sign in _components(f, g):
-        args = (f, g, fcomp, gcomp, sign, _fp(eta / 2))
+        args = (*_maps(f, g), fcomp, gcomp, sign, _fp(eta / 2))
         _, left = _run(oracle_transport, *args, CAP)
         assume(left >= 0)
         need = CAP - left
@@ -223,7 +231,7 @@ def test_both_branches_run(monkeypatch):
 
     for f, g in ((f, g), (reflect(f), reflect(g))):
         for fcomp, gcomp, sign in _components(f, g):
-            args = (f, g, fcomp, gcomp, sign, (1, 2000), CAP)
+            args = (*_maps(f, g), fcomp, gcomp, sign, (1, 2000), CAP)
             want = _run(oracle_transport, *args)
             with monkeypatch.context() as m:
                 for name in calls:
@@ -233,12 +241,59 @@ def test_both_branches_run(monkeypatch):
     assert calls["affine_image"] > 0 and calls["compose"] > 0
 
 
+def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
+    # f and g are inverted once per synthesis, whatever the component count,
+    # and a straddling orbit step is the only caller of restrict: it
+    # restricts once and composes twice, and nothing else in the build does
+    f = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
+    g = PLHomeo([(0, 0), (F(1, 8), F(3, 8)), (F(5, 8), F(15, 16)), (1, 1)])
+    found = [p for p in (_draw_pair(seed, False) for seed in range(40)) if p]
+    multi = [p for p in found if len(list(_components(*p))) > 1][:4]
+    assert multi
+    calls = {"invert": 0, "restrict": 0, "compose": 0}
+    built = {}
+
+    def counted(name):
+        real = getattr(_k, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    real_build = conjugator._build_conjugator
+
+    def build(*args):
+        before = dict(calls)
+        h = real_build(*args)
+        built.update((name, calls[name] - before[name]) for name in calls)
+        return h
+
+    for name in calls:
+        monkeypatch.setattr(_k, name, counted(name))
+    monkeypatch.setattr(conjugator, "_build_conjugator", build)
+    straddling = 0
+    for f, g in [(f, g), (reflect(f), reflect(g))] + multi:
+        for eta in ETAS:
+            for name in calls:
+                calls[name] = 0
+            conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+            assert built["invert"] == 2
+            # the post-check inverts h once more
+            assert calls["invert"] == 3
+            assert built["compose"] == 2 * built["restrict"]
+            straddling += built["restrict"]
+    assert straddling > 0
+
+
 # ------------------------------------------------------------ anchor
 
 
-def _midpoint_anchor(loc):
-    """The anchor before: the middle of the component."""
-    return _fp((_frac(loc[0][:2]) + _frac(loc[-1][:2])) / 2)
+def _midpoint_anchor(bps, lo, hi):
+    """The anchor before: the middle of the component, with its value."""
+    mid = _fp((_frac(lo) + _frac(hi)) / 2)
+    return mid + _k.eval_at(bps, mid)
 
 
 def _conjugator_bps(f, g, eta):

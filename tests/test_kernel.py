@@ -191,7 +191,7 @@ def test_segment_of():
     assert k.segment_of(ID, (0, 1), (1, 1)) == 0
 
 
-def test_segment_affines_reproduce_breakpoints():
+def test_segment_affine_reproduces_breakpoints():
     rng = random.Random(7)
     lists = [BUMP, TENT2, TENT4, ID, [(1, 3, -2, 5), (1, 2, 7, 3), (9, 4, 7, 3)]]
     for _ in range(50):
@@ -199,9 +199,8 @@ def test_segment_affines_reproduce_breakpoints():
                     key=lambda r: r[0] / r[1])
         lists.append([x + _rand_rational(rng) for x in xs])
     for bps in lists:
-        aff = k.segment_affines(bps)
-        assert len(aff) == len(bps) - 1
-        for i, (slope, offset) in enumerate(aff):
+        for i in range(len(bps) - 1):
+            slope, offset = k.segment_affine(bps, i)
             for p in bps[i], bps[i + 1]:
                 y = k.radd(k.rmul(slope, (p[0], p[1])), offset)
                 assert y == (p[2], p[3])

@@ -1,13 +1,15 @@
-"""The merge-walk compose, seam-only concat and pl_extremum against the code
-they replaced.
+"""The merge-walk compose, seam-only concat, sliced restrict and
+pl_extremum against the code they replaced.
 
 compose walks one index through f and tests only g's interior breakpoints
-for collinearity; concat tests only the seams. Both rely on canonical
+for collinearity; concat tests only the seams; restrict slices its input
+between two located ends and tests nothing. All three rely on canonical
 inputs. The oracles below are the straightforward versions: compose
 locates every g segment in f by binary search and canonicalizes the whole
-output, concat canonicalizes the glued list. pl_extremum merges the
-crossings in with merged_xs; its oracle keeps the private merge it used
-before. Outputs must be bit-identical and canonical.
+output, concat canonicalizes the glued list, restrict scans every
+breakpoint and canonicalizes. pl_extremum merges the crossings in with
+merged_xs; its oracle keeps the private merge it used before. Outputs must
+be bit-identical and canonical.
 """
 
 import sys
@@ -66,6 +68,18 @@ def oracle_concat(pieces):
         if out[-1] != piece[0]:
             raise ValueError(f"pieces do not meet: {out[-1]} vs {piece[0]}")
         out.extend(piece[1:])
+    return _k.canonical(out)
+
+
+def oracle_restrict(bps, a, b):
+    """The restriction to [a, b] by a scan of every breakpoint, canonicalized."""
+    va = _k.eval_at(bps, a)
+    vb = _k.eval_at(bps, b)
+    out = [(a[0], a[1], va[0], va[1])]
+    for p in bps:
+        if _k.rcmp((p[0], p[1]), a) > 0 and _k.rcmp((p[0], p[1]), b) < 0:
+            out.append(p)
+    out.append((b[0], b[1], vb[0], vb[1]))
     return _k.canonical(out)
 
 
@@ -226,6 +240,22 @@ def test_concat_of_restrictions(data):
     assert got == oracle_concat(pieces) == f._kbps
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_restrict_matches_oracle(data):
+    f = data.draw(flat_maps() | homeos() | open_maps())
+    # ends on breakpoints, off them, and at 0 and 1
+    fx = [x for x, _ in f.breakpoints]
+    ends = data.draw(
+        st.sets(interior | st.sampled_from(fx) | st.sampled_from([F(0), F(1)]),
+                min_size=2, max_size=2)
+    )
+    a, b = sorted(ends)
+    got = _k.restrict(f._kbps, _pair(a), _pair(b))
+    assert got == oracle_restrict(f._kbps, _pair(a), _pair(b))
+    assert _k.canonical(got) == got
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(homeos(max_interior=3), min_size=1, max_size=5))
 def test_concat_of_blocks(maps):
@@ -276,9 +306,10 @@ def _synthesis_workload():
 
 
 def test_callers_pass_canonical_inputs(monkeypatch):
-    """Every compose and concat call in the campaigns and synthesis is canonical."""
-    calls = {"compose": 0, "concat": 0}
-    real_compose, real_concat = _k.compose, _k.concat
+    """Every compose, concat and restrict call in the campaigns and synthesis
+    is canonical."""
+    calls = {"compose": 0, "concat": 0, "restrict": 0}
+    real_compose, real_concat, real_restrict = _k.compose, _k.concat, _k.restrict
 
     def compose(f, g):
         assert _k.canonical(f) == f, "compose got a non-canonical f"
@@ -292,8 +323,14 @@ def test_callers_pass_canonical_inputs(monkeypatch):
         calls["concat"] += 1
         return real_concat(pieces)
 
+    def restrict(bps, a, b):
+        assert _k.canonical(bps) == bps, "restrict got a non-canonical list"
+        calls["restrict"] += 1
+        return real_restrict(bps, a, b)
+
     monkeypatch.setattr(_k, "compose", compose)
     monkeypatch.setattr(_k, "concat", concat)
+    monkeypatch.setattr(_k, "restrict", restrict)
     for suite in VERIFY_SUITES:
         report = run_verify_suite(ExperimentConfig(suite=suite, trials=3, seed=1))
         assert report.all_ok(), suite
@@ -301,3 +338,4 @@ def test_callers_pass_canonical_inputs(monkeypatch):
     for op in ops:
         wl.run(op)
     assert calls["compose"] > 1000 and calls["concat"] > 50
+    assert calls["restrict"] > 300

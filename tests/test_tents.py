@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaster_lab import OpenPLMap, PLHomeo, compose, degree, reflect, sup_dist
+import knaster_lab.tents as tents
+from knaster_lab import OpenPLMap, PLHomeo, PLMap, compose, degree, reflect, sup_dist
 from knaster_lab.randgen import derive_rng, rand_homeo
 from knaster_lab.tents import (
     block_sum,
@@ -68,6 +69,42 @@ def test_block_sum_frozen():
     assert isinstance(two, PLHomeo)
     assert oplus_power(BUMP, 2) == two
     assert oplus_power(BUMP, 1) == BUMP
+
+
+def oracle_oplus_power(g, d):
+    """oplus_power as it was: the block sum of g alternating with its reflection."""
+    r = reflect(g)
+    return block_sum([g if i % 2 == 0 else r for i in range(d)])
+
+
+@st.composite
+def grid_maps(draw):
+    """PLMaps fixing 0 and 1 on a coarse value grid: flat segments and turns."""
+    xs = sorted(draw(st.sets(st.integers(1, 23).map(lambda k: F(k, 24)), max_size=6)))
+    ys = draw(st.lists(st.integers(0, 6).map(lambda k: F(k, 6)), min_size=len(xs),
+                       max_size=len(xs)))
+    return PLMap([(0, 0)] + list(zip(xs, ys)) + [(1, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(homeos() | grid_maps() | st.sampled_from([tent(1), tent(3), tent(5)]))
+def test_oplus_power_matches_block_sum(g):
+    for d in range(1, 9):
+        got = oplus_power(g, d)
+        want = oracle_oplus_power(g, d)
+        assert got._kbps == want._kbps
+        assert type(got) is type(want)
+        # every seam point is collinear, so only g's interior points remain
+        assert len(got._kbps) == d * (len(g._kbps) - 2) + 2
+
+
+@pytest.mark.parametrize("g", [tent(2), PLMap([(0, F(1, 2)), (1, 1)])])
+def test_oplus_power_refuses_maps_moving_an_end(g, monkeypatch):
+    # refused before any point is built, at every degree, d = 1 included
+    monkeypatch.setattr(tents, "gcd", None)
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="fixing 0 and 1"):
+            oplus_power(g, d)
 
 
 def test_oplus_fixes_grid():

@@ -292,7 +292,8 @@ def _refuse_to_build(monkeypatch):
     # missing guard shows up as an error instead of a huge allocation
     monkeypatch.setattr(tents, "_k", SimpleNamespace(rnorm=_refuse, canonical=_refuse))
     monkeypatch.setattr(tents, "block_sum", _refuse)
-    monkeypatch.setattr(tents, "reflect", _refuse)
+    # oplus_power reduces every point it builds by a gcd
+    monkeypatch.setattr(tents, "gcd", _refuse)
 
 
 class TestSizeGuard:

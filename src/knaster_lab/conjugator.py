@@ -11,7 +11,8 @@ non-fixed components in order and transports a fundamental domain along
 the orbit inside each matched pair: on the orbit cell [q_j, q_{j+1}] of g
 the conjugator is f^j ∘ h₀ ∘ g^{-j}, which satisfies the conjugacy
 equation exactly; the only error comes from the affine caps that stop the
-(infinite) orbit once it is within a margin of the component ends.
+(infinite) orbit once it is within a margin of the component ends, and
+from the seam (below), which stays under eta_cap on one cell per orbit.
 
 Cap error accounting, which is why one build at eta_cap = η/2 meets η:
 the cap is affine on the g-side cell C next to a component end, and h
@@ -61,6 +62,33 @@ the piece and the end, inside the segment. From there, _affine_tail takes
 each step with no segment search, one budget step per piece as before.
 Consecutive pieces share an endpoint: the image of a piece's back end is
 that piece's own front end, so only the other points are mapped.
+
+Seam: an affine step keeps every kink, so a tail piece carries the kinks
+of the piece that entered the tail all the way to the cap. The first tail
+piece P whose seam error E(P) is under eta_cap is replaced by its chord
+L = [P[0], P[-1]], where, over P's interior breakpoints (x_k, y_k),
+
+    E(P) = w · max_k |L⁻¹(y_k) - x_k|,
+
+with w = 1 on the forward orbit and w = 1/σ on the backward one, σ being
+the slope of g⁻¹'s end segment there (so 1/σ is g's slope on P's cell).
+E is the exact sup of |h⁻¹ ∘ f ∘ h - g| over the one cell whose image
+under g crosses the seam. Forward that is the cell C before P: for x in
+C, f(h(x)) = P(g(x)), so h⁻¹(f(h(x))) - g(x) = L⁻¹(P(u)) - u at u = g(x),
+a PL function of u that vanishes at P's ends and breaks at its
+breakpoints. Backward it is P's own cell: the next piece Q toward h0
+satisfies Q ∘ g = f ∘ P there, so h⁻¹(f(L(x))) - g(x) = g(P⁻¹(L(x))) - g(x),
+with g affine of slope 1/σ on that cell. Every later piece is the affine
+image of L, so conjugacy is exact on every other orbit cell, and the
+pieces from L on form one polygon through the orbit points. Its
+consecutive slopes differ by the factor τ/σ, τ the end slope of f (f⁻¹
+backward), so every interior point is a kink unless τ = σ, when the
+polygon is a single segment. An affine step scales L⁻¹(y_k) - x_k by σ,
+so E shrinks by exactly σ per step and is computed once per tail. The
+crossing cell is an orbit cell, never the cap cell next to a component
+end (forward it precedes P; backward it is P's own), and the orbit
+points, hence the caps and the squeeze windows, are the same as without
+the seam, so the cap error accounting above is unchanged.
 
 Whole maps: a component's segments are f's and g's own, so the orbit
 reads their whole lists, inverted once per synthesis, and copies no
@@ -165,7 +193,8 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
     it approaches, in x and in value. Steps while the end piece[near] of
     the last piece lies outside margin of stop[0], one budget step each.
     Once a piece lies in xmap's end segment and takes values in ymap's,
-    _affine_tail takes every later step.
+    _affine_tail takes every later step and returns the tail from its
+    seam on as one piece.
     """
     xend = _end_segment(xmap, stop[0], rightward)
     yend = _end_segment(ymap, stop[1], rightward)
@@ -197,6 +226,24 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
     return pieces
 
 
+def _seam_gap(piece):
+    """max |L⁻¹(y) - x| over piece's interior breakpoints (x, y), L its chord.
+
+    piece is an increasing kernel piece; the gap is a kernel pair, (0, 1)
+    when piece has no interior breakpoint.
+    """
+    p, q = piece[0], piece[-1]
+    run = _k.rsub(q[:2], p[:2])
+    rise = _k.rsub(q[2:], p[2:])
+    worst = (0, 1)
+    for b in piece[1:-1]:
+        along = _k.rdiv(_k.rmul(_k.rsub(b[2:], p[2:]), run), rise)
+        gap = _k.rabs(_k.rsub(along, _k.rsub(b[:2], p[:2])))
+        if _k.rcmp(gap, worst) > 0:
+            worst = gap
+    return worst
+
+
 def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     """_orbit's pieces after piece when every step is (xaff, yaff).
 
@@ -205,16 +252,47 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     module docstring). Each new piece starts where the last one ends
     (ends where it starts, leftward), so that point is reused and only
     the others are mapped.
+
+    The first new piece whose seam error E is under margin is replaced by
+    its chord (see Seam in the module docstring). The pieces from there
+    on are chords, so they are returned as one polygon through the orbit
+    points, whose interior points are all kinks unless xaff and yaff have
+    the same slope, when it is a single segment. E is the seam gap times
+    1 on the forward orbit, where near is the newest point, and times
+    g's slope 1/σ on the backward one; it shrinks by σ per step.
     """
+    sigma = xaff[0]
+    newest = -1 if rightward else 0
+    forward = near == newest
+    # E of the next piece, whose seam gap is sigma times piece's
+    err = _seam_gap(piece)
+    if forward:
+        err = _k.rmul(err, sigma)
     pieces = []
-    while _outside(piece[near][:2], stop, margin):
+    while _k.rcmp(err, margin) >= 0 and _outside(piece[near][:2], stop, margin):
         budget.spend()
         if rightward:
             piece = [piece[-1]] + _k.affine_image(piece[1:], *xaff, *yaff)
         else:
             piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
         pieces.append(piece)
-    return pieces
+        err = _k.rmul(err, sigma)
+    # the polygon: each step maps the newest orbit point and nothing else
+    point = piece[newest]
+    polygon = [point]
+    end = piece[near]
+    while _outside(end[:2], stop, margin):
+        budget.spend()
+        point = _k.affine_image([point], *xaff, *yaff)[0]
+        end = point if forward else polygon[-1]
+        polygon.append(point)
+    if len(polygon) == 1:
+        return pieces
+    if not rightward:
+        polygon.reverse()
+    if sigma == yaff[0]:
+        polygon = [polygon[0], polygon[-1]]
+    return pieces + [polygon]
 
 
 def _transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
@@ -571,7 +649,9 @@ def conjugator_certificate(f, g, eta):
     """JSON-ready record of approx_conjugator(f, g, eta) and its post-check.
 
     achieved_distance is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) the post-check
-    found; a failed post-check raises, so "ok" is always true.
+    found; a failed post-check raises, so "ok" is always true. breakpoints
+    and max_den_bits (the longest denominator of h, in bits) say what the
+    conjugator cost; both are deterministic.
     """
     h, achieved, _ = _checked_conjugator(f, g, eta)
     eta = Fraction(eta)
@@ -579,6 +659,8 @@ def conjugator_certificate(f, g, eta):
         "f": to_json_dict(f),
         "g": to_json_dict(g),
         "conjugator": to_json_dict(h),
+        "breakpoints": len(h._kbps),
+        "max_den_bits": max(max(p[1], p[3]).bit_length() for p in h._kbps),
         "achieved_distance": format_rational(achieved),
         "eta": format_rational(eta),
         "ok": achieved < eta,

@@ -413,7 +413,11 @@ def _t_density(cfg, rng):
         spec = PseudoGenericSpec(cfg.params["generic_k"], seed=rng.getrandbits(32))
         f0 = pseudo_generic(spec)
         fm = lift(DiagonalHomeo(0, f0), m, P).inducer
-        signs = signature(fm)
+        # each lifted level is a block sum, so fm's signs follow from f0's;
+        # _checked_conjugator refuses the target if they did not
+        signs = signature(f0)
+        for k in range(1, m + 1):
+            signs = signature_oplus(signs, P.prime(k))
         target = rand_signature_homeo(rng, signs)
     # the post-check's own h⁻¹ ∘ fm ∘ h and its exact distance to target
     _, gap, conj = _checked_conjugator(fm, target, eps)

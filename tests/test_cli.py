@@ -128,6 +128,24 @@ def test_conj_synthesize_postchecks_once(maps, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_conj_synthesize_reports_conjugator_size(maps, tmp_path):
+    # breakpoints and the longest denominator of h, deterministic, so two
+    # runs write the same certificate
+    g2 = write_map(tmp_path / "g2.json", [("0", "0"), ("1/4", "1/2"), ("1", "1")])
+    texts = []
+    for name in ("a.json", "b.json"):
+        cert = tmp_path / name
+        argv = ["conj", "synthesize", "-f", maps["bump"], "-g", g2, "--eta", "1/1000"]
+        assert main(argv + ["-o", str(cert)]) == 0
+        texts.append(cert.read_text())
+    assert texts[0] == texts[1]
+    data = json.loads(texts[0])
+    points = data["conjugator"]["breakpoints"]
+    assert data["breakpoints"] == len(points) > 2
+    dens = [int(v.partition("/")[2] or 1) for point in points for v in point]
+    assert data["max_den_bits"] == max(dens).bit_length() > 1
+
+
 @pytest.mark.parametrize("d", ["0", "-2"])
 def test_conj_degree_below_one_exits_two(maps, tmp_path, capsys, d):
     target = tmp_path / "target.json"

@@ -148,7 +148,16 @@ def test_certificate():
     cert = conjugator_certificate(BUMP, g, F(1, 100))
     assert cert["ok"] is True
     assert cert["eta"] == "1/100"
-    assert set(cert) == {"f", "g", "conjugator", "achieved_distance", "eta", "ok"}
+    assert set(cert) == {
+        "f",
+        "g",
+        "conjugator",
+        "breakpoints",
+        "max_den_bits",
+        "achieved_distance",
+        "eta",
+        "ok",
+    }
     # the certificate records approx_conjugator's map and the exact
     # distance its post-check found
     h = approx_conjugator(BUMP, g, F(1, 100))

@@ -1,16 +1,23 @@
 """Conjugator breakpoints, frozen bit for bit.
 
-The hash below was recorded from approx_conjugator before its glue moved
-onto kernel pairs. Any change to the construction that moves one
-breakpoint changes it, so a refactor that claims the same answers must
-keep it. Each pair runs as given and reflected, at three tolerances.
+FROZEN was recorded from approx_conjugator before its glue moved onto
+kernel pairs, and before the orbit tail was seamed onto its chord. It is
+checked with the seamless tail of tests/test_conjugator_oracle.py patched
+in, so everything else in the construction stays pinned to it.
+FROZEN_SEAM was recorded when the seam came in and pins the construction
+as it runs. Any change that moves one breakpoint changes a hash, so a
+refactor that claims the same answers must keep both. Each pair runs as
+given and reflected, at three tolerances.
 """
 
 import hashlib
 from fractions import Fraction as F
 
+import knaster_lab.conjugator as conjugator
 from knaster_lab import PLHomeo, reflect
 from knaster_lab.conjugator import approx_conjugator
+
+from test_conjugator_oracle import seamless_affine_tail
 
 ETAS = (F(1, 100), F(1, 1000), F(1, 10000))
 
@@ -87,6 +94,7 @@ RANDOM = [
 PAIRS = [REGULAR, SQUEEZE, PINCH, BOUNDARY, BOUNDARY[::-1], *RANDOM]
 
 FROZEN = "9b57bdd9ddee8c376e17d7a42f9bfe4e743d8ec435917eab812ab68d2288b129"
+FROZEN_SEAM = "16c28388c0bcf46097df9fe280f9b3f0dc08a7086bad8a3c44d738368cfd9b2c"
 
 
 def conjugators_digest():
@@ -101,5 +109,10 @@ def conjugators_digest():
     return digest.hexdigest()
 
 
-def test_conjugator_breakpoints_are_frozen():
+def test_conjugator_breakpoints_are_frozen(monkeypatch):
+    monkeypatch.setattr(conjugator, "_affine_tail", seamless_affine_tail)
     assert conjugators_digest() == FROZEN
+
+
+def test_seamed_conjugator_breakpoints_are_frozen():
+    assert conjugators_digest() == FROZEN_SEAM

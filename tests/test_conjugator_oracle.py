@@ -12,6 +12,12 @@ arithmetic is checked, not shared. Pieces and spent budget steps must be
 identical, and the oracle's pieces must end on the orbit points it
 evaluated. Maps are kernel lists, components and eta_cap kernel pairs, as
 conjugator._transport takes them.
+
+The seam is checked the same way: the oracle tries each tail piece's
+chord by composing over the crossing cell and taking the exact sup_diff
+against g, where the transport uses the closed-form seam error scaled by
+the end slope. seamless_affine_tail is the tail before the seam; patched
+in, it gives the conjugators the seam shrinks.
 """
 
 import random
@@ -42,7 +48,59 @@ def _fp(x):
     return (x.numerator, x.denominator)
 
 
-def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
+def seamless_affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
+    """conjugator._affine_tail before the seam: every piece in full.
+
+    Each step maps the whole previous piece, so a piece carries every kink
+    of the piece that entered the tail to the cap.
+    """
+    pieces = []
+    while _outside(piece[near][:2], stop, margin):
+        budget.spend()
+        if rightward:
+            piece = [piece[-1]] + _k.affine_image(piece[1:], *xaff, *yaff)
+        else:
+            piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
+        pieces.append(piece)
+    return pieces
+
+
+def in_end_segments(piece, xmap, ymap, high):
+    """piece's cell lies in xmap's segment at the component end it
+    approaches (the high end when high), and its values in ymap's.
+
+    xmap and ymap are restricted to the component, so those are their
+    first or last segments.
+    """
+    if high:
+        return (
+            _k.rcmp(piece[0][:2], xmap[-2][:2]) >= 0
+            and _k.rcmp(piece[0][2:], ymap[-2][:2]) >= 0
+        )
+    return (
+        _k.rcmp(piece[-1][:2], xmap[1][:2]) <= 0
+        and _k.rcmp(piece[-1][2:], ymap[1][:2]) <= 0
+    )
+
+
+def crossing_sup(f, g, here, there):
+    """Exact sup of |h⁻¹ ∘ f ∘ h - g| over here's cell, as a kernel pair,
+    when h is here on that cell and there on the cell g maps it onto."""
+    conj = _k.compose(_k.invert(there), _k.compose(f, here))
+    return _k.sup_diff(conj, _k.restrict(g, here[0][:2], here[-1][:2]))[:2]
+
+
+def _seamed(pieces, seam, leftward):
+    """pieces, with those from index seam on joined into one."""
+    if seam is None:
+        return pieces
+    rest = pieces[seam:][::-1] if leftward else pieces[seam:]
+    return pieces[:seam] + [_k.concat(rest)]
+
+
+def oracle_transport(
+    f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget, seams=None
+):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns kernel pieces in ascending x order covering [ql, qh] on the g
@@ -50,6 +108,13 @@ def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
     last orbit points, evaluated afresh. The orbit points travel as
     kernel pairs. finv and ginv are not read: the oracle inverts its own
     restrictions.
+
+    The seam: the first piece made from a piece inside both end segments
+    whose chord keeps the exact sup over the crossing cell under eta_cap
+    is replaced by that chord. On the forward orbit the crossing cell is
+    the one before it, on the backward orbit its own. The pieces from
+    there on are stepped as before and joined by concat. When seams is a
+    list, the orbit that seamed ("forward" or "backward") is appended.
     """
     a, b = fcomp
     c, d = gcomp
@@ -68,6 +133,7 @@ def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
     repel = c if sign > 0 else d
 
     fwd_pieces = []
+    seam = None
     piece, q_cur, p_cur = h0, q1, p1
     while _outside(q_cur, attract, eta_cap):
         budget.spend()
@@ -75,11 +141,20 @@ def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
         p_next = _k.eval_at(f_loc, p_cur)
         lo, hi = (q_cur, q_next) if sign > 0 else (q_next, q_cur)
         step = _k.compose(piece, _k.restrict(ginv, lo, hi))
-        piece = _k.compose(f_loc, step)
+        new = _k.compose(f_loc, step)
+        if seam is None and in_end_segments(piece, g_loc, f_loc, sign > 0):
+            chord = [new[0], new[-1]]
+            if _k.rcmp(crossing_sup(f_loc, g_loc, piece, chord), eta_cap) < 0:
+                seam, new = len(fwd_pieces), chord
+                if seams is not None:
+                    seams.append("forward")
+        piece = new
         fwd_pieces.append(piece)
         q_cur, p_cur = q_next, p_next
+    fwd_pieces = _seamed(fwd_pieces, seam, sign < 0)
 
     back_pieces = []
+    seam = None
     piece, r_cur, z_cur = h0, q0, p0
     # the cap bound at the repelling end is the previous orbit point, so
     # keep stepping until g(r) is already inside the margin
@@ -89,9 +164,17 @@ def oracle_transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
         z_next = _k.eval_at(finv, z_cur)
         lo, hi = (r_next, r_cur) if sign > 0 else (r_cur, r_next)
         step = _k.compose(piece, _k.restrict(g_loc, lo, hi))
-        piece = _k.compose(finv, step)
+        new = _k.compose(finv, step)
+        if seam is None and in_end_segments(piece, ginv, finv, sign < 0):
+            chord = [new[0], new[-1]]
+            if _k.rcmp(crossing_sup(f_loc, g_loc, chord, piece), eta_cap) < 0:
+                seam, new = len(back_pieces), chord
+                if seams is not None:
+                    seams.append("backward")
+        piece = new
         back_pieces.append(piece)
         r_cur, z_cur = r_next, z_next
+    back_pieces = _seamed(back_pieces, seam, sign > 0)
 
     if sign > 0:
         pieces = list(reversed(back_pieces)) + [h0] + fwd_pieces
@@ -328,3 +411,90 @@ def test_anchor_on_breakpoints_shrinks_conjugators(monkeypatch):
     monkeypatch.setattr(conjugator, "_orbit_anchor", _midpoint_anchor)
     midpoint = sum(_conjugator_bps(f, g, eta) for f, g in pairs for eta in ETAS)
     assert anchored < midpoint
+
+
+# ------------------------------------------------------------ seam
+
+
+def test_seam_fires_on_both_orbits_at_every_eta():
+    # the bit-for-bit comparison above must cover seamed tails of both
+    # orbit directions at every tolerance, not only seamless ones
+    found = [p for p in (_draw_pair(seed, False) for seed in range(12)) if p]
+    seen = set()
+    for f, g in found + [(reflect(f), reflect(g)) for f, g in found]:
+        for eta in ETAS:
+            for fcomp, gcomp, sign in _components(f, g):
+                args = (*_maps(f, g), fcomp, gcomp, sign, _fp(eta / 2))
+                seams = []
+                want = oracle_transport(*args, _Budget(CAP), seams=seams)
+                assert conjugator._transport(*args, _Budget(CAP)) == want
+                seen.update((side, sign, eta) for side in seams)
+    assert seen == {
+        (side, sign, eta)
+        for side in ("forward", "backward")
+        for sign in (1, -1)
+        for eta in ETAS
+    }
+
+
+def test_seam_error_is_the_crossing_sup_and_shrinks_by_the_end_slope(monkeypatch):
+    # along each seamless tail, the closed-form seam error E of every piece
+    # equals the exact sup over its crossing cell, and E scales by sigma
+    found = [p for p in (_draw_pair(seed, False) for seed in range(8)) if p]
+    tails = []
+
+    def spy(piece, xaff, yaff, rightward, near, *rest):
+        out = seamless_affine_tail(piece, xaff, yaff, rightward, near, *rest)
+        tails.append((piece, out, xaff[0], near == (-1 if rightward else 0)))
+        return out
+
+    monkeypatch.setattr(conjugator, "_affine_tail", spy)
+    checked = kinked = 0
+    for f, g in found + [(reflect(f), reflect(g)) for f, g in found]:
+        for eta in ETAS:
+            tails.clear()
+            conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+            for piece, out, sigma, forward in tails:
+                chain = [piece] + out
+                for prev, cur in zip(chain, chain[1:]):
+                    gap = conjugator._seam_gap(cur)
+                    assert gap == _k.rmul(conjugator._seam_gap(prev), sigma)
+                    chord = [cur[0], cur[-1]]
+                    if forward:
+                        want = crossing_sup(f._kbps, g._kbps, prev, chord)
+                        assert gap == want
+                    else:
+                        want = crossing_sup(f._kbps, g._kbps, chord, prev)
+                        assert gap == _k.rmul(want, sigma)
+                    checked += 1
+                    kinked += gap != (0, 1)
+    assert kinked > 0 and checked > kinked
+
+
+def test_seam_shrinks_conjugators(monkeypatch):
+    found = [p for p in (_draw_pair(seed, False) for seed in range(8)) if p]
+    found += [(reflect(f), reflect(g)) for f, g in found]
+    seamed = sum(_conjugator_bps(f, g, eta) for f, g in found for eta in ETAS)
+    monkeypatch.setattr(conjugator, "_affine_tail", seamless_affine_tail)
+    seamless = sum(_conjugator_bps(f, g, eta) for f, g in found for eta in ETAS)
+    assert seamed < seamless
+
+
+def test_equal_end_slopes_collapse_the_polygon(monkeypatch):
+    # f and g have slope 2 at 0 and 1/2 at 1, so every tail step is one
+    # affine map on both axes with the same slope: the polygon is straight
+    f = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
+    g = PLHomeo([(0, 0), (F(1, 8), F(1, 4)), (F(5, 8), F(13, 16)), (1, 1)])
+    polygons = []
+    real_tail = conjugator._affine_tail
+
+    def spy(*args):
+        out = real_tail(*args)
+        polygons.extend(out[-1:])
+        return out
+
+    monkeypatch.setattr(conjugator, "_affine_tail", spy)
+    for f, g in ((f, g), (reflect(f), reflect(g))):
+        for eta in ETAS:
+            check_pair(f, g, _fp(eta / 2))
+    assert polygons and all(len(p) == 2 for p in polygons)

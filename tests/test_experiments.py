@@ -240,6 +240,39 @@ def test_density_coordinate_two():
     assert all(o.details["eps"] == "1/40" for o in report.outcomes)
 
 
+def test_density_reads_the_lifted_signature_once(monkeypatch):
+    # fm's signs come from f0's by the block-sum law; only the synthesis
+    # makes a fixed-point pass over fm, and the signs it finds agree
+    from knaster_lab import _kernel_py
+    from knaster_lab.signatures import signature, signature_to_string
+
+    lifted = []
+    passes = []
+    real_lift = experiments.lift
+    real_fixed = _kernel_py.fixed_structure
+
+    def spy_lift(*args):
+        out = real_lift(*args)
+        lifted.append(out.inducer)
+        return out
+
+    def spy_fixed(bps):
+        passes.append(bps)
+        return real_fixed(bps)
+
+    monkeypatch.setattr(experiments, "lift", spy_lift)
+    monkeypatch.setattr(_kernel_py, "fixed_structure", spy_fixed)
+    report = run_density_experiment(
+        cfg_for("density", trials=3, seed=11, primes=ALL2, params={"m": 2})
+    )
+    assert report.all_ok()
+    assert len(lifted) == 3
+    monkeypatch.undo()
+    for fm, o in zip(lifted, report.outcomes):
+        assert sum(bps is fm._kbps for bps in passes) == 1
+        assert o.details["signs"] == signature_to_string(signature(fm))
+
+
 def test_density_identity_target_is_trivial():
     report = run_density_experiment(
         cfg_for(

@@ -20,6 +20,11 @@ nowhere), so a collinear point in the input would survive into the output.
 Typed maps are canonical, and so are the lists that compose, concat,
 restrict, pl_sub, pl_min and pl_max return, and the affine_image of a
 canonical list under a map with sy != 0.
+
+``compose_sup_diff(f, g, t)`` needs no canonical input: it tests no
+collinearity and builds no list, so a collinear point only adds a
+candidate. It needs g's range inside f's domain, as compose does, and t on
+g's domain: the same first and last x.
 """
 
 from math import gcd
@@ -238,6 +243,108 @@ def compose(f, g):
         p = q
         yn, yd = bn, bd
     return out
+
+
+def compose_sup_diff(f, g, t):
+    """Exact sup of |f∘g - t| over g's domain, as a pair; f∘g is never built.
+
+    f∘g - t is affine between consecutive points of three kinds: g's
+    breakpoints, the points where g strictly crosses a breakpoint of f
+    (compose's walk finds both, with one index into f), and t's
+    breakpoints. So the sup is the largest |f∘g - t| among them. At a
+    walk point, t is slope*x + offset on the segment a forward pointer
+    holds; at a breakpoint of t strictly between two walk points, f∘g is
+    read off the chord through them. No walk value is reduced to lowest
+    terms: every denominator stays positive, the running max is compared
+    by cross-multiplication, and it is normalized once at the end.
+    """
+    aff = []
+    for k in range(len(t) - 1):
+        (sn, sd), (on, od) = segment_affine(t, k)
+        aff.append((sn * od, on * sd, sd * od))
+    top = len(aff) - 1
+    k = 0
+    s1, s2, s3 = aff[0]
+    p = g[0]
+    yn, yd = p[2], p[3]
+    i = _locate(f, (yn, yd))
+    a = f[i]
+    if a[0] * yd == yn * a[1]:
+        vn, vd = a[2], a[3]
+    else:
+        vn, vd = _interp((yn, yd), a, f[i + 1])
+    tv = t[0]
+    bn = abs(vn * tv[3] - tv[2] * vd)
+    bd = vd * tv[3]
+    last = (p[0], p[1], vn, vd)  # the previous walk point
+    for q in g[1:]:
+        qn, qd = q[2], q[3]
+        c = qn * yd - yn * qd
+        u = None  # the next f breakpoint toward q's value, if g moves
+        if c:
+            if c > 0:
+                s, j = 1, i + 1
+            else:
+                s = -1
+                j = i - 1 if f[i][0] * yd == yn * f[i][1] else i
+            u = f[j]
+            # g takes the value un/ud at (ud*m1 + (un*y0d - y0n*ud)*m2) / (ud*m3)
+            x0n, x0d, y0n, y0d = p
+            rise = (qn * y0d - y0n * qd) * q[1]
+            m2 = (q[0] * x0d - x0n * q[1]) * qd
+            if rise < 0:
+                rise, m2 = -rise, -m2
+            m1, m3 = x0n * rise, x0d * rise
+        while True:
+            if u is not None and (qn * u[1] - u[0] * qd) * s > 0:
+                # g crosses u strictly inside the segment
+                xn = u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2
+                xd = u[1] * m3
+                vn, vd = u[2], u[3]
+                j += s
+                u = f[j]
+                end = False
+            else:
+                if u is not None:
+                    if u[0] * qd == qn * u[1]:
+                        vn, vd = u[2], u[3]
+                        i = j
+                    else:
+                        i = j - 1 if s > 0 else j
+                        a, b = f[i], f[i + 1]
+                        # f at q's value, on the segment a->b
+                        w = qd * b[3] * (b[0] * a[1] - a[0] * b[1])
+                        dy = (b[2] * a[3] - a[2] * b[3]) * b[1]
+                        vn = a[2] * w + (qn * a[1] - a[0] * qd) * dy
+                        vd = a[3] * w
+                xn, xd = q[0], q[1]
+                end = True
+            # t's breakpoints up to x; those strictly before it lie on the
+            # chord from the previous walk point
+            while k < top:
+                tb = t[k + 1]
+                if tb[0] * xd > xn * tb[1]:
+                    break
+                k += 1
+                s1, s2, s3 = aff[k]
+                if tb[0] * xd < xn * tb[1]:
+                    wn, wd = _interp(tb[:2], last, (xn, xd, vn, vd))
+                    dn = abs(wn * tb[3] - tb[2] * wd)
+                    dd = wd * tb[3]
+                    if dn * bd > bn * dd:
+                        bn, bd = dn, dd
+            tn = s1 * xn + s2 * xd
+            td = s3 * xd
+            dn = abs(vn * td - tn * vd)
+            dd = vd * td
+            if dn * bd > bn * dd:
+                bn, bd = dn, dd
+            last = (xn, xd, vn, vd)
+            if end:
+                break
+        p = q
+        yn, yd = qn, qd
+    return rnorm(bn, bd)
 
 
 def invert(bps):

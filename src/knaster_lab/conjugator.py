@@ -104,11 +104,23 @@ equal width, so a displacement by a bounded slope ratio moves the image
 at most a few pieces sideways and the error stays proportional to the
 piece width, which we pick below the cap margin.
 
+Post-check: achieved = sup |h⁻¹ ∘ f ∘ h - g| is computed exactly, without
+building h⁻¹ ∘ f ∘ h. _conjugacy_gap composes hf = h⁻¹ ∘ f once, and one
+walk of _kernel_py.compose_sup_diff(hf, h, g) visits every point where the
+difference can break: h's breakpoints, the points where h crosses a
+breakpoint of hf, and g's breakpoints. Between consecutive ones both
+h⁻¹ ∘ f ∘ h and g are affine, so |difference| is convex there and its
+sup over the cell sits at an end. The walk keeps the running max as an
+unreduced fraction, compared by cross-multiplication, and normalizes it
+once at the end. _checked_conjugator hands hf back, so a caller that
+needs the conjugate as a map pays one compose for it.
+
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
 Fraction boundary is eta, which becomes eta_cap = eta/2 as a pair once at
 the top of _checked_conjugator, and the typed maps: f and g come in as
-PLHomeo, and h leaves as one, for the exact post-check.
+PLHomeo, and h leaves as one. The post-check reads their kernel lists and
+turns only achieved into a Fraction.
 """
 
 from dataclasses import dataclass
@@ -118,7 +130,6 @@ from . import _kernel_py as _k
 from .plmap import (
     PLHomeo,
     _to_kernel,
-    compose,
     identity,
     reflect,
     sup_dist,
@@ -451,16 +462,23 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
     return PLHomeo._from_kernel(_k.concat(parts))
 
 
-def _checked_conjugator(f, g, eta, max_steps=1_000_000):
-    """approx_conjugator's build and post-check: (h, achieved, conj).
+def _conjugacy_gap(fk, hk, gk):
+    """(sup |h⁻¹ ∘ f ∘ h - g| as a Fraction, h⁻¹ ∘ f) on kernel lists."""
+    hf = _k.compose(_k.invert(hk), fk)
+    return Fraction(*_k.compose_sup_diff(hf, hk, gk)), hf
 
-    conj is h⁻¹ ∘ f ∘ h and achieved is sup_dist(conj, g), both exact.
+
+def _checked_conjugator(f, g, eta, max_steps=1_000_000):
+    """approx_conjugator's build and post-check: (h, achieved, hf).
+
+    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) and hf is h⁻¹ ∘ f as a
+    kernel list, so a caller gets the conjugate as compose(hf, h).
     """
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity(), Fraction(0), f
+        return identity(), Fraction(0), f._kbps
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
     if f_signs != signs:
@@ -469,13 +487,12 @@ def _checked_conjugator(f, g, eta, max_steps=1_000_000):
         )
     eta_cap = _k.rnorm(eta.numerator, 2 * eta.denominator)
     h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, _Budget(max_steps))
-    conj = compose(compose(h.invert(), f), h)
-    achieved = sup_dist(conj, g)
+    achieved, hf = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved, conj
+    return h, achieved, hf
 
 
 def approx_conjugator(f, g, eta, max_steps=1_000_000):
@@ -531,8 +548,7 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
             f"blockwise post-check failed: sup_dist(g, id) = {norm} is not "
             f"the largest block norm over {d}"
         )
-    conj = compose(compose(g.invert(), oplus_power(f, d)), g)
-    achieved = sup_dist(conj, h)
+    achieved, _ = _conjugacy_gap(oplus_power(f, d)._kbps, g._kbps, h._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"blockwise post-check failed: achieved {achieved}, needed < {eta}"

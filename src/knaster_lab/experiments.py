@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 
+from . import _kernel_py as _k
 from .config import ExperimentConfig, radius_schedule
 from .conjugator import (
     ConjugatorError,
@@ -36,7 +37,7 @@ from .lemmas import (
     separation_lower_bound,
     tent_witness,
 )
-from .plmap import compose, identity, reflect, sup_dist, to_json_dict
+from .plmap import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
 from .randgen import (
     derive_rng,
     perturb_homeo,
@@ -419,8 +420,9 @@ def _t_density(cfg, rng):
         for k in range(1, m + 1):
             signs = signature_oplus(signs, P.prime(k))
         target = rand_signature_homeo(rng, signs)
-    # the post-check's own h⁻¹ ∘ fm ∘ h and its exact distance to target
-    _, gap, conj = _checked_conjugator(fm, target, eps)
+    # the post-check's distance to target; h⁻¹ ∘ fm ∘ h from its h⁻¹ ∘ fm
+    h, gap, hf = _checked_conjugator(fm, target, eps)
+    conj = PLHomeo._from_kernel(_k.compose(hf, h._kbps))
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:
         raise CheckFailure(

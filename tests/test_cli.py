@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
 import knaster_lab.tents as tents
 from knaster_lab.cli import main
@@ -109,15 +110,21 @@ def test_conj_synthesize_rejects_nonconjugate(maps, capsys):
 
 
 def test_conj_synthesize_postchecks_once(maps, tmp_path, monkeypatch):
-    # the certificate reuses the distance the post-check computed
+    # the certificate reuses the distance the post-check computed, and the
+    # post-check is one compose_sup_diff walk with no sup_dist of a built
+    # conjugate
     calls = []
-    real = conjugator.sup_dist
+    real = _k.compose_sup_diff
 
-    def counted(f, g):
+    def counted(f, g, t):
         calls.append(1)
-        return real(f, g)
+        return real(f, g, t)
 
-    monkeypatch.setattr(conjugator, "sup_dist", counted)
+    def refused(f, g):
+        raise AssertionError("synthesis must not call sup_dist")
+
+    monkeypatch.setattr(_k, "compose_sup_diff", counted)
+    monkeypatch.setattr(conjugator, "sup_dist", refused)
     g2 = write_map(tmp_path / "g2.json", [("0", "0"), ("1/4", "1/2"), ("1", "1")])
     cert = tmp_path / "cert.json"
     rc = main(

@@ -322,6 +322,18 @@ def test_blockwise_norm_postcheck_raises(monkeypatch):
         grid_block_conjugate(f, 2, h, F(1, 10))
 
 
+def test_blockwise_distance_postcheck_raises(monkeypatch):
+    # identity blocks pass the norm check (0 == 0), but the identity does
+    # not conjugate oplus_power(BUMP, 2) to within 1/100 of this target:
+    # the blocks' bumps differ by 1/8 at 1/2, so by 1/16 after rescaling
+    monkeypatch.setattr(
+        conjugator, "approx_conjugator", lambda f, g, eta, max_steps: identity()
+    )
+    h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
+    with pytest.raises(ConjugatorError, match="achieved 1/16, needed < 1/100"):
+        grid_block_conjugate(BUMP, 2, h, F(1, 100))
+
+
 def test_snap_grid_postcheck_raises(monkeypatch):
     ref = oplus_power(BUMP, 2)
     h = SNAP_H

@@ -9,22 +9,27 @@ locates every g segment in f by binary search and canonicalizes the whole
 output, concat canonicalizes the glued list, restrict scans every
 breakpoint and canonicalizes. pl_extremum merges the crossings in with
 merged_xs; its oracle keeps the private merge it used before. Outputs must
-be bit-identical and canonical.
+be bit-identical and canonical. compose_sup_diff walks f∘g without
+building it; its oracle is the chain it replaced, sup_diff(compose(f, g), t).
 """
 
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import _kernel_py as _k
 from knaster_lab.config import ExperimentConfig
+from knaster_lab.conjugator import _checked_conjugator
 from knaster_lab.experiments import VERIFY_SUITES, run_verify_suite
-from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, reflect
+from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
 from knaster_lab.randgen import rand_homeo
 from knaster_lab.tents import tent
+
+from test_conjugator_frozen import ETAS, PAIRS
 
 F = Fraction
 
@@ -284,6 +289,96 @@ def test_pl_extremum_matches_oracle(rng, reflected):
         # a strict crossing lies inside a segment of both maps, where f - g
         # has nonzero slope, so it is a kink of the extremum
         assert set(crosses) <= {p[:2] for p in got}
+
+
+# ------------------------------------------------------- compose_sup_diff
+
+
+def check_compose_sup_diff(f, g, t):
+    got = _k.compose_sup_diff(f, g, t)
+    assert got == _k.sup_diff(_k.compose(f, g), t)[:2]
+    return got
+
+
+@st.composite
+def values(draw, n):
+    """n values in [-1, 2], so f∘g - t takes both signs."""
+    return draw(st.lists(st.fractions(-1, 2, max_denominator=12), min_size=n, max_size=n))
+
+
+@st.composite
+def targets(draw):
+    """Kernel lists on [0, 1] with values outside [0, 1] too."""
+    xs = [F(0)] + sorted(draw(st.sets(interior, max_size=6))) + [F(1)]
+    ys = draw(values(len(xs)))
+    return [_pair(x) + _pair(y) for x, y in zip(xs, ys)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
+       targets() | homeos().map(lambda h: h._kbps))
+def test_compose_sup_diff_matches_chain(f, g, t):
+    check_compose_sup_diff(f._kbps, g._kbps, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
+       values(2))
+def test_compose_sup_diff_two_point_target(f, g, ends):
+    t = [(0, 1) + _pair(ends[0]), (1, 1) + _pair(ends[1])]
+    check_compose_sup_diff(f._kbps, g._kbps, t)
+
+
+def _kinked_target(fg, cuts):
+    """fg with a breakpoint moved off it strictly inside some of its segments.
+
+    cuts holds (segment, position in (0, 1), offset) triples; the segment
+    index is taken mod the segment count and the last triple for a segment
+    wins. Returns t and the largest |offset|: the sup of |fg - t|, attained
+    only at the new points, where f∘g has no breakpoint.
+    """
+    cut = {k % (len(fg) - 1): (r, dy) for k, r, dy in cuts}
+    out = [fg[0]]
+    for k in range(len(fg) - 1):
+        if k in cut:
+            r, dy = cut[k]
+            a, b = F(fg[k][0], fg[k][1]), F(fg[k + 1][0], fg[k + 1][1])
+            x = a + r * (b - a)
+            out.append(_pair(x) + _pair(F(*_k.eval_at(fg, _pair(x))) + dy))
+        out.append(fg[k + 1])
+    return out, max(abs(dy) for _, dy in cut.values())
+
+
+nonzero = st.fractions(-1, 1, max_denominator=12).filter(lambda v: v != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
+       st.lists(st.tuples(st.integers(0, 20), interior, nonzero), min_size=1, max_size=4))
+def test_compose_sup_diff_target_kinks_inside_a_piece(f, g, cuts):
+    t, gap = _kinked_target(_k.compose(f._kbps, g._kbps), cuts)
+    assert F(*check_compose_sup_diff(f._kbps, g._kbps, t)) == gap
+
+
+@pytest.mark.parametrize("y", [F(1, 6), F(5, 6)])
+def test_compose_sup_diff_kink_off_the_walk(y):
+    # f∘g is the identity and t leaves it only at 1/2, by 1/3 below or
+    # above: the sup is 1/3, attained at a point that is neither a
+    # breakpoint of g nor a crossing of f, with f∘g - t of either sign
+    g = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
+    t = [(0, 1, 0, 1), (1, 2) + _pair(y), (1, 1, 1, 1)]
+    assert _k.compose_sup_diff(g.invert()._kbps, g._kbps, t) == (1, 3)
+
+
+def test_checked_conjugator_matches_chain():
+    """achieved is the old chain's sup_dist(h⁻¹∘f∘h, g) on the frozen pairs."""
+    for f, g in PAIRS:
+        for ff, gg in ((f, g), (reflect(f), reflect(g))):
+            for eta in ETAS:
+                h, achieved, hf = _checked_conjugator(ff, gg, eta)
+                hf_chain = compose(h.invert(), ff)
+                assert hf == hf_chain._kbps
+                assert achieved == sup_dist(compose(hf_chain, h), gg)
 
 
 # ------------------------------------------------- canonical-input contract

@@ -11,27 +11,37 @@ non-fixed components in order and transports a fundamental domain along
 the orbit inside each matched pair: on the orbit cell [q_j, q_{j+1}] of g
 the conjugator is f^j ∘ h₀ ∘ g^{-j}, which satisfies the conjugacy
 equation exactly; the only error comes from the affine caps that stop the
-(infinite) orbit once it is within a margin of the component ends, and
-from the seam (below), which stays under eta_cap on one cell per orbit.
+(infinite) orbit once it is within a margin eta_cap of the component
+ends, from the seam (below), which stays under eta_cap on one cell per
+orbit, and from the squeeze windows (below).
 
-Cap error accounting, which is why one build at eta_cap = η/2 meets η:
-the cap is affine on the g-side cell C next to a component end, and h
-maps that end to a fixed point of f. For x in C or with g(x) in C, both
-g(x) and h⁻¹(f(h(x))) then stay inside the hull of C ∪ g(C); elsewhere
-in the transported range the conjugacy is exact.
-  * Attracting cap: the hull is C, no longer than eta_cap.
+Cap error accounting, per cell: why one build meets η. Each bound below
+is on the error |h⁻¹(f(h(x))) - g(x)| for x in one cell, and the cells
+partition [0, 1], so the sup of the error is the largest of them. A cap
+is affine on the g-side cell C next to a component end, and h maps that
+end to a fixed point of f. For x in C or with g(x) in C, both g(x) and
+h⁻¹(f(h(x))) then stay inside the hull of C ∪ g(C), and neither reaches
+the hull's end at the component end but at that end itself, where the
+error is 0, so the error is under the hull's length.
+  * Attracting cap: the hull is C, no longer than eta_cap: error < eta_cap.
   * Repelling cap: the hull is C grown by one orbit step, and the
-    backward orbit runs until that previous point is inside eta_cap.
+    backward orbit runs until that previous point is inside eta_cap:
+    error < eta_cap.
   * Pinch anchor: the anchor (0, 1 or a midpoint) lies in f's fixed
     interval, so f fixes it and the two cap bounds above hold as they are.
+  * Seam crossing cell: error = E < eta_cap, exactly (see Seam).
   * Squeeze window (below): f's slopes and inverse slopes near m are
     under 2^k, so f scales a value's distance to m by a factor between
     2^-k and 2^k. The window halves that distance per piece of width
-    w ≤ eta_cap/(k+3), so inside it h⁻¹ ∘ f ∘ h moves x by under
-    (k+1)·w < eta_cap. The cap next to the window ends at a value f does
-    not fix, so there h⁻¹ ∘ f ∘ h can cross between the cap and the
-    first k pieces; the error stays under eta_cap + k·w < 2·eta_cap = η.
-The exact post-check still refuses any miss.
+    w ≤ eta_cap/(k+1), so inside it h⁻¹ ∘ f ∘ h moves x by under
+    (k+1)·w ≤ eta_cap, and g fixes x: error < eta_cap.
+  * Cap next to a window: it ends at a value f does not fix, so there
+    h⁻¹ ∘ f ∘ h can cross between the cap and the first k pieces:
+    error < eta_cap + k·w < 2·eta_cap.
+Every other cell is exact. So _cap_margin gives eta_cap = η to a pair
+with no squeeze window, where every bound is under eta_cap, and η/2 to a
+pair with one, where the cap next to a window is under 2·eta_cap. The
+exact post-check still refuses any miss.
 
 Anchor: each component's fundamental domain starts at an interior
 breakpoint q0 of g and is sent to an interior breakpoint p0 of f. On cell
@@ -88,7 +98,8 @@ so E shrinks by exactly σ per step and is computed once per tail. The
 crossing cell is an orbit cell, never the cap cell next to a component
 end (forward it precedes P; backward it is P's own), and the orbit
 points, hence the caps and the squeeze windows, are the same as without
-the seam, so the cap error accounting above is unchanged.
+the seam, so every other bound of the cap error accounting holds as it
+is.
 
 Whole maps: a component's segments are f's and g's own, so the orbit
 reads their whole lists, inverted once per synthesis, and copies no
@@ -117,10 +128,10 @@ needs the conjugate as a map pays one compose for it.
 
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
-Fraction boundary is eta, which becomes eta_cap = eta/2 as a pair once at
-the top of _checked_conjugator, and the typed maps: f and g come in as
-PLHomeo, and h leaves as one. The post-check reads their kernel lists and
-turns only achieved into a Fraction.
+Fraction boundary is eta, which _cap_margin turns into eta_cap as a pair
+once at the top of _checked_conjugator, and the typed maps: f and g come
+in as PLHomeo, and h leaves as one. The post-check reads their kernel
+lists and turns only achieved into a Fraction.
 """
 
 from dataclasses import dataclass
@@ -360,14 +371,16 @@ def _half_squeeze(u, v, m, theta, eta_cap, f, rising):
     rising=True: values climb from m - theta at u to exactly m at v.
     rising=False: values climb from exactly m at u to m + theta at v.
     The window halves per equal-width piece, so a point displaced by f
-    within a bounded slope ratio lands only a few pieces away. All
+    within a slope ratio under 2^k lands at most k pieces away. The pieces
+    are at most eta_cap/(k+1) wide, which keeps the window's error under
+    eta_cap (see Cap error accounting in the module docstring). All
     arguments but f and rising are kernel pairs.
     """
     mn, md = m
     tn, td = theta
     ratio = _slope_bound(f, _k.rsub(m, theta), _k.radd(m, theta))
     # width = eta_cap / c_const, and npieces = ceil((v - u) / width)
-    c_const = 3 + (ratio + 1).bit_length()
+    c_const = 1 + (ratio + 1).bit_length()
     sn, sd = _k.rsub(v, u)
     npieces = max(1, -((-sn * c_const * eta_cap[1]) // (sd * eta_cap[0])))
     un, ud = u
@@ -462,6 +475,18 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
     return PLHomeo._from_kernel(_k.concat(parts))
 
 
+def _cap_margin(eta, f_ivs, g_ivs):
+    """The pair's error margin eta_cap as a kernel pair, from Fraction eta.
+
+    η when g never pauses on a fixed interval where f only touches, so no
+    squeeze window is built; η/2 when it does, since the cap next to a
+    window errs by up to twice the margin. See Cap error accounting in the
+    module docstring.
+    """
+    squeeze = any(u != v and fu == fv for (u, v), (fu, fv) in zip(g_ivs, f_ivs))
+    return _k.rnorm(eta.numerator, eta.denominator * (2 if squeeze else 1))
+
+
 def _conjugacy_gap(fk, hk, gk):
     """(sup |h⁻¹ ∘ f ∘ h - g| as a Fraction, h⁻¹ ∘ f) on kernel lists."""
     hf = _k.compose(_k.invert(hk), fk)
@@ -469,40 +494,43 @@ def _conjugacy_gap(fk, hk, gk):
 
 
 def _checked_conjugator(f, g, eta, max_steps=1_000_000):
-    """approx_conjugator's build and post-check: (h, achieved, hf).
+    """approx_conjugator's build and post-check: (h, achieved, hf, steps).
 
-    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) and hf is h⁻¹ ∘ f as a
-    kernel list, so a caller gets the conjugate as compose(hf, h).
+    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), hf is h⁻¹ ∘ f as a
+    kernel list, so a caller gets the conjugate as compose(hf, h), and
+    steps is the orbit budget the build spent.
     """
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity(), Fraction(0), f._kbps
+        return identity(), Fraction(0), f._kbps, 0
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
     if f_signs != signs:
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"
         )
-    eta_cap = _k.rnorm(eta.numerator, 2 * eta.denominator)
-    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, _Budget(max_steps))
+    eta_cap = _cap_margin(eta, f_ivs, g_ivs)
+    budget = _Budget(max_steps)
+    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
     achieved, hf = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved, hf
+    return h, achieved, hf, max_steps - budget.left
 
 
 def approx_conjugator(f, g, eta, max_steps=1_000_000):
     """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
 
-    Requires signature(f) == signature(g). One build at eta_cap = eta/2
-    meets eta by the module's cap error accounting, and the exact
-    post-check confirms it. Raises OrbitCapError when the orbit matching
-    needs more than max_steps iterations, and ConjugatorError when the
-    post-check fails.
+    Requires signature(f) == signature(g). One build meets eta by the
+    module's cap error accounting: caps and seams take all of eta, or
+    eta/2 on a pair with a squeeze window, whose pieces are at most
+    eta_cap/(k+1) wide. The exact post-check confirms it. Raises
+    OrbitCapError when the orbit matching needs more than max_steps
+    iterations, and ConjugatorError when the post-check fails.
     """
     return _checked_conjugator(f, g, eta, max_steps)[0]
 
@@ -665,11 +693,12 @@ def conjugator_certificate(f, g, eta):
     """JSON-ready record of approx_conjugator(f, g, eta) and its post-check.
 
     achieved_distance is the exact sup_dist(h⁻¹ ∘ f ∘ h, g) the post-check
-    found; a failed post-check raises, so "ok" is always true. breakpoints
-    and max_den_bits (the longest denominator of h, in bits) say what the
-    conjugator cost; both are deterministic.
+    found; a failed post-check raises, so "ok" is always true. breakpoints,
+    max_den_bits (the longest denominator of h, in bits) and orbit_steps
+    (the orbit budget the build spent) say what the conjugator cost; all
+    three are deterministic.
     """
-    h, achieved, _ = _checked_conjugator(f, g, eta)
+    h, achieved, _, steps = _checked_conjugator(f, g, eta)
     eta = Fraction(eta)
     return {
         "f": to_json_dict(f),
@@ -677,6 +706,7 @@ def conjugator_certificate(f, g, eta):
         "conjugator": to_json_dict(h),
         "breakpoints": len(h._kbps),
         "max_den_bits": max(max(p[1], p[3]).bit_length() for p in h._kbps),
+        "orbit_steps": steps,
         "achieved_distance": format_rational(achieved),
         "eta": format_rational(eta),
         "ok": achieved < eta,

@@ -421,7 +421,7 @@ def _t_density(cfg, rng):
             signs = signature_oplus(signs, P.prime(k))
         target = rand_signature_homeo(rng, signs)
     # the post-check's distance to target; h⁻¹ ∘ fm ∘ h from its h⁻¹ ∘ fm
-    h, gap, hf = _checked_conjugator(fm, target, eps)
+    h, gap, hf, _ = _checked_conjugator(fm, target, eps)
     conj = PLHomeo._from_kernel(_k.compose(hf, h._kbps))
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:

@@ -151,6 +151,30 @@ def test_conj_synthesize_reports_conjugator_size(maps, tmp_path):
     assert data["breakpoints"] == len(points) > 2
     dens = [int(v.partition("/")[2] or 1) for point in points for v in point]
     assert data["max_den_bits"] == max(dens).bit_length() > 1
+    assert data["orbit_steps"] > 0
+
+
+def test_conj_blockwise_against_a_conjugate_is_not_the_identity(maps, tmp_path):
+    # the target's blocks are c = φ⁻¹∘bump∘φ, built from files as the CI
+    # step builds them, so no block takes approx_conjugator's f == g
+    # shortcut and the blockwise conjugator moves points
+    d = maps["dir"]
+    phi = write_map(d / "phi.json", [("0", "0"), ("1/3", "1/2"), ("1", "1")])
+    steps = [
+        ["pl", "invert", "-f", phi, "-o", str(d / "phiinv.json")],
+        ["pl", "compose", "-f", maps["bump"], "-g", phi, "-o", str(d / "bumpphi.json")],
+        ["pl", "compose", "-f", str(d / "phiinv.json"), "-g", str(d / "bumpphi.json"),
+         "-o", str(d / "c.json")],
+        ["tent", "oplus", "-f", str(d / "c.json"), "-d", "2", "-o", str(d / "c2.json")],
+        ["conj", "blockwise", "-f", maps["bump"], "-d", "2", "--target", str(d / "c2.json"),
+         "-o", str(d / "blockwise.json")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    c = json.loads((d / "c.json").read_text())["breakpoints"]
+    assert c != [["0", "0"], ["1/2", "3/4"], ["1", "1"]]
+    # the identity has two breakpoints
+    assert len(json.loads((d / "blockwise.json").read_text())["breakpoints"]) > 2
 
 
 @pytest.mark.parametrize("d", ["0", "-2"])

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
 import knaster_lab.tents as tents
 from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
@@ -20,12 +21,13 @@ from knaster_lab.conjugator import (
     pseudo_generic,
     snap_to_grid,
 )
-from knaster_lab.randgen import derive_rng, rand_signature_homeo
+from knaster_lab.randgen import derive_rng, rand_homeo, rand_signature_homeo
 from knaster_lab.rational import format_rational
 from knaster_lab.signatures import signature
 from knaster_lab.tents import oplus_power
 
 from generators import rand_sign_list
+from test_conjugator_oracle import _is_squeeze
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 DIP = PLHomeo([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -110,10 +112,15 @@ def test_gap_g_pinched_f_paused():
     check(f, g, F(1, 50))
 
 
+# the squeeze case: g pauses on [2/5, 3/5] but f only touches at 1/2
+SQUEEZE = (
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 8), F(1, 4)), (F(2, 5), F(2, 5)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 8)), (1, 1)]),
+)
+
+
 def test_gap_g_paused_f_pinched():
-    # the squeeze case: g pauses on [2/5, 3/5] but f only touches at 1/2
-    f = PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
-    g = PLHomeo([(0, 0), (F(1, 8), F(1, 4)), (F(2, 5), F(2, 5)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 8)), (1, 1)])
+    f, g = SQUEEZE
     assert signature(f) == [1, 1] == signature(g)
     check(f, g, F(1, 20))
 
@@ -137,6 +144,65 @@ def test_random_matched_pairs():
         assert isinstance(h, PLHomeo)
 
 
+def _end_multipliers(h):
+    """h's slopes just inside each end of each gap between its fixed intervals."""
+    bps = h._kbps
+    ivs = _k.fixed_structure(bps)[0]
+    for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
+        for end, high in ((lo, False), (hi, True)):
+            yield F(*_k.segment_affine(bps, conjugator._end_segment(bps, end, high))[0])
+
+
+def _slow_tail_pairs(seed, count):
+    """count near-neutral and count squeeze pairs of equal signature, by kind.
+
+    Near-neutral: f or g has a multiplier strictly between 10/11 and 11/10
+    at a fixed point, and there is no squeeze gap. Squeeze: g pauses on a
+    fixed interval where f only touches. The synthesis benchmark skips the
+    first kind and runs the second at eta 1/100 only. Every other pair is
+    reflected, so both signs meet both kinds.
+    """
+    rng = derive_rng("conj-slow-tails", seed)
+    found = {"neutral": [], "squeeze": []}
+    waiting = {}
+    while min(len(v) for v in found.values()) < count:
+        g = rand_homeo(rng)
+        g_ivs, signs = _k.fixed_structure(g._kbps)
+        if not signs:
+            continue
+        f = waiting.pop(tuple(signs), None)
+        if f is None or f == g:
+            waiting[tuple(signs)] = g
+            continue
+        f_ivs = _k.fixed_structure(f._kbps)[0]
+        if _is_squeeze(f_ivs, g_ivs):
+            kind = "squeeze"
+        elif any(F(10, 11) < s < F(11, 10) for h in (f, g) for s in _end_multipliers(h)):
+            kind = "neutral"
+        else:
+            continue
+        if len(found[kind]) < count:
+            if len(found[kind]) % 2:
+                f, g = reflect(f), reflect(g)
+            found[kind].append((f, g))
+    return found
+
+
+@pytest.mark.parametrize("eta", [F(1, 100), F(1, 1000)])
+def test_slow_tail_pairs_pass_their_postcheck(eta):
+    # every build passes its exact post-check at the per-cell budget (a
+    # miss raises), and pairs with no squeeze gap spend more than the
+    # eta/2 that every pair ran at before
+    worst = {}
+    for kind, pairs in _slow_tail_pairs(1, 16).items():
+        worst[kind] = F(0)
+        for f, g in pairs:
+            h, achieved, _, _ = conjugator._checked_conjugator(f, g, eta)
+            assert achieved == sup_dist(compose(compose(h.invert(), f), h), g) < eta
+            worst[kind] = max(worst[kind], achieved / eta)
+    assert worst["neutral"] > F(1, 2)
+
+
 def test_orbit_cap_guard():
     g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
     with pytest.raises(OrbitCapError):
@@ -154,6 +220,7 @@ def test_certificate():
         "conjugator",
         "breakpoints",
         "max_den_bits",
+        "orbit_steps",
         "achieved_distance",
         "eta",
         "ok",
@@ -310,8 +377,11 @@ def test_one_build_then_postcheck_raises(monkeypatch):
     g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
     with pytest.raises(ConjugatorError, match="post-check failed"):
         approx_conjugator(BUMP, g, F(1, 100))
-    # eta_cap is eta/2 as a kernel pair
-    assert caps == [(1, 200)]
+    f, g = SQUEEZE
+    with pytest.raises(ConjugatorError, match="post-check failed"):
+        approx_conjugator(f, g, F(1, 100))
+    # eta_cap as a kernel pair: all of eta with no squeeze gap, eta/2 with one
+    assert caps == [(1, 100), (1, 200)]
 
 
 def test_blockwise_norm_postcheck_raises(monkeypatch):

@@ -4,10 +4,14 @@ FROZEN was recorded from approx_conjugator before its glue moved onto
 kernel pairs, and before the orbit tail was seamed onto its chord. It is
 checked with the seamless tail of tests/test_conjugator_oracle.py patched
 in, so everything else in the construction stays pinned to it.
-FROZEN_SEAM was recorded when the seam came in and pins the construction
-as it runs. Any change that moves one breakpoint changes a hash, so a
-refactor that claims the same answers must keep both. Each pair runs as
-given and reflected, at three tolerances.
+FROZEN_SEAM was recorded when the seam came in. Both were recorded when
+every build ran at eta_cap = η/2 and squeeze pieces were eta_cap/(k+3)
+wide, so both are checked with that budget patched in (old_budget).
+FROZEN_BUDGET was recorded when caps and seams took all of η on a pair
+with no squeeze window and squeeze pieces eta_cap/(k+1), and pins the
+construction as it runs. Any change that moves one breakpoint changes a
+hash, so a refactor that claims the same answers must keep all three.
+Each pair runs as given and reflected, at three tolerances.
 """
 
 import hashlib
@@ -95,6 +99,7 @@ PAIRS = [REGULAR, SQUEEZE, PINCH, BOUNDARY, BOUNDARY[::-1], *RANDOM]
 
 FROZEN = "9b57bdd9ddee8c376e17d7a42f9bfe4e743d8ec435917eab812ab68d2288b129"
 FROZEN_SEAM = "16c28388c0bcf46097df9fe280f9b3f0dc08a7086bad8a3c44d738368cfd9b2c"
+FROZEN_BUDGET = "6a3ae1a567dd74fe88d991a6b8d6e65e123cc873edad25a161d03bbde9ba4a96"
 
 
 def conjugators_digest():
@@ -109,10 +114,34 @@ def conjugators_digest():
     return digest.hexdigest()
 
 
+def old_budget(monkeypatch):
+    """Patch in the budget before it was spent per cell.
+
+    Every pair runs at eta_cap = η/2, and squeeze pieces are eta_cap/(k+3)
+    wide: _half_squeeze divides by 1 + bitlen(ratio + 1), and a slope
+    bound of 4·(ratio + 1) - 1 adds 2 to that bit length.
+    """
+    slope_bound = conjugator._slope_bound
+
+    def half_eta(eta, f_ivs, g_ivs):
+        return conjugator._k.rnorm(eta.numerator, 2 * eta.denominator)
+
+    monkeypatch.setattr(conjugator, "_cap_margin", half_eta)
+    monkeypatch.setattr(
+        conjugator, "_slope_bound", lambda *args: 4 * (slope_bound(*args) + 1) - 1
+    )
+
+
 def test_conjugator_breakpoints_are_frozen(monkeypatch):
+    old_budget(monkeypatch)
     monkeypatch.setattr(conjugator, "_affine_tail", seamless_affine_tail)
     assert conjugators_digest() == FROZEN
 
 
-def test_seamed_conjugator_breakpoints_are_frozen():
+def test_seamed_conjugator_breakpoints_are_frozen(monkeypatch):
+    old_budget(monkeypatch)
     assert conjugators_digest() == FROZEN_SEAM
+
+
+def test_budgeted_conjugator_breakpoints_are_frozen():
+    assert conjugators_digest() == FROZEN_BUDGET

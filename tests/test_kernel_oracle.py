@@ -375,7 +375,7 @@ def test_checked_conjugator_matches_chain():
     for f, g in PAIRS:
         for ff, gg in ((f, g), (reflect(f), reflect(g))):
             for eta in ETAS:
-                h, achieved, hf = _checked_conjugator(ff, gg, eta)
+                h, achieved, hf, _ = _checked_conjugator(ff, gg, eta)
                 hf_chain = compose(h.invert(), ff)
                 assert hf == hf_chain._kbps
                 assert achieved == sup_dist(compose(hf_chain, h), gg)

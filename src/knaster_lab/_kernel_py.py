@@ -21,10 +21,15 @@ Typed maps are canonical, and so are the lists that compose, concat,
 restrict, pl_sub, pl_min and pl_max return, and the affine_image of a
 canonical list under a map with sy != 0.
 
-``compose_sup_diff(f, g, t)`` needs no canonical input: it tests no
-collinearity and builds no list, so a collinear point only adds a
-candidate. It needs g's range inside f's domain, as compose does, and t on
-g's domain: the same first and last x.
+One walk of f∘g serves three functions. ``_walk(f, g)`` yields g's
+breakpoints and the points where g crosses a breakpoint of f, with their
+values, unreduced. ``compose`` normalizes them and drops the collinear
+ones. ``compose_sup_diff(f, g, t)`` scores them against t, and
+``sup_diff(f, g)`` is ``compose_sup_diff`` with the identity as the inner
+map. compose_sup_diff needs no canonical input: it tests no collinearity
+and builds no list, so a collinear point only adds a candidate. It needs
+g's range inside f's domain, as compose does, and t on g's domain: the
+same first and last x.
 """
 
 from math import gcd
@@ -90,22 +95,6 @@ def _interp(x, p, q):
     dyd = y1d * y0d
     num = y0n * (td * dxn * dyd) + y0d * (tn * dxd * dyn)
     den = y0d * td * dxn * dyd
-    return rnorm(num, den)
-
-
-def _interp_x(u, p, q):
-    """Preimage of the value u on the segment p->q (y strictly monotone)."""
-    un, ud = u
-    x0n, x0d, y0n, y0d = p
-    x1n, x1d, y1n, y1d = q
-    tn = un * y0d - y0n * ud  # u - y0, over td
-    td = ud * y0d
-    dyn = y1n * y0d - y0n * y1d
-    dyd = y1d * y0d
-    dxn = x1n * x0d - x0n * x1d
-    dxd = x1d * x0d
-    num = x0n * (td * dyn * dxd) + x0d * (tn * dyd * dxn)
-    den = x0d * td * dyn * dxd
     return rnorm(num, den)
 
 
@@ -185,18 +174,18 @@ def eval_sorted(bps, xs):
     return out
 
 
-def compose(f, g):
-    """Canonical breakpoints of f∘g. The range of g must lie in f's domain.
+def _walk(f, g):
+    """The points of f∘g that compose keeps, before its collinearity test.
 
-    f must be canonical; g need only have strictly increasing x. One index
-    i into f (the largest with f[i].x <= the current value of g) walks
-    forward or backward with each g segment, since g is continuous. A
-    segment contributes the f breakpoints it strictly crosses, then its
-    end value, read off f[i] or interpolated once. An f breakpoint crossed
-    inside a non-flat g segment is a kink of f∘g because f is canonical,
-    so only the interior g breakpoints can be collinear: each is tested
-    when its right neighbour arrives, which may be an f crossing of the
-    next segment.
+    Yields (xn, xd, vn, vd, end) in increasing x, with vn/vd the value of
+    f∘g at xn/xd: g's breakpoints (end true) and the points where g
+    strictly crosses a breakpoint of f (end false). The range of g must lie
+    in f's domain. One index i into f (the largest with f[i].x <= the
+    current value of g) walks forward or backward with each g segment,
+    since g is continuous. A segment yields the f breakpoints it strictly
+    crosses, then its end value, read off f[i] or interpolated once. Every
+    denominator is positive, but one coordinate may not be in lowest
+    terms: the x of a crossing, or the value at a g breakpoint.
     """
     p = g[0]
     yn, yd = p[2], p[3]
@@ -206,81 +195,10 @@ def compose(f, g):
         vn, vd = a[2], a[3]
     else:
         vn, vd = _interp((yn, yd), a, f[i + 1])
-    out = [(p[0], p[1], vn, vd)]
-    pending = False  # out[-1] is an interior g breakpoint not yet tested
-    for q in g[1:]:
-        bn, bd = q[2], q[3]
-        c = bn * yd - yn * bd
-        if c:
-            if c > 0:
-                s, j = 1, i + 1
-            else:
-                s = -1
-                j = i - 1 if f[i][0] * yd == yn * f[i][1] else i
-            u = f[j]
-            # cross the f breakpoints strictly before the end value
-            while (bn * u[1] - u[0] * bd) * s > 0:
-                xn, xd = _interp_x((u[0], u[1]), p, q)
-                pt = (xn, xd, u[2], u[3])
-                if pending:
-                    if _collinear(out[-2], out[-1], pt):
-                        out.pop()
-                    pending = False
-                out.append(pt)
-                j += s
-                u = f[j]
-            if u[0] * bd == bn * u[1]:
-                vn, vd = u[2], u[3]
-                i = j
-            else:
-                i = j - 1 if s > 0 else j
-                vn, vd = _interp((bn, bd), f[i], f[i + 1])
-        pt = (q[0], q[1], vn, vd)
-        if pending and _collinear(out[-2], out[-1], pt):
-            out.pop()
-        out.append(pt)
-        pending = True
-        p = q
-        yn, yd = bn, bd
-    return out
-
-
-def compose_sup_diff(f, g, t):
-    """Exact sup of |f∘g - t| over g's domain, as a pair; f∘g is never built.
-
-    f∘g - t is affine between consecutive points of three kinds: g's
-    breakpoints, the points where g strictly crosses a breakpoint of f
-    (compose's walk finds both, with one index into f), and t's
-    breakpoints. So the sup is the largest |f∘g - t| among them. At a
-    walk point, t is slope*x + offset on the segment a forward pointer
-    holds; at a breakpoint of t strictly between two walk points, f∘g is
-    read off the chord through them. No walk value is reduced to lowest
-    terms: every denominator stays positive, the running max is compared
-    by cross-multiplication, and it is normalized once at the end.
-    """
-    aff = []
-    for k in range(len(t) - 1):
-        (sn, sd), (on, od) = segment_affine(t, k)
-        aff.append((sn * od, on * sd, sd * od))
-    top = len(aff) - 1
-    k = 0
-    s1, s2, s3 = aff[0]
-    p = g[0]
-    yn, yd = p[2], p[3]
-    i = _locate(f, (yn, yd))
-    a = f[i]
-    if a[0] * yd == yn * a[1]:
-        vn, vd = a[2], a[3]
-    else:
-        vn, vd = _interp((yn, yd), a, f[i + 1])
-    tv = t[0]
-    bn = abs(vn * tv[3] - tv[2] * vd)
-    bd = vd * tv[3]
-    last = (p[0], p[1], vn, vd)  # the previous walk point
+    yield p[0], p[1], vn, vd, True
     for q in g[1:]:
         qn, qd = q[2], q[3]
         c = qn * yd - yn * qd
-        u = None  # the next f breakpoint toward q's value, if g moves
         if c:
             if c > 0:
                 s, j = 1, i + 1
@@ -295,56 +213,100 @@ def compose_sup_diff(f, g, t):
             if rise < 0:
                 rise, m2 = -rise, -m2
             m1, m3 = x0n * rise, x0d * rise
-        while True:
-            if u is not None and (qn * u[1] - u[0] * qd) * s > 0:
-                # g crosses u strictly inside the segment
-                xn = u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2
-                xd = u[1] * m3
-                vn, vd = u[2], u[3]
+            # cross the f breakpoints strictly before the end value
+            while (qn * u[1] - u[0] * qd) * s > 0:
+                yield (u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2, u[1] * m3,
+                       u[2], u[3], False)
                 j += s
                 u = f[j]
-                end = False
+            if u[0] * qd == qn * u[1]:
+                vn, vd = u[2], u[3]
+                i = j
             else:
-                if u is not None:
-                    if u[0] * qd == qn * u[1]:
-                        vn, vd = u[2], u[3]
-                        i = j
-                    else:
-                        i = j - 1 if s > 0 else j
-                        a, b = f[i], f[i + 1]
-                        # f at q's value, on the segment a->b
-                        w = qd * b[3] * (b[0] * a[1] - a[0] * b[1])
-                        dy = (b[2] * a[3] - a[2] * b[3]) * b[1]
-                        vn = a[2] * w + (qn * a[1] - a[0] * qd) * dy
-                        vd = a[3] * w
-                xn, xd = q[0], q[1]
-                end = True
-            # t's breakpoints up to x; those strictly before it lie on the
-            # chord from the previous walk point
-            while k < top:
-                tb = t[k + 1]
-                if tb[0] * xd > xn * tb[1]:
-                    break
-                k += 1
-                s1, s2, s3 = aff[k]
-                if tb[0] * xd < xn * tb[1]:
-                    wn, wd = _interp(tb[:2], last, (xn, xd, vn, vd))
-                    dn = abs(wn * tb[3] - tb[2] * wd)
-                    dd = wd * tb[3]
-                    if dn * bd > bn * dd:
-                        bn, bd = dn, dd
-            tn = s1 * xn + s2 * xd
-            td = s3 * xd
-            dn = abs(vn * td - tn * vd)
-            dd = vd * td
-            if dn * bd > bn * dd:
-                bn, bd = dn, dd
-            last = (xn, xd, vn, vd)
-            if end:
-                break
+                i = j - 1 if s > 0 else j
+                a, b = f[i], f[i + 1]
+                # f at q's value, on the segment a->b
+                w = qd * b[3] * (b[0] * a[1] - a[0] * b[1])
+                dy = (b[2] * a[3] - a[2] * b[3]) * b[1]
+                vn = a[2] * w + (qn * a[1] - a[0] * qd) * dy
+                vd = a[3] * w
+        yield q[0], q[1], vn, vd, True
         p = q
         yn, yd = qn, qd
-    return rnorm(bn, bd)
+
+
+def compose(f, g):
+    """Canonical breakpoints of f∘g. The range of g must lie in f's domain.
+
+    f must be canonical; g need only have strictly increasing x. The
+    points are _walk's, each normalized. An f breakpoint crossed inside a
+    non-flat g segment is a kink of f∘g because f is canonical, so only
+    the interior g breakpoints can be collinear: each is tested when its
+    right neighbour arrives, which may be an f crossing of the next
+    segment.
+    """
+    walk = _walk(f, g)
+    xn, xd, vn, vd, _ = next(walk)
+    out = [(xn, xd) + rnorm(vn, vd)]
+    pending = False  # out[-1] is an interior g breakpoint not yet tested
+    for xn, xd, vn, vd, end in walk:
+        if end:
+            vn, vd = rnorm(vn, vd)
+        else:
+            xn, xd = rnorm(xn, xd)
+        pt = (xn, xd, vn, vd)
+        if pending and _collinear(out[-2], out[-1], pt):
+            out.pop()
+        out.append(pt)
+        pending = end
+    return out
+
+
+def compose_sup_diff(f, g, t):
+    """Exact sup of |f∘g - t| over g's domain, with its leftmost witness.
+
+    Returns (dn, dd, wxn, wxd); f∘g is never built. f∘g - t is affine
+    between consecutive points of two kinds: _walk's and t's breakpoints.
+    So the sup is the largest |f∘g - t| among them, scored left to right,
+    and only a strictly larger one moves the witness. At a walk point, t
+    is slope*x + offset on the segment a forward pointer holds; at a
+    breakpoint of t strictly between two walk points, f∘g is read off the
+    chord through them. No walk value is reduced to lowest terms: every
+    denominator stays positive, the running max is compared by
+    cross-multiplication, and it and its witness are normalized once at
+    the end.
+    """
+    aff = []
+    for k in range(len(t) - 1):
+        (sn, sd), (on, od) = segment_affine(t, k)
+        aff.append((sn * od, on * sd, sd * od))
+    top = len(aff) - 1
+    k = 0
+    s1, s2, s3 = aff[0]
+    bn, bd, wn, wd = -1, 1, 0, 1  # below any score, so the first point wins
+    for xn, xd, vn, vd, _ in _walk(f, g):
+        # t's breakpoints up to x; those strictly before it lie on the
+        # chord from the previous walk point
+        while k < top:
+            tb = t[k + 1]
+            if tb[0] * xd > xn * tb[1]:
+                break
+            k += 1
+            s1, s2, s3 = aff[k]
+            if tb[0] * xd < xn * tb[1]:
+                un, ud = _interp(tb[:2], last, (xn, xd, vn, vd))
+                dn = abs(un * tb[3] - tb[2] * ud)
+                dd = ud * tb[3]
+                if dn * bd > bn * dd:
+                    bn, bd, wn, wd = dn, dd, tb[0], tb[1]
+        tn = s1 * xn + s2 * xd
+        td = s3 * xd
+        dn = abs(vn * td - tn * vd)
+        dd = vd * td
+        if dn * bd > bn * dd:
+            bn, bd, wn, wd = dn, dd, xn, xd
+        last = (xn, xd, vn, vd)
+    return rnorm(bn, bd) + rnorm(wn, wd)
 
 
 def invert(bps):
@@ -387,22 +349,14 @@ def merged_xs(f, g):
 
 
 def sup_diff(f, g):
-    """Exact sup of |f - g| over the common domain, with leftmost witness.
+    """Exact sup of |f - g| over their common domain, with leftmost witness.
 
-    The difference is linear between merged breakpoints, so the sup is
-    attained at one of them. Returns (dn, dd, wxn, wxd).
+    f and g share their first and last x. f - g is f∘id - g, so this is
+    compose_sup_diff with the identity on that domain. Returns (dn, dd,
+    wxn, wxd).
     """
-    xs = merged_xs(f, g)
-    fv = eval_sorted(f, xs)
-    gv = eval_sorted(g, xs)
-    best = (0, 1)
-    wit = xs[0]
-    for k in range(len(xs)):
-        d = rabs(rsub(fv[k], gv[k]))
-        if rcmp(d, best) > 0:
-            best = d
-            wit = xs[k]
-    return best[0], best[1], wit[0], wit[1]
+    a, b = f[0][:2], f[-1][:2]
+    return compose_sup_diff(f, [a + a, b + b], g)
 
 
 def crossings(f, g):

@@ -116,15 +116,17 @@ at most a few pieces sideways and the error stays proportional to the
 piece width, which we pick below the cap margin.
 
 Post-check: achieved = sup |h⁻¹ ∘ f ∘ h - g| is computed exactly, without
-building h⁻¹ ∘ f ∘ h. _conjugacy_gap composes hf = h⁻¹ ∘ f once, and one
-walk of _kernel_py.compose_sup_diff(hf, h, g) visits every point where the
-difference can break: h's breakpoints, the points where h crosses a
-breakpoint of hf, and g's breakpoints. Between consecutive ones both
-h⁻¹ ∘ f ∘ h and g are affine, so |difference| is convex there and its
-sup over the cell sits at an end. The walk keeps the running max as an
-unreduced fraction, compared by cross-multiplication, and normalizes it
-once at the end. _checked_conjugator hands hf back, so a caller that
-needs the conjugate as a map pays one compose for it.
+building h⁻¹ ∘ f ∘ h. _conjugacy_gap composes hf = h⁻¹ ∘ f once, and
+_kernel_py.compose_sup_diff(hf, h, g) scores every point where the
+difference can break: h's breakpoints and the points where h crosses a
+breakpoint of hf (the walk compose itself makes, _kernel_py._walk), and
+g's breakpoints. Between consecutive ones both h⁻¹ ∘ f ∘ h and g are
+affine, so |difference| is convex there and its sup over the cell sits
+at an end. The running max stays an unreduced fraction, compared by
+cross-multiplication and normalized once at the end; the post-check
+keeps the value and drops the witness. _checked_conjugator hands hf
+back, so a caller that needs the conjugate as a map pays one compose
+for it.
 
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
@@ -490,7 +492,7 @@ def _cap_margin(eta, f_ivs, g_ivs):
 def _conjugacy_gap(fk, hk, gk):
     """(sup |h⁻¹ ∘ f ∘ h - g| as a Fraction, h⁻¹ ∘ f) on kernel lists."""
     hf = _k.compose(_k.invert(hk), fk)
-    return Fraction(*_k.compose_sup_diff(hf, hk, gk)), hf
+    return Fraction(*_k.compose_sup_diff(hf, hk, gk)[:2]), hf
 
 
 def _checked_conjugator(f, g, eta, max_steps=1_000_000):

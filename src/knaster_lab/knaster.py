@@ -33,7 +33,7 @@ from .plmap import OpenPLMap, PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
 from .rational import format_rational, parse_rational
-from .tents import check_size, oplus_power, oplus_size, tent, tent_value
+from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent, tent_value
 
 _PRIME_NAMES = ("diagonal", "all2")
 
@@ -297,21 +297,23 @@ def lift(F, m, P):
     """The canonical representation of F at coordinate m >= F.base_coord.
 
     One level up replaces the inducer by its p-fold alternating block
-    sum; lifting several levels iterates that, which agrees with a
-    single block sum of the product degree. Raises ValueError, before
-    building anything, when the lift would have more than
-    tents.MAX_BREAKPOINTS breakpoints.
+    sum, and ⊕_b(⊕_a g) = ⊕_{ab} g, so the lift is one block sum of
+    degree p_{base+1}...p_m. Raises ValueError, before building anything,
+    when it would have more than tents.MAX_BREAKPOINTS breakpoints: from
+    the depth alone when m - base reaches that limit's bit length, since
+    every prime is at least 2, and otherwise from the product.
     """
-    if m < F.base_coord:
+    b = F.base_coord
+    if m < b:
         raise ValueError("cannot lift below the base coordinate")
-    g = F.inducer
-    check_size(
-        oplus_size(g, P.product(F.base_coord + 1, m)),
-        f"lifting to coordinate {m}",
-    )
-    for k in range(F.base_coord + 1, m + 1):
-        g = oplus_power(g, P.prime(k))
-    return DiagonalHomeo(m, g)
+    if m - b >= MAX_BREAKPOINTS.bit_length():
+        raise ValueError(
+            f"lifting to coordinate {m} may need over 2^{m - b} breakpoints, "
+            f"more than the limit {MAX_BREAKPOINTS}"
+        )
+    d = P.product(b + 1, m)
+    check_size(oplus_size(F.inducer, d), f"lifting to coordinate {m}")
+    return DiagonalHomeo(m, oplus_power(F.inducer, d))
 
 
 def diagonal_equal(F, G, P):

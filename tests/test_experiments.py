@@ -194,6 +194,23 @@ def test_failed_trials_are_reported_and_replayable(monkeypatch):
     assert rerun.outcomes[0].details == bad.details
 
 
+def test_semiconj_suite_runs_the_library_check(monkeypatch):
+    # the suite must fail when tents.verify_semiconjugacy does, at d = 2
+    checked = []
+
+    def fails_at_two(g, d):
+        checked.append(d)
+        return d != 2
+
+    monkeypatch.setattr(experiments, "verify_semiconjugacy", fails_at_two)
+    report = run_verify_suite(cfg_for("semiconj", trials=2, seed=1))
+    assert report.failed == 2
+    assert checked == [1, 2, 1, 2]
+    for o in report.outcomes:
+        assert o.details["error"] == "semiconjugacy identity failed"
+        assert o.details["diagnostics"]["d"] == 2
+
+
 def test_render_table_mentions_counts():
     report = run_verify_suite(cfg_for("grid-fix", trials=2, seed=9))
     text = render_table(report)

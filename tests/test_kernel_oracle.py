@@ -1,16 +1,21 @@
-"""The merge-walk compose, seam-only concat, sliced restrict and
-pl_extremum against the code they replaced.
+"""The merge-walk compose, its sup scorers, seam-only concat, sliced
+restrict and pl_extremum against the code they replaced.
 
 compose walks one index through f and tests only g's interior breakpoints
 for collinearity; concat tests only the seams; restrict slices its input
 between two located ends and tests nothing. All three rely on canonical
 inputs. The oracles below are the straightforward versions: compose
-locates every g segment in f by binary search and canonicalizes the whole
-output, concat canonicalizes the glued list, restrict scans every
-breakpoint and canonicalizes. pl_extremum merges the crossings in with
-merged_xs; its oracle keeps the private merge it used before. Outputs must
-be bit-identical and canonical. compose_sup_diff walks f∘g without
-building it; its oracle is the chain it replaced, sup_diff(compose(f, g), t).
+locates every g segment in f by binary search, solves for each crossing
+with _interp_x and canonicalizes the whole output, concat canonicalizes
+the glued list, restrict scans every breakpoint and canonicalizes.
+pl_extremum merges the crossings in with merged_xs; its oracle keeps the
+private merge it used before. Outputs must be bit-identical and canonical.
+
+compose_sup_diff scores compose's walk of f∘g against t without building
+f∘g, and sup_diff(f, g) is compose_sup_diff over the identity. Their
+oracle is the merged-xs sup_diff they replaced: evaluate both lists on
+the union of their breakpoints and keep the leftmost largest gap. Value
+and witness must match it, compose_sup_diff's on oracle_compose(f, g).
 """
 
 import sys
@@ -34,6 +39,37 @@ from test_conjugator_frozen import ETAS, PAIRS
 F = Fraction
 
 
+def _interp_x(u, p, q):
+    """Preimage of the value u on the segment p->q (y strictly monotone)."""
+    un, ud = u
+    x0n, x0d, y0n, y0d = p
+    x1n, x1d, y1n, y1d = q
+    tn = un * y0d - y0n * ud  # u - y0, over td
+    td = ud * y0d
+    dyn = y1n * y0d - y0n * y1d
+    dyd = y1d * y0d
+    dxn = x1n * x0d - x0n * x1d
+    dxd = x1d * x0d
+    num = x0n * (td * dyn * dxd) + x0d * (tn * dyd * dxn)
+    den = x0d * td * dyn * dxd
+    return _k.rnorm(num, den)
+
+
+def oracle_sup_diff(f, g):
+    """sup |f - g| and its leftmost witness, over the merged breakpoints."""
+    xs = _k.merged_xs(f, g)
+    fv = _k.eval_sorted(f, xs)
+    gv = _k.eval_sorted(g, xs)
+    best = (0, 1)
+    wit = xs[0]
+    for k in range(len(xs)):
+        d = _k.rabs(_k.rsub(fv[k], gv[k]))
+        if _k.rcmp(d, best) > 0:
+            best = d
+            wit = xs[k]
+    return best[0], best[1], wit[0], wit[1]
+
+
 def oracle_compose(f, g):
     """f∘g by a binary search per g segment, then a full canonical pass."""
     out = []
@@ -50,7 +86,7 @@ def oracle_compose(f, g):
         if s > 0:
             j = _k._locate(f, ya) + 1
             while j < nf and f[j][0] * yb[1] < yb[0] * f[j][1]:
-                xs = _k._interp_x((f[j][0], f[j][1]), p, q)
+                xs = _interp_x((f[j][0], f[j][1]), p, q)
                 out.append((xs[0], xs[1], f[j][2], f[j][3]))
                 j += 1
         elif s < 0:
@@ -58,7 +94,7 @@ def oracle_compose(f, g):
             if f[j][0] * ya[1] == ya[0] * f[j][1]:
                 j -= 1
             while j >= 0 and f[j][0] * yb[1] > yb[0] * f[j][1]:
-                xs = _k._interp_x((f[j][0], f[j][1]), p, q)
+                xs = _interp_x((f[j][0], f[j][1]), p, q)
                 out.append((xs[0], xs[1], f[j][2], f[j][3]))
                 j -= 1
         v = _k.eval_at(f, yb)
@@ -295,9 +331,10 @@ def test_pl_extremum_matches_oracle(rng, reflected):
 
 
 def check_compose_sup_diff(f, g, t):
+    """compose_sup_diff(f, g, t) against the oracle chain; returns the sup."""
     got = _k.compose_sup_diff(f, g, t)
-    assert got == _k.sup_diff(_k.compose(f, g), t)[:2]
-    return got
+    assert got == oracle_sup_diff(oracle_compose(f, g), t)
+    return got[:2]
 
 
 @st.composite
@@ -367,7 +404,56 @@ def test_compose_sup_diff_kink_off_the_walk(y):
     # breakpoint of g nor a crossing of f, with f∘g - t of either sign
     g = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
     t = [(0, 1, 0, 1), (1, 2) + _pair(y), (1, 1, 1, 1)]
-    assert _k.compose_sup_diff(g.invert()._kbps, g._kbps, t) == (1, 3)
+    assert _k.compose_sup_diff(g.invert()._kbps, g._kbps, t) == (1, 3, 1, 2)
+
+
+# ---------------------------------------------------------------- sup_diff
+
+
+def check_sup_diff(f, g):
+    """sup_diff both ways round against the merged-xs oracle."""
+    assert _k.sup_diff(f, g) == oracle_sup_diff(f, g)
+    assert _k.sup_diff(g, f) == oracle_sup_diff(g, f)
+
+
+any_maps = flat_maps() | homeos() | open_maps()
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_maps, any_maps | targets().map(PLMap._from_kernel))
+def test_sup_diff_matches_oracle(f, g):
+    check_sup_diff(f._kbps, g._kbps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_maps, any_maps, any_maps)
+def test_sup_diff_of_differences(f, g, h):
+    # pl_sub lists leave [0, 1] and change sign, as conjugator errors do
+    d = _k.pl_sub(f._kbps, g._kbps)
+    check_sup_diff(d, h._kbps)
+    check_sup_diff(d, _k.pl_sub(h._kbps, f._kbps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sup_diff_on_a_subdomain(data):
+    # restricted lists start and end off the grid, as a conjugator cell does
+    f, g = data.draw(any_maps), data.draw(any_maps)
+    fx = [x for x, _ in f.breakpoints]
+    ends = data.draw(
+        st.sets(interior | st.sampled_from(fx), min_size=2, max_size=2)
+    )
+    a, b = _pair(min(ends)), _pair(max(ends))
+    check_sup_diff(_k.restrict(f._kbps, a, b), _k.restrict(g._kbps, a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_maps, st.fractions(-1, 1, max_denominator=12))
+def test_sup_diff_constant_gap_is_witnessed_at_the_left_end(f, c):
+    # |f - (f + c)| is |c| everywhere, so every candidate ties
+    shifted = _k.affine_image(f._kbps, (1, 1), (0, 1), (1, 1), _pair(c))
+    assert _k.sup_diff(f._kbps, shifted) == _pair(abs(c)) + (0, 1)
+    check_sup_diff(f._kbps, shifted)
 
 
 def test_checked_conjugator_matches_chain():

@@ -4,12 +4,14 @@ diag_dist lifts both maps only to their larger base coordinate M and
 weights the level-M difference by the collapsed tail C(M, N);
 eval_diagonal walks the stalk's block indices. The oracles below are
 the straightforward versions: lift both inducers to the truncation N
-(p_1...p_N copies), fold every level down to 0, and evaluate the lifted
-inducer directly. The lower bounds and witnesses must agree exactly,
-and both witnesses must realize the lower bound. diag_dist's upper bound
-puts the tail inside the sup instead of adding it after, so it may only
-be tighter than the oracle's; on all2 it must equal the untruncated
-distance, folded independently below.
+one level at a time (p_1...p_N copies), fold every level down to 0, and
+evaluate the lifted inducer directly. The lower bounds and witnesses
+must agree exactly, and both witnesses must realize the lower bound.
+diag_dist's upper bound puts the tail inside the sup instead of adding
+it after, so it may only be tighter than the oracle's; on all2 it must
+equal the untruncated distance, folded independently below. lift itself
+is one block sum of the product degree, and must match the
+level-by-level lift bit for bit.
 """
 
 from fractions import Fraction
@@ -49,10 +51,18 @@ SCHEDULES = {
 }
 
 
+def oracle_lift(F_, m, P):
+    """lift one level at a time: a p_k-fold block sum per level k."""
+    g = F_.inducer
+    for k in range(F_.base_coord + 1, m + 1):
+        g = oplus_power(g, P.prime(k))
+    return DiagonalHomeo(m, g)
+
+
 def oracle_diag_dist(F_, G, N, P):
     """diag_dist by lifting both maps to N and folding all N+1 levels."""
-    A = lift(F_, N, P).inducer._kbps
-    B = lift(G, N, P).inducer._kbps
+    A = oracle_lift(F_, N, P).inducer._kbps
+    B = oracle_lift(G, N, P).inducer._kbps
     levels = []
     m = N
     while True:
@@ -85,7 +95,7 @@ def oracle_eval_diagonal(F_, x, P):
     """eval_diagonal through the materialized level-n inducer."""
     validate_point(x, P)
     n = x.truncation
-    return extend_point(lift(F_, n, P).inducer(x.coords[n]), n, P)
+    return extend_point(oracle_lift(F_, n, P).inducer(x.coords[n]), n, P)
 
 
 def _realizes(F_, G, d, P, evaluate):
@@ -247,6 +257,19 @@ def test_eval_diagonal_never_lifts(monkeypatch):
     validate_point(y, P)
 
 
+@pytest.mark.parametrize("name", ["diagonal", "all2", "explicit"])
+def test_lift_is_one_block_sum(name):
+    # ⊕_b(⊕_a g) = ⊕_{ab} g: bit-identical to lifting level by level
+    P, n_max = SCHEDULES[name]
+    rng = derive_rng("lift-one-block-sum", name)
+    for _ in range(40):
+        Fd = DiagonalHomeo(rng.randint(0, 3), rand_homeo(rng, max_interior=4, den=64))
+        for m in range(Fd.base_coord, min(Fd.base_coord + 4, n_max) + 1):
+            got = lift(Fd, m, P)
+            assert got.inducer._kbps == oracle_lift(Fd, m, P).inducer._kbps
+            assert got.base_coord == m
+
+
 class TestLiftGuard:
     def test_refuses_before_building(self, monkeypatch):
         def refuse(*_):
@@ -262,6 +285,19 @@ class TestLiftGuard:
         # the prediction counts the base inducer's breakpoints, not its level
         with pytest.raises(ValueError, match="breakpoints"):
             lift(DiagonalHomeo(2, g), 21, P)
+
+    def test_refuses_from_depth_alone(self, monkeypatch):
+        # 20 levels of primes >= 2 give over 2^20 > MAX_BREAKPOINTS
+        # breakpoints, so the schedule's prefix products are never formed
+        def refuse(*_):
+            raise AssertionError("lift formed the product past the depth guard")
+
+        monkeypatch.setattr(PrimeSequence, "product", refuse)
+        assert MAX_BREAKPOINTS.bit_length() == 20
+        g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+        for b, m in ((0, 20), (3, 23), (0, 10**5), (7, 10**9)):
+            with pytest.raises(ValueError, match="breakpoints"):
+                lift(DiagonalHomeo(b, g), m, PrimeSequence("diagonal"))
 
     def test_prediction_bounds_small_lifts(self):
         # an upper bound: block junctions whose slopes agree merge away
@@ -281,6 +317,16 @@ class TestLiftGuard:
         rc = cli.main(["knaster", "lift", "-f", str(path), "--to", "40"])
         assert rc == 2
         assert "breakpoints" in capsys.readouterr().err
+
+    def test_cli_deep_lift_exits_two(self, tmp_path, capsys):
+        # the schedule's prefix products up to 100000 would take gigabytes
+        path = tmp_path / "g.json"
+        path.write_text(
+            '{"kind": "homeo", "breakpoints": [["0", "0"], ["1/2", "3/4"], ["1", "1"]]}'
+        )
+        rc = cli.main(["knaster", "lift", "-f", str(path), "--to", "100000"])
+        assert rc == 2
+        assert "over 2^100000 breakpoints" in capsys.readouterr().err
 
 
 def _refuse(*_):

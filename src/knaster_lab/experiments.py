@@ -28,7 +28,7 @@ from .conjugator import (
     _checked_conjugator,
     pseudo_generic,
 )
-from .knaster import DiagonalHomeo, diag_dist, lift
+from .knaster import DiagonalHomeo, check_fold_size, diag_dist, lift
 from .lemmas import (
     CounterexampleError,
     certify_mod_bound,
@@ -258,6 +258,8 @@ def _t_grid_fix(cfg, rng):
 def _t_mod_bound(cfg, rng):
     P = cfg.primes
     eps = cfg.params["eps"]
+    # refuse before the draw, so that no seed gets past a too deep n_max
+    check_fold_size(cfg.params["n_max"], P)
     n = rng.randint(0, cfg.params["n_max"])
     g = rand_homeo(rng, 5)
     h, _ = rand_nudge(rng, g, eps / P.product(1, n))
@@ -304,6 +306,8 @@ def _t_tent_witness(cfg, rng):
 def _t_separation(cfg, rng):
     P = cfg.primes
     eta = cfg.params["eta"]
+    # diag_dist runs at m <= n_max + 2; refuse before the draw, as mod-bound
+    check_fold_size(cfg.params["n_max"] + 2, P)
     n = rng.randint(0, cfg.params["n_max"])
     m = n + rng.randint(1, 2)
     F = DiagonalHomeo(n, rand_homeo(rng, 4))
@@ -406,6 +410,8 @@ def _t_density(cfg, rng):
         raise ValueError("target coordinate must be nonnegative")
     if kind not in ("generic", "identity"):
         raise ValueError(f"target must be generic or identity, not {kind!r}")
+    # diag_dist at m folds m levels; refuse before paying for the products
+    check_fold_size(m, P)
     eps = eta / (4 * proof_slack_sum(m, P))
     if kind == "identity":
         fm = target = identity()

@@ -23,17 +23,26 @@ the bonding degrees (the semiconjugacy g o T_d == T_d o oplus_power(g, d)
 of tents.py). diag_dist therefore lifts only to M and costs the same at
 every truncation N >= M, and eval_diagonal walks the stalk's block
 indices instead of building the level-N inducer.
+
+The Fraction boundary sits where it sits for maps (see plmap). Stalks
+keep their coordinates as kernel pairs (n, d), and extend_point,
+validate_point, eval_diagonal, knaster_dist and diag_dist's witness and
+tail weights run on integers. Fractions appear only at the typed
+surface: a stalk's ``coords``, its constructor and JSON, the values
+callers pass in, and a CertifiedDistance's lower and upper, each built
+once per call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import _kernel_py as _k
 from .plmap import OpenPLMap, PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
 from .rational import format_rational, parse_rational
-from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent, tent_value
+from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent, tent_fold
 
 _PRIME_NAMES = ("diagonal", "all2")
 
@@ -174,24 +183,59 @@ class PrimeSequence:
         return f"PrimeSequence({self.describe()})"
 
 
-@dataclass(frozen=True)
 class TruncatedKnasterPoint:
-    """A coherent stalk (x_0, ..., x_N); stands for all its extensions."""
+    """A coherent stalk (x_0, ..., x_N); stands for all its extensions.
 
-    coords: tuple
+    The coordinates are kept as kernel pairs (n, d) in lowest terms, as
+    PLMap keeps its breakpoints; ``coords`` is their Fraction view. The
+    constructor takes any values Fraction accepts and checks each lies
+    in [0, 1]; ``_from_kernel`` is the trusted path for the stalks this
+    module builds itself, which are in range and coherent by
+    construction. Coherence of a user-built stalk is validate_point's
+    job, and every function taking a stalk runs it.
+    """
 
-    def __post_init__(self):
-        pts = tuple(Fraction(c) for c in self.coords)
+    __slots__ = ("_kc", "_coords")
+
+    def __init__(self, coords):
+        pts = tuple(Fraction(c) for c in coords)
         if not pts:
             raise ValueError("a point needs at least coordinate 0")
         for c in pts:
             if c < 0 or c > 1:
                 raise ValueError("coordinates must lie in [0, 1]")
-        object.__setattr__(self, "coords", pts)
+        self._kc = tuple((c.numerator, c.denominator) for c in pts)
+        self._coords = pts
+
+    @classmethod
+    def _from_kernel(cls, kc):
+        """Trusted constructor: kc a tuple of in-range pairs in lowest terms."""
+        obj = object.__new__(cls)
+        obj._kc = kc
+        obj._coords = None
+        return obj
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of Fractions."""
+        if self._coords is None:
+            self._coords = tuple(Fraction(n, d) for n, d in self._kc)
+        return self._coords
 
     @property
     def truncation(self):
-        return len(self.coords) - 1
+        return len(self._kc) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedKnasterPoint):
+            return NotImplemented
+        return self._kc == other._kc
+
+    def __hash__(self):
+        return hash(self._kc)
+
+    def __repr__(self):
+        return f"TruncatedKnasterPoint(coords={self.coords!r})"
 
     def to_json_dict(self):
         return {"coords": [format_rational(c) for c in self.coords]}
@@ -201,14 +245,25 @@ class TruncatedKnasterPoint:
         return cls(tuple(parse_rational(c) for c in data["coords"]))
 
 
+def _stalk(top, n, P):
+    """Kernel coordinates of the level-n stalk through the pair top."""
+    ps = P.prefix(n)
+    coords = [top]
+    for m in range(n, 0, -1):
+        coords.append(tent_fold(ps[m - 1], *coords[-1]))
+    coords.reverse()
+    return tuple(coords)
+
+
 def validate_point(x, P):
     """Check the bonding relations x_{m-1} = T_{p_m}(x_m) exactly."""
-    for m in range(1, len(x.coords)):
-        want = tent_value(P.prime(m), x.coords[m])
-        if x.coords[m - 1] != want:
+    kc = x._kc
+    for m in range(1, len(kc)):
+        want = tent_fold(P.prime(m), *kc[m])
+        if kc[m - 1] != want:
             raise ValueError(
                 f"incoherent point: coordinate {m - 1} is "
-                f"{x.coords[m - 1]}, bonding map gives {want}"
+                f"{Fraction(*kc[m - 1])}, bonding map gives {Fraction(*want)}"
             )
 
 
@@ -219,11 +274,9 @@ def extend_point(x, n, P):
         raise ValueError("coordinate must lie in [0, 1]")
     if n < 0:
         raise ValueError("truncation must be nonnegative")
-    coords = [x]
-    for m in range(n, 0, -1):
-        coords.append(tent_value(P.prime(m), coords[-1]))
-    coords.reverse()
-    return TruncatedKnasterPoint(tuple(coords))
+    return TruncatedKnasterPoint._from_kernel(
+        _stalk((x.numerator, x.denominator), n, P)
+    )
 
 
 @dataclass(frozen=True)
@@ -252,16 +305,33 @@ class CertifiedDistance:
 
 
 def knaster_dist(x, y, P):
-    """Certified metric distance between two stalks of equal truncation."""
+    """Certified metric distance between two stalks of equal truncation.
+
+    A coherent stalk's denominators all divide its top one's, since each
+    tent fold only cancels. So with X and Y the top denominators, every
+    term of the truncated metric sits over 2 p_1...p_N X Y, and the sum
+    is normalized once.
+    """
     if x.truncation != y.truncation:
         raise ValueError("points have different truncations")
     validate_point(x, P)
     validate_point(y, P)
     n = x.truncation
-    lower = abs(x.coords[0] - y.coords[0]) / 2
-    for i in range(1, n + 1):
-        lower += P.weight(i) * abs(x.coords[i] - y.coords[i])
-    return CertifiedDistance(lower, lower + P.tail_bound(n), n, None)
+    xs, ys = x._kc, y._kc
+    dx, dy = xs[n][1], ys[n][1]
+    # c = 2 p_{i+1}...p_n is w_i times 2 p_1...p_n; w_0 takes half the final c
+    num, c = 0, 2
+    for i in range(n, -1, -1):
+        (an, ad), (bn, bd) = xs[i], ys[i]
+        diff = abs(an * (dx // ad) * dy - bn * (dy // bd) * dx)
+        if i:
+            num += c * diff
+            c *= P.prime(i)
+        else:
+            num += (c >> 1) * diff
+    lower = _k.rnorm(num, c * dx * dy)
+    upper = _k.radd(lower, (2, P.product(1, n + 1)))
+    return CertifiedDistance(Fraction(*lower), Fraction(*upper), n, None)
 
 
 @dataclass(frozen=True)
@@ -298,14 +368,17 @@ def lift(F, m, P):
 
     One level up replaces the inducer by its p-fold alternating block
     sum, and ⊕_b(⊕_a g) = ⊕_{ab} g, so the lift is one block sum of
-    degree p_{base+1}...p_m. Raises ValueError, before building anything,
-    when it would have more than tents.MAX_BREAKPOINTS breakpoints: from
-    the depth alone when m - base reaches that limit's bit length, since
-    every prime is at least 2, and otherwise from the product.
+    degree p_{base+1}...p_m; at m = base it is F itself. Raises
+    ValueError, before building anything, when it would have more than
+    tents.MAX_BREAKPOINTS breakpoints: from the depth alone when
+    m - base reaches that limit's bit length, since every prime is at
+    least 2, and otherwise from the product.
     """
     b = F.base_coord
     if m < b:
         raise ValueError("cannot lift below the base coordinate")
+    if m == b:
+        return F
     if m - b >= MAX_BREAKPOINTS.bit_length():
         raise ValueError(
             f"lifting to coordinate {m} may need over 2^{m - b} breakpoints, "
@@ -339,20 +412,74 @@ def eval_diagonal(F, x, P):
     b = F.base_coord
     if n < b:
         raise ValueError("truncation is below the base coordinate")
-    v = F.inducer(x.coords[b])
+    kc = x._kc
+    vn, vd = _k.eval_at(F.inducer._kbps, kc[b])
     for k in range(b + 1, n + 1):
         p = P.prime(k)
-        u = p * x.coords[k]
-        j = min(u.numerator // u.denominator, p - 1)
+        xn, xd = kc[k]
+        j = min(p * xn // xd, p - 1)
         if j & 1:
-            v = 1 - v
-        v = (j + v) / p
-    return extend_point(v, n, P)
+            vn = vd - vn
+        vn, vd = j * vd + vn, p * vd
+    return TruncatedKnasterPoint._from_kernel(_stalk(_k.rnorm(vn, vd), n, P))
 
 
-def _level_weight(m, P):
-    """w_m of the metric: 1/2 at coordinate 0, 1/(p_1...p_m) above."""
-    return Fraction(1, 2) if m == 0 else P.weight(m)
+def check_fold_size(M, P):
+    """Refuse (ValueError) a diag_dist whose maps live at coordinate M.
+
+    diag_dist folds both level-M maps down to coordinate 0 through the
+    tents, and the level-0 fold of a homeomorphism is an open map with
+    p_1...p_M laps, so at least p_1...p_M + 1 breakpoints. Refused when
+    that passes tents.MAX_BREAKPOINTS: from the depth alone when M
+    reaches that limit's bit length, since every prime is at least 2,
+    and otherwise from the product.
+    """
+    if M >= MAX_BREAKPOINTS.bit_length():
+        raise ValueError(
+            f"folding coordinate {M} down to 0 needs over 2^{M} breakpoints, "
+            f"more than the limit {MAX_BREAKPOINTS}"
+        )
+    size = P.product(1, M) + 1
+    if size > MAX_BREAKPOINTS:
+        raise ValueError(
+            f"folding coordinate {M} down to 0 needs at least {size} "
+            f"breakpoints, more than the limit {MAX_BREAKPOINTS}"
+        )
+
+
+def _tail_weights(M, N, P):
+    """diag_dist's level-M weights (collapsed, high) as kernel pairs.
+
+    Over 2D, with D = p_1...p_N p_{M+1}...p_N, term i >= 1 of
+    collapsed = C(M, N) is 2 (p_{i+1}...p_N)^2 and the i = 0 term w_0 = 1/2
+    is D. high = collapsed + 4/(3 D p_{N+1}^2).
+    """
+    num, q = 0, 1
+    for i in range(N, max(M, 1) - 1, -1):
+        num += 2 * q * q
+        q *= P.prime(i)
+    D = P.product(1, N) * P.product(M + 1, N)
+    if M == 0:
+        num += D
+    p2 = P.prime(N + 1) ** 2
+    return _k.rnorm(num, 2 * D), _k.rnorm(3 * p2 * num + 8, 6 * D * p2)
+
+
+def _witness(s, M, N, P):
+    """The level-N stalk through s/(p_{M+1}...p_N), s a pair at level M.
+
+    Coordinate m >= M is s/(p_{M+1}...p_m): in block 0 of every level
+    above M, the tents only multiply it back up. Below M it is the tent
+    fold of s. With s in lowest terms only the product can cancel.
+    """
+    sn, sd = s
+    coords = list(_stalk(s, M, P))
+    q = 1
+    for m in range(M + 1, N + 1):
+        q *= P.prime(m)
+        g = gcd(sn, q)
+        coords.append((sn // g, sd * q // g))
+    return TruncatedKnasterPoint._from_kernel(tuple(coords))
 
 
 def diag_dist(F, G, N, P):
@@ -374,16 +501,25 @@ def diag_dist(F, G, N, P):
     of the sum and can never be a strict maximum, so only breakpoints
     matter.) The witness is the level-N stalk through s/(p_{M+1}...p_N):
     it lies in block 0 at every level above M, so the tents carry it
-    back to s unreflected.
+    back to s unreflected. It is built in closed form: coordinate m >= M
+    is s/(p_{M+1}...p_m), and below M it is the tent fold of s.
 
     Untruncated, the level-M weight is C(M, inf), whose terms past N
     shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
     r_N = 4/(3 p_1...p_{N+1} p_{M+1}...p_{N+1}), equal on "all2". upper
     is the sup under that high weight, the untruncated distance on "all2".
+    Both weights are computed in integers: with D = p_1...p_N p_{M+1}...p_N,
+
+        C(M, N) = (sum_{i=max(M,1)..N} (p_{i+1}...p_N)^2 + [M = 0] D/2) / D,
+        C(M, N) + r_N = C(M, N) + 4/(3 D p_{N+1}^2).
+
+    Raises ValueError before lifting or folding when the fold would pass
+    tents.MAX_BREAKPOINTS (see check_fold_size).
     """
     if N < F.base_coord or N < G.base_coord:
         raise ValueError("truncation is below a base coordinate")
     M = max(F.base_coord, G.base_coord)
+    check_fold_size(M, P)
     A = lift(F, M, P).inducer._kbps
     B = lift(G, M, P).inducer._kbps
 
@@ -406,20 +542,12 @@ def diag_dist(F, G, N, P):
     # the weighted levels below M, then level M under both weights
     below = [(0, 1)] * len(xs)
     for m, D in levels[1:]:
-        w = _level_weight(m, P)
-        w = (w.numerator, w.denominator)
+        w = (1, 2) if m == 0 else (1, P.product(1, m))
         for i, v in enumerate(_k.eval_sorted(D, xs)):
             if v[0]:
                 below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
 
-    collapsed = sum(
-        _level_weight(i, P) / P.product(M + 1, i) for i in range(M, N + 1)
-    )
-    high = collapsed + Fraction(
-        4, 3 * P.product(1, N + 1) * P.product(M + 1, N + 1)
-    )
-    c = (collapsed.numerator, collapsed.denominator)
-    h = (high.numerator, high.denominator)
+    c, h = _tail_weights(M, N, P)
     lower = upper = (-1, 1)
     wit = xs[0]
     for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
@@ -432,7 +560,7 @@ def diag_dist(F, G, N, P):
         if _k.rcmp(hi, upper) > 0:
             upper = hi
 
-    witness = extend_point(Fraction(*wit) / P.product(M + 1, N), N, P)
+    witness = _witness(wit, M, N, P)
     return CertifiedDistance(Fraction(*lower), Fraction(*upper), N, witness)
 
 

@@ -58,17 +58,26 @@ def tent(d):
 
 
 def tent_value(d, x):
-    """tent(d)(x) as a Fraction, without building the map.
+    """tent(d)(x) as a Fraction, without building the map (see tent_fold)."""
+    return Fraction(*tent_fold(d, x.numerator, x.denominator))
 
-    The lap index is floor(d*x); even laps rise from 0, odd laps fall
-    from 1, and x = 1 lands on the closing value d mod 2.
+
+def tent_fold(d, xn, xd):
+    """tent(d)(xn/xd) as a kernel pair, in lowest terms when xn/xd is.
+
+    The lap index is k = floor(d*x); even laps rise from 0, odd laps
+    fall from 1, and x = 1 lands on the closing value d mod 2. Only a
+    factor of d can cancel from the remainder d*x - k.
     """
-    u = Fraction(d) * x
-    k = u.numerator // u.denominator
-    t = u - k
+    u = d * xn
+    k = u // xd
     if k == d:
-        return Fraction(k & 1)
-    return t if k % 2 == 0 else 1 - t
+        return k & 1, 1
+    r = u - k * xd
+    if k & 1:
+        r = xd - r
+    g = gcd(r, xd)
+    return r // g, xd // g
 
 
 def block_sum(maps):

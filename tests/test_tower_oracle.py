@@ -12,6 +12,11 @@ it after, so it may only be tighter than the oracle's; on all2 it must
 equal the untruncated distance, folded independently below. lift itself
 is one block sum of the product degree, and must match the
 level-by-level lift bit for bit.
+
+The oracles build their stalks and evaluate through the Fraction stalk
+layer of tests/fraction_tower.py, not the code under test. Against that
+layer, diag_dist's witness, tail weights and bounds, and the stalk
+functions, must agree bit for bit.
 """
 
 from fractions import Fraction
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knaster_lab.experiments as ex
 import knaster_lab.knaster as kn
 from knaster_lab import cli
 from knaster_lab import _kernel_py as _k
@@ -28,6 +34,8 @@ from knaster_lab.knaster import (
     CertifiedDistance,
     DiagonalHomeo,
     PrimeSequence,
+    TruncatedKnasterPoint,
+    check_fold_size,
     diag_dist,
     eval_diagonal,
     extend_point,
@@ -38,7 +46,17 @@ from knaster_lab.knaster import (
 from knaster_lab.plmap import PLHomeo, compose
 from knaster_lab.randgen import derive_rng, rand_homeo
 import knaster_lab.tents as tents
-from knaster_lab.tents import MAX_BREAKPOINTS, check_size, oplus_power, tent
+from knaster_lab.tents import MAX_BREAKPOINTS, check_size, oplus_power, tent, tent_value
+
+from fraction_tower import (
+    fraction_diag_dist,
+    fraction_eval_diagonal,
+    fraction_extend_point,
+    fraction_knaster_dist,
+    fraction_tail_weights,
+    fraction_tent_value,
+    fraction_validate_point,
+)
 
 F = Fraction
 
@@ -88,20 +106,22 @@ def oracle_diag_dist(F_, G, N, P):
     pn1 = P.prime(N + 1)
     sharp = sup_top * F(4, 3 * P.product(1, N + 1) * pn1)
     tail = min(P.tail_bound(N), sharp)
-    return CertifiedDistance(lower, lower + tail, N, extend_point(F(*xs[best]), N, P))
+    witness = fraction_extend_point(F(*xs[best]), N, P)
+    return CertifiedDistance(lower, lower + tail, N, witness)
 
 
 def oracle_eval_diagonal(F_, x, P):
     """eval_diagonal through the materialized level-n inducer."""
-    validate_point(x, P)
+    fraction_validate_point(x, P)
     n = x.truncation
-    return extend_point(oracle_lift(F_, n, P).inducer(x.coords[n]), n, P)
+    return fraction_extend_point(oracle_lift(F_, n, P).inducer(x.coords[n]), n, P)
 
 
 def _realizes(F_, G, d, P, evaluate):
+    dist = fraction_knaster_dist if evaluate is oracle_eval_diagonal else knaster_dist
     ya = evaluate(F_, d.witness, P)
     yb = evaluate(G, d.witness, P)
-    return knaster_dist(ya, yb, P).lower == d.lower
+    return dist(ya, yb, P).lower == d.lower
 
 
 @st.composite
@@ -223,7 +243,7 @@ def stalks_at_block_boundaries(draw):
     t = F(draw(st.integers(0, Q)), Q)
     rng = derive_rng("eval-oracle", draw(st.integers(0, 10**6)))
     Fd = DiagonalHomeo(b, rand_homeo(rng, max_interior=5, den=32))
-    return P, Fd, extend_point(t, n, P)
+    return P, Fd, fraction_extend_point(t, n, P)
 
 
 @given(stalks_at_block_boundaries())
@@ -239,8 +259,198 @@ def test_eval_diagonal_matches_oracle_at_block_boundaries(case):
 def test_eval_diagonal_matches_oracle(name, b, extra, t, seed):
     P, _ = SCHEDULES[name]
     Fd = DiagonalHomeo(b, rand_homeo(derive_rng("eval-any", seed), den=32))
-    for x in (extend_point(t, b + extra, P), extend_point(F(1), b + extra, P)):
+    for x in (fraction_extend_point(t, b + extra, P), fraction_extend_point(F(1), b + extra, P)):
         assert eval_diagonal(Fd, x, P) == oracle_eval_diagonal(Fd, x, P)
+
+
+# ------------------------------------------- the stalk layer on kernel pairs
+
+
+def _same_stalk(got, want):
+    """Bit-identical stalks: the same pairs and the same Fraction view."""
+    assert got._kc == want._kc
+    assert got.coords == want.coords
+    assert all(type(c) is F for c in got.coords)
+
+
+@st.composite
+def bit_cases(draw):
+    name = draw(st.sampled_from(sorted(SCHEDULES)))
+    P, n_max = SCHEDULES[name]
+    bf = draw(st.integers(0, 3))
+    bg = draw(st.integers(0, 3))
+    N = draw(st.integers(max(bf, bg), n_max))
+    rng = derive_rng("tower-bits", draw(st.integers(0, 10**6)))
+    Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=draw(st.integers(0, 6)), den=64))
+    Gd = DiagonalHomeo(bg, rand_homeo(rng, max_interior=draw(st.integers(0, 6)), den=64))
+    return P, N, Fd, Gd
+
+
+@given(bit_cases())
+@settings(max_examples=150, deadline=None)
+def test_diag_dist_is_bit_identical_to_the_fraction_layer(case):
+    P, N, Fd, Gd = case
+    got = diag_dist(Fd, Gd, N, P)
+    want = fraction_diag_dist(Fd, Gd, N, P)
+    assert type(got.lower) is F and type(got.upper) is F
+    assert (got.lower, got.upper, got.truncation) == (want.lower, want.upper, want.truncation)
+    _same_stalk(got.witness, want.witness)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_tail_weights_are_the_fraction_sums(name):
+    P, _ = SCHEDULES[name]
+    # EXPLICIT has 11 terms, and the tail looks one level past N
+    for N in range(0, 10):
+        for M in range(0, N + 1):
+            c, h = kn._tail_weights(M, N, P)
+            want = fraction_tail_weights(M, N, P)
+            assert (c, h) == tuple((w.numerator, w.denominator) for w in want), (M, N)
+
+
+@given(st.integers(1, 12), st.fractions(0, 1) | st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_tent_value_is_the_fraction_fold(d, x):
+    got = tent_value(d, x)
+    assert type(got) is F
+    assert got == fraction_tent_value(d, x)
+    assert tents.tent_fold(d, F(x).numerator, F(x).denominator) == (got.numerator, got.denominator)
+
+
+# the ends 0 and 1 are the cases a lap index must clamp
+UNIT = st.fractions(0, 1) | st.sampled_from([F(0), F(1)])
+
+
+@given(st.sampled_from(sorted(SCHEDULES)), st.integers(0, 3), st.integers(0, 6),
+       UNIT, UNIT, st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_stalk_functions_are_bit_identical_to_the_fraction_layer(name, b, extra, s, t, seed):
+    P, _ = SCHEDULES[name]
+    n = b + extra
+    x, y = extend_point(s, n, P), extend_point(t, n, P)
+    _same_stalk(x, fraction_extend_point(s, n, P))
+    _same_stalk(y, fraction_extend_point(t, n, P))
+    validate_point(x, P)
+    got, want = knaster_dist(x, y, P), fraction_knaster_dist(x, y, P)
+    assert type(got.lower) is F and type(got.upper) is F
+    assert got == want
+    Fd = DiagonalHomeo(b, rand_homeo(derive_rng("stalk-bits", seed), den=32))
+    _same_stalk(eval_diagonal(Fd, x, P), fraction_eval_diagonal(Fd, x, P))
+    # the constructor and the trusted path give equal, equally hashed points
+    again = TruncatedKnasterPoint(x.coords)
+    assert again == x and hash(again) == hash(x)
+    assert TruncatedKnasterPoint.from_json_dict(x.to_json_dict()) == x
+
+
+@given(st.sampled_from(sorted(SCHEDULES)), st.integers(1, 6), st.fractions(0, 1),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_user_built_stalks_are_refused_as_before(name, n, s, data):
+    # one coordinate of a coherent stalk replaced: incoherent unless the
+    # tents happen to agree, which the Fraction layer decides
+    P, _ = SCHEDULES[name]
+    coords = list(fraction_extend_point(s, n, P).coords)
+    k = data.draw(st.integers(0, n))
+    coords[k] = data.draw(st.fractions(0, 1))
+    x = TruncatedKnasterPoint(coords)
+    try:
+        fraction_validate_point(x, P)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            validate_point(x, P)
+        assert str(got.value) == str(err)
+        ok = extend_point(s, n, P)
+        with pytest.raises(ValueError, match="incoherent"):
+            knaster_dist(x, ok, P)
+        with pytest.raises(ValueError, match="incoherent"):
+            knaster_dist(ok, x, P)
+        with pytest.raises(ValueError, match="incoherent"):
+            eval_diagonal(DiagonalHomeo(0, rand_homeo(derive_rng("refuse", n))), x, P)
+    else:
+        validate_point(x, P)
+
+
+@pytest.mark.parametrize(
+    "coords", [(), (F(-1, 3),), (0, F(4, 3)), (F(1, 2), 2), ("5/4",), (-1, 0)]
+)
+def test_out_of_range_user_stalks_are_refused(coords):
+    with pytest.raises(ValueError):
+        TruncatedKnasterPoint(coords)
+    with pytest.raises(ValueError):
+        TruncatedKnasterPoint.from_json_dict({"coords": [str(F(c)) for c in coords]})
+
+
+def test_lift_to_the_base_is_the_map_itself(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("lift rebuilt the inducer at its own base")
+
+    monkeypatch.setattr(kn, "oplus_power", refuse)
+    g = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+    Fd = DiagonalHomeo(3, g)
+    assert lift(Fd, 3, PrimeSequence("diagonal")) is Fd
+
+
+class TestFoldGuard:
+    """diag_dist refuses, before lifting or folding, a fold past the limit."""
+
+    G = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+
+    def test_refuses_from_depth_alone(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("diag_dist formed the product past the depth guard")
+
+        monkeypatch.setattr(PrimeSequence, "product", refuse)
+        monkeypatch.setattr(kn, "lift", refuse)
+        assert MAX_BREAKPOINTS.bit_length() == 20
+        for bf, bg in ((20, 20), (0, 23), (10**5, 3), (10**9, 10**9)):
+            M = max(bf, bg)
+            with pytest.raises(ValueError, match=f"over 2\\^{M} breakpoints"):
+                diag_dist(DiagonalHomeo(bf, self.G), DiagonalHomeo(bg, self.G), M,
+                          PrimeSequence("all2"))
+
+    def test_refuses_from_the_product(self, monkeypatch):
+        # the level-0 fold has p_1...p_M laps: 453600 at M = 12 on diagonal
+        # fits, 2268000 at M = 13 does not
+        P = PrimeSequence("diagonal")
+        assert P.product(1, 12) + 1 <= MAX_BREAKPOINTS < P.product(1, 13) + 1
+        check_fold_size(12, P)
+
+        def refuse(*_):
+            raise AssertionError("diag_dist lifted past the size guard")
+
+        monkeypatch.setattr(kn, "lift", refuse)
+        with pytest.raises(ValueError, match="at least 2268001 breakpoints"):
+            diag_dist(DiagonalHomeo(13, self.G), DiagonalHomeo(0, self.G), 13, P)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "mod-bound", "--n-max", "100000"],
+            ["verify", "mod-bound", "--n-max", "250"],
+            ["verify", "mod-bound", "--n-max", "13"],
+            ["verify", "separation", "--n-max", "60"],
+            ["verify", "separation", "--n-max", "11"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_suites_refuse_a_deep_n_max_up_front(self, argv, seed, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("the suite drew a map before refusing n_max")
+
+        monkeypatch.setattr(ex, "rand_homeo", refuse)
+        assert cli.main(argv + ["--seed", str(seed), "--trials", "2"]) == 2
+        assert "breakpoints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["generic", "identity"])
+    def test_density_refuses_a_deep_m_before_its_slack_sum(self, target, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("density summed the proof slack before refusing m")
+
+        monkeypatch.setattr(ex, "proof_slack_sum", refuse)
+        argv = ["experiment", "density", "--m", "3000", "--target", target]
+        assert cli.main(argv + ["--trials", "1", "--seed", "1"]) == 2
+        assert "over 2^3000 breakpoints" in capsys.readouterr().err
 
 
 def test_eval_diagonal_never_lifts(monkeypatch):

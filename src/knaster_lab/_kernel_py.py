@@ -18,8 +18,8 @@ require canonical input: no interior breakpoint collinear with its
 neighbours. They test collinearity only where a kink can vanish (restrict
 nowhere), so a collinear point in the input would survive into the output.
 Typed maps are canonical, and so are the lists that compose, concat,
-restrict, pl_sub, pl_min and pl_max return, and the affine_image of a
-canonical list under a map with sy != 0.
+restrict and pl_sub return, and the affine_image of a canonical list
+under a map with sy != 0.
 
 One walk of f∘g serves three functions. ``_walk(f, g)`` yields g's
 breakpoints and the points where g crosses a breakpoint of f, with their
@@ -359,21 +359,6 @@ def sup_diff(f, g):
     return compose_sup_diff(f, [a + a, b + b], g)
 
 
-def crossings(f, g):
-    """Strict sign-change roots of f - g between merged breakpoints."""
-    xs = merged_xs(f, g)
-    fv = eval_sorted(f, xs)
-    gv = eval_sorted(g, xs)
-    roots = []
-    prev = rsub(fv[0], gv[0])
-    for k in range(1, len(xs)):
-        cur = rsub(fv[k], gv[k])
-        if (prev[0] > 0 and cur[0] < 0) or (prev[0] < 0 and cur[0] > 0):
-            roots.append(segment_root(xs[k - 1], xs[k], prev, cur))
-        prev = cur
-    return roots
-
-
 def fixed_structure(bps):
     """Fixed intervals of h and the signs of h - id on the gaps between them.
 
@@ -415,27 +400,6 @@ def fixed_structure(bps):
     if run is not None:
         intervals.append((run, end))
     return intervals, signs
-
-
-def pl_extremum(f, g, take_max):
-    """Pointwise min (or max) of two PL functions on a common domain."""
-    xs = merged_xs(merged_xs(f, g), crossings(f, g))
-    fv = eval_sorted(f, xs)
-    gv = eval_sorted(g, xs)
-    out = []
-    for k in range(len(xs)):
-        c = rcmp(fv[k], gv[k])
-        pick = fv[k] if (c >= 0) == take_max else gv[k]
-        out.append((xs[k][0], xs[k][1], pick[0], pick[1]))
-    return canonical(out)
-
-
-def pl_min(f, g):
-    return pl_extremum(f, g, False)
-
-
-def pl_max(f, g):
-    return pl_extremum(f, g, True)
 
 
 def pl_sub(f, g):

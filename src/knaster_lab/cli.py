@@ -23,10 +23,8 @@ from .conjugator import (
     GridNotFixedError,
     OrbitCapError,
     SignatureMismatchError,
-    SnapMarginError,
     conjugator_certificate,
     grid_block_conjugate,
-    snap_to_grid,
 )
 from .experiments import (
     SUITE_PARAMS,
@@ -45,7 +43,6 @@ _RUNTIME_ERRORS = (
     ConjugatorError,
     SignatureMismatchError,
     OrbitCapError,
-    SnapMarginError,
     GridNotFixedError,
     CounterexampleError,
 )
@@ -169,14 +166,6 @@ def _cmd_conj_blockwise(args):
     return 0
 
 
-def _cmd_conj_snap(args):
-    h = _load_map(args.f)
-    ref = _load_map(args.reference)
-    out = snap_to_grid(h, args.d, ref, parse_rational(args.delta))
-    _emit(to_json_dict(out), args.output)
-    return 0
-
-
 # -------------------------------------------------------------- knaster
 
 
@@ -213,22 +202,6 @@ def _cmd_knaster_evaldiag(args):
     F = _load_diagonal(args.f, args.coord)
     y = kn.eval_diagonal(F, _load_point(args.x), P)
     _emit(y.to_json_dict(), args.output)
-    return 0
-
-
-def _cmd_knaster_degree(args):
-    P = _primes(args.primes)
-    data = _read_json(args.w)
-    if "window" in data:
-        G = kn.GeneralDiagonalMap.from_json_dict(data)
-    elif "inducer" in data:
-        raise ValueError(
-            "degree expects a window JSON (target_coord/source_coord/window)"
-            " or a bare map plus --target/--source, not a coherent diagonal"
-        )
-    else:
-        G = kn.GeneralDiagonalMap(args.target, args.source, from_json_dict(data))
-    print(format_rational(kn.degree_diagonal(G, P)))
     return 0
 
 
@@ -358,14 +331,6 @@ def build_parser():
     p.add_argument("--eta", default="1/100")
     _add_out(p)
     p.set_defaults(func=_cmd_conj_blockwise)
-    p = cos.add_parser("snap")
-    p.add_argument("-f", required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--delta", required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_conj_snap)
-
     kk = sub.add_parser("knaster", help="truncated tower points and diagonals")
     kks = kk.add_subparsers(dest="cmd", required=True)
     p = kks.add_parser("point")
@@ -394,13 +359,6 @@ def build_parser():
     p.add_argument("--primes", default="diagonal")
     _add_out(p)
     p.set_defaults(func=_cmd_knaster_evaldiag)
-    p = kks.add_parser("degree")
-    p.add_argument("-w", required=True, help="window JSON, or a bare open map")
-    p.add_argument("--target", type=int, default=0)
-    p.add_argument("--source", type=int, default=1)
-    p.add_argument("--primes", default="diagonal")
-    p.set_defaults(func=_cmd_knaster_degree)
-
     ve = sub.add_parser("verify", help="seeded verification campaigns")
     ves = ve.add_subparsers(dest="suite_cmd", required=True)
     for name in VERIFY_SUITES:

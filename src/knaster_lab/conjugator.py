@@ -140,17 +140,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel_py as _k
-from .plmap import (
-    PLHomeo,
-    _to_kernel,
-    identity,
-    reflect,
-    sup_dist,
-    to_json_dict,
-)
+from .plmap import PLHomeo, identity, reflect, sup_dist, to_json_dict
 from .randgen import derive_rng, rand_signature_homeo
 from .rational import format_rational
-from .signatures import fixed_intervals, fixed_structure, signature, signature_reflect
+from .signatures import fixed_structure, signature, signature_reflect
 from .tents import block_sum, check_size, oplus_power, oplus_size
 
 
@@ -168,10 +161,6 @@ class ConjugatorError(RuntimeError):
 
 class GridNotFixedError(ValueError):
     """The target map moves a grid point it was required to fix."""
-
-
-class SnapMarginError(ValueError):
-    """δ leaves no room to pinch a grid point onto the diagonal."""
 
 
 class _Budget:
@@ -584,79 +573,6 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
             f"blockwise post-check failed: achieved {achieved}, needed < {eta}"
         )
     return g
-
-
-def snap_to_grid(h, d, reference, delta):
-    """Pinch h onto the grid: h′ fixing every i/d, sup_dist(h′, ref) < δ/d.
-
-    reference must itself fix the grid (it plays the role of the block sum
-    being approximated). h′ agrees with h outside small windows around the
-    moved grid points and lies between the identity and h there. Raises
-    ValueError when d < 1 or the d + 1 grid points are too many to walk,
-    and SnapMarginError when δ leaves no feasible pinch window.
-    """
-    if d < 1:
-        raise ValueError("degree must be a positive integer")
-    check_size(d + 1, f"grid of degree {d}")
-    delta = Fraction(delta)
-    bound = delta / d
-    for i in range(d + 1):
-        p = Fraction(i, d)
-        if reference(p) != p:
-            raise ValueError(f"reference moves the grid point {i}/{d}")
-    base = sup_dist(h, reference)
-    if base >= bound:
-        raise SnapMarginError(
-            f"sup_dist(h, reference) = {base} is not below {bound}"
-        )
-    ivs = fixed_intervals(h)
-    signs = signature(h)
-    hinv = h.invert()
-    pinches = []
-    for i in range(1, d):
-        w = Fraction(i, d)
-        disp = abs(h(w) - w)
-        if disp == 0:
-            continue
-        j = next(j for j in range(len(signs)) if ivs[j][1] < w < ivs[j + 1][0])
-        comp = (ivs[j][1], ivs[j + 1][0])
-        upper = min((bound - base) / 2, w - comp[0], comp[1] - w, Fraction(1, 2 * d))
-        if disp >= upper:
-            raise SnapMarginError(
-                f"grid point {w}: displacement {disp} leaves no pinch window "
-                f"below {upper}"
-            )
-        mu = (disp + upper) / 2
-        xl = hinv(w - mu)
-        xr = hinv(w + mu)
-        wedge = _to_kernel([(xl, w - mu), (w, w), (xr, w + mu)])
-        kxl, kxr = wedge[0][:2], wedge[-1][:2]
-        window = _k.restrict(h._kbps, kxl, kxr)
-        mod = _k.pl_min(window, wedge) if signs[j] > 0 else _k.pl_max(window, wedge)
-        pinches.append((kxl, kxr, mod))
-    if not pinches:
-        return h
-    parts = []
-    cursor = (0, 1)
-    for kxl, kxr, mod in pinches:
-        if _k.rcmp(cursor, kxl) < 0:
-            parts.append(_k.restrict(h._kbps, cursor, kxl))
-        parts.append(mod)
-        cursor = kxr
-    if cursor != (1, 1):
-        parts.append(_k.restrict(h._kbps, cursor, (1, 1)))
-    out = PLHomeo._from_kernel(_k.concat(parts))
-    for i in range(d + 1):
-        p = Fraction(i, d)
-        if out(p) != p:
-            raise ConjugatorError(f"snap post-check failed: moves the grid point {p}")
-    final = sup_dist(out, reference)
-    if final >= bound:
-        raise ConjugatorError(
-            f"snap post-check failed: sup_dist to the reference is {final}, "
-            f"needed < {bound}"
-        )
-    return out
 
 
 @dataclass

@@ -35,10 +35,10 @@ once per call.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 from . import _kernel_py as _k
-from .plmap import OpenPLMap, PLHomeo
+from .plmap import PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
 from .rational import format_rational, parse_rational
@@ -98,8 +98,6 @@ class PrimeSequence:
             self._prefix = tuple(primes)
             self._cache = list(primes)
             self._row = 0
-        # prefix products p_1...p_i, with the empty product at index 0
-        self._prod = [1]
 
     def _extend(self, n):
         if len(self._cache) >= n:
@@ -132,10 +130,7 @@ class PrimeSequence:
         if j < i:
             return 1
         self._extend(j)
-        while len(self._prod) <= j:
-            k = len(self._prod)
-            self._prod.append(self._prod[-1] * self._cache[k - 1])
-        return self._prod[j] // self._prod[i - 1]
+        return prod(self._cache[i - 1:j])
 
     def weight(self, i):
         """1/(p_1...p_i); at most 2^-i, so metric tails are summable."""
@@ -268,12 +263,17 @@ def validate_point(x, P):
 
 
 def extend_point(x, n, P):
-    """The stalk through coordinate value x at level n, computed downward."""
+    """The stalk through coordinate value x at level n, computed downward.
+
+    Raises ValueError, before folding, when its n + 1 coordinates pass
+    tents.MAX_BREAKPOINTS.
+    """
     x = Fraction(x)
     if x < 0 or x > 1:
         raise ValueError("coordinate must lie in [0, 1]")
     if n < 0:
         raise ValueError("truncation must be nonnegative")
+    check_size(n + 1, f"a stalk of truncation {n}")
     return TruncatedKnasterPoint._from_kernel(
         _stalk((x.numerator, x.denominator), n, P)
     )
@@ -465,23 +465,6 @@ def _tail_weights(M, N, P):
     return _k.rnorm(num, 2 * D), _k.rnorm(3 * p2 * num + 8, 6 * D * p2)
 
 
-def _witness(s, M, N, P):
-    """The level-N stalk through s/(p_{M+1}...p_N), s a pair at level M.
-
-    Coordinate m >= M is s/(p_{M+1}...p_m): in block 0 of every level
-    above M, the tents only multiply it back up. Below M it is the tent
-    fold of s. With s in lowest terms only the product can cancel.
-    """
-    sn, sd = s
-    coords = list(_stalk(s, M, P))
-    q = 1
-    for m in range(M + 1, N + 1):
-        q *= P.prime(m)
-        g = gcd(sn, q)
-        coords.append((sn // g, sd * q // g))
-    return TruncatedKnasterPoint._from_kernel(tuple(coords))
-
-
 def diag_dist(F, G, N, P):
     """Certified sup-metric distance between two diagonal homeomorphisms.
 
@@ -501,8 +484,7 @@ def diag_dist(F, G, N, P):
     of the sum and can never be a strict maximum, so only breakpoints
     matter.) The witness is the level-N stalk through s/(p_{M+1}...p_N):
     it lies in block 0 at every level above M, so the tents carry it
-    back to s unreflected. It is built in closed form: coordinate m >= M
-    is s/(p_{M+1}...p_m), and below M it is the tent fold of s.
+    back to s unreflected.
 
     Untruncated, the level-M weight is C(M, inf), whose terms past N
     shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
@@ -560,60 +542,8 @@ def diag_dist(F, G, N, P):
         if _k.rcmp(hi, upper) > 0:
             upper = hi
 
-    witness = _witness(wit, M, N, P)
-    return CertifiedDistance(Fraction(*lower), Fraction(*upper), N, witness)
-
-
-@dataclass(frozen=True)
-class GeneralDiagonalMap:
-    """A diagonal map given by an open window from one level to a lower one.
-
-    The window w satisfies (coordinate target_coord of the image) =
-    w(coordinate source_coord); increasing homeomorphisms are accepted
-    and treated as degree-one windows.
-    """
-
-    target_coord: int
-    source_coord: int
-    window: OpenPLMap
-
-    def __post_init__(self):
-        if self.target_coord < 0 or self.source_coord < self.target_coord:
-            raise ValueError("need 0 <= target_coord <= source_coord")
-        w = self.window
-        if not isinstance(w, OpenPLMap):
-            if isinstance(w, PLHomeo):
-                w = OpenPLMap(w.breakpoints)
-                object.__setattr__(self, "window", w)
-            else:
-                raise TypeError("window must be an open interval map")
-
-    def to_json_dict(self):
-        return {
-            "target_coord": self.target_coord,
-            "source_coord": self.source_coord,
-            "window": _map_json(self.window),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            int(data["target_coord"]),
-            int(data["source_coord"]),
-            _map_from(data["window"]),
-        )
-
-
-def degree_diagonal(F, P):
-    """deg(window) * (p_1...p_target) / (p_1...p_source), exactly.
-
-    The ratio deg(window at level n)/(p_1...p_n) is the same at every
-    level the map factors through, so any window representation gives
-    the same positive rational.
-    """
-    w = F.window
-    if w(Fraction(0)) != 0:
-        raise ValueError("window must fix 0")
-    return Fraction(
-        w.degree * P.product(1, F.target_coord), P.product(1, F.source_coord)
+    sn, sd = wit
+    witness = TruncatedKnasterPoint._from_kernel(
+        _stalk(_k.rnorm(sn, sd * P.product(M + 1, N)), N, P)
     )
+    return CertifiedDistance(Fraction(*lower), Fraction(*upper), N, witness)

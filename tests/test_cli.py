@@ -7,7 +7,7 @@ import pytest
 
 import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
-import knaster_lab.tents as tents
+import knaster_lab.knaster as kn
 from knaster_lab.cli import main
 from knaster_lab.experiments import SUITE_PARAMS, CheckFailure, VERIFY_SUITES
 
@@ -186,20 +186,6 @@ def test_conj_degree_below_one_exits_two(maps, tmp_path, capsys, d):
         ["conj", "blockwise", "-f", maps["bump"], "-d", d, "--target", str(target)]
     ) == 2
     assert "degree must be a positive integer" in capsys.readouterr().err
-    assert main(
-        ["conj", "snap", "-f", str(target), "-d", d, "--reference", str(target),
-         "--delta", "1/20"]
-    ) == 2
-    assert "degree must be a positive integer" in capsys.readouterr().err
-
-
-def test_conj_snap_oversized_grid_exits_two(maps, monkeypatch, capsys):
-    monkeypatch.setattr(tents, "MAX_BREAKPOINTS", 8)
-    assert main(
-        ["conj", "snap", "-f", maps["id"], "-d", "8", "--reference", maps["id"],
-         "--delta", "1/10"]
-    ) == 2
-    assert "grid of degree 8" in capsys.readouterr().err
 
 
 def test_knaster_group(maps, tmp_path, capsys):
@@ -228,13 +214,15 @@ def test_knaster_group(maps, tmp_path, capsys):
         ["knaster", "evaldiag", "-f", str(lifted), "-x", str(pt), "--primes", "all2"]
     ) == 0
     assert json.loads(capsys.readouterr().out) == {"coords": ["0", "1", "1/2"]}
-    t4 = tmp_path / "t4.json"
-    assert main(["tent", "build", "-d", "4", "-o", str(t4)]) == 0
-    assert main(
-        ["knaster", "degree", "-w", str(t4), "--target", "0", "--source", "1",
-         "--primes", "all2"]
-    ) == 0
-    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_knaster_point_refuses_a_deep_stalk_up_front(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("folded a stalk past the size guard")
+
+    monkeypatch.setattr(kn, "_stalk", refuse)
+    assert main(["knaster", "point", "-x", "1/2", "-n", "10000000"]) == 2
+    assert "a stalk of truncation 10000000" in capsys.readouterr().err
 
 
 def test_verify_exit_zero_and_report_file(maps, tmp_path, capsys):
@@ -351,16 +339,10 @@ def test_verify_tent_witness_refuses_method_flag(capsys):
 def test_usage_errors_exit_two(maps, tmp_path, capsys):
     assert main(["pl", "dist", "-f", "missing.json", "-g", maps["id"]]) == 2
     assert main(["pl", "eval", "-f", maps["bump"], "-x", "nonsense"]) == 2
-    # degree needs a typed map, and rejects coherent-diagonal JSON
+    # degree needs a typed map
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"breakpoints": [["0", "0"], ["1", "1"]]}))
     assert main(["pl", "degree", "-f", str(plain)]) == 2
-    lifted = tmp_path / "lift.json"
-    assert main(
-        ["knaster", "lift", "-f", maps["bump"], "--coord", "0", "--to", "1",
-         "--primes", "all2", "-o", str(lifted)]
-    ) == 0
-    assert main(["knaster", "degree", "-w", str(lifted)]) == 2
     assert "usage error" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])

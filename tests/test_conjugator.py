@@ -6,7 +6,6 @@ import pytest
 
 import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
-import knaster_lab.tents as tents
 from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
 from knaster_lab.conjugator import (
     ConjugatorError,
@@ -14,12 +13,10 @@ from knaster_lab.conjugator import (
     OrbitCapError,
     PseudoGenericSpec,
     SignatureMismatchError,
-    SnapMarginError,
     approx_conjugator,
     conjugator_certificate,
     grid_block_conjugate,
     pseudo_generic,
-    snap_to_grid,
 )
 from knaster_lab.randgen import derive_rng, rand_homeo, rand_signature_homeo
 from knaster_lab.rational import format_rational
@@ -275,53 +272,6 @@ def test_degree_below_one_refused(d):
     ref = oplus_power(BUMP, 2)
     with pytest.raises(ValueError, match="degree must be a positive integer"):
         grid_block_conjugate(BUMP, d, ref, F(1, 10))
-    with pytest.raises(ValueError, match="degree must be a positive integer"):
-        snap_to_grid(SNAP_H, d, ref, F(1, 8))
-
-
-def test_snap_to_grid():
-    ref = oplus_power(BUMP, 2)
-    # h close to ref but moving the grid point 1/2
-    h = PLHomeo(
-        [
-            (0, 0),
-            (F(1, 4), F(3, 8)),
-            (F(1, 2), F(33, 64)),
-            (F(3, 4), F(41, 64)),
-            (1, 1),
-        ]
-    )
-    delta = F(1, 8)
-    assert sup_dist(h, ref) < delta / 2
-    out = snap_to_grid(h, 2, ref, delta)
-    assert out(F(1, 2)) == F(1, 2)
-    assert sup_dist(out, ref) < delta / 2
-    # untouched far from the pinch window
-    assert out(F(1, 8)) == h(F(1, 8))
-    # squeezed between identity and h on the modified positive stretch
-    for x in [F(3, 8), F(7, 16), F(15, 32), F(1, 2)]:
-        assert x <= out(x) <= h(x)
-    # h's negative component lies beyond the window, untouched
-    assert out(F(9, 16)) == h(F(9, 16))
-
-
-def test_snap_noop_and_errors():
-    ref = oplus_power(BUMP, 2)
-    already = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(11, 16)), (1, 1)]), 2)
-    assert snap_to_grid(already, 2, ref, F(1, 8)) == already
-    ident = identity()
-    assert snap_to_grid(ident, 3, ident, F(1, 10)) == ident
-    with pytest.raises(SnapMarginError):
-        snap_to_grid(BUMP, 2, ref, F(1, 1000))
-
-
-def test_snap_refuses_oversized_grid(monkeypatch):
-    # d + 1 grid points past the breakpoint limit are refused before the
-    # walk, as tent(d) refuses them
-    monkeypatch.setattr(tents, "MAX_BREAKPOINTS", 8)
-    with pytest.raises(ValueError, match="grid of degree 8"):
-        snap_to_grid(identity(), 8, identity(), F(1, 10))
-    assert snap_to_grid(identity(), 7, identity(), F(1, 10)) == identity()
 
 
 def test_pseudo_generic():
@@ -342,27 +292,6 @@ def test_pseudo_generic():
 
 # The post-checks below are certificates, so they must raise (not assert,
 # which python -O strips). Each test breaks one construction step.
-
-
-# moves the grid point 1/2 and lies within delta/4 of oplus_power(BUMP, 2)
-SNAP_H = PLHomeo(
-    [
-        (0, 0),
-        (F(1, 4), F(3, 8)),
-        (F(1, 2), F(33, 64)),
-        (F(3, 4), F(41, 64)),
-        (1, 1),
-    ]
-)
-
-
-def _fake_plhomeo(result):
-    class Fake:
-        @staticmethod
-        def _from_kernel(_):
-            return result
-
-    return Fake
 
 
 def test_one_build_then_postcheck_raises(monkeypatch):
@@ -402,23 +331,6 @@ def test_blockwise_distance_postcheck_raises(monkeypatch):
     h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
     with pytest.raises(ConjugatorError, match="achieved 1/16, needed < 1/100"):
         grid_block_conjugate(BUMP, 2, h, F(1, 100))
-
-
-def test_snap_grid_postcheck_raises(monkeypatch):
-    ref = oplus_power(BUMP, 2)
-    h = SNAP_H
-    monkeypatch.setattr(conjugator, "PLHomeo", _fake_plhomeo(h))
-    with pytest.raises(ConjugatorError, match="grid point"):
-        snap_to_grid(h, 2, ref, F(1, 8))
-
-
-def test_snap_distance_postcheck_raises(monkeypatch):
-    ref = oplus_power(BUMP, 2)
-    h = SNAP_H
-    # the identity fixes the grid but lies 1/8 from ref, past delta/d = 1/16
-    monkeypatch.setattr(conjugator, "PLHomeo", _fake_plhomeo(identity()))
-    with pytest.raises(ConjugatorError, match="needed <"):
-        snap_to_grid(h, 2, ref, F(1, 8))
 
 
 def test_pseudo_generic_signature_postcheck_raises(monkeypatch):

@@ -96,24 +96,6 @@ def test_sup_diff_frozen():
     assert k.sup_diff(TENT2, TENT2) == (0, 1, 0, 1)
 
 
-def test_crossings():
-    roots = k.crossings(BUMP, ID)
-    assert roots == []  # bump >= id everywhere, touching only at the ends
-    roots = k.crossings(TENT2, ID)
-    assert roots == [(2, 3)]  # tent2(x) = x only crosses at 2/3
-
-
-def test_pl_min_max():
-    lo = k.pl_min(TENT2, ID)
-    hi = k.pl_max(TENT2, ID)
-    for i in range(0, 25):
-        x = (i, 24)
-        a = k.eval_at(TENT2, x)
-        b = k.eval_at(ID, x)
-        assert k.eval_at(lo, x) == min(a, b, key=lambda r: r[0] / r[1])
-        assert k.eval_at(hi, x) == max(a, b, key=lambda r: r[0] / r[1])
-
-
 def test_pl_sub_and_roots():
     diff = k.pl_sub(TENT2, ID)
     assert k.eval_at(diff, (2, 3)) == (0, 1)
@@ -220,7 +202,6 @@ def test_outputs_stay_normalized():
         k.compose(TENT2, TENT2),
         k.invert(BUMP),
         k.pl_sub(TENT2, ID),
-        k.pl_min(TENT2, ID),
         k.restrict(TENT4, (1, 8), (7, 8)),
         k.affine_image(BUMP, (2, 3), (1, 6), (1, 2), (1, 4)),
     ]:
@@ -257,7 +238,7 @@ def test_every_kernel_function_is_used():
         for name, obj in vars(k).items()
         if not name.startswith("_") and getattr(obj, "__module__", None) == k.__name__
     ]
-    assert "crossings" in public
+    assert "compose" in public
     assert sorted(set(public) - used) == []
 
 

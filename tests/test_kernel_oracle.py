@@ -1,5 +1,5 @@
-"""The merge-walk compose, its sup scorers, seam-only concat, sliced
-restrict and pl_extremum against the code they replaced.
+"""The merge-walk compose, its sup scorers, seam-only concat and sliced
+restrict against the code they replaced.
 
 compose walks one index through f and tests only g's interior breakpoints
 for collinearity; concat tests only the seams; restrict slices its input
@@ -8,8 +8,7 @@ inputs. The oracles below are the straightforward versions: compose
 locates every g segment in f by binary search, solves for each crossing
 with _interp_x and canonicalizes the whole output, concat canonicalizes
 the glued list, restrict scans every breakpoint and canonicalizes.
-pl_extremum merges the crossings in with merged_xs; its oracle keeps the
-private merge it used before. Outputs must be bit-identical and canonical.
+Outputs must be bit-identical and canonical.
 
 compose_sup_diff scores compose's walk of f∘g against t without building
 f∘g, and sup_diff(f, g) is compose_sup_diff over the identity. Their
@@ -31,7 +30,6 @@ from knaster_lab.config import ExperimentConfig
 from knaster_lab.conjugator import _checked_conjugator
 from knaster_lab.experiments import VERIFY_SUITES, run_verify_suite
 from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
-from knaster_lab.randgen import rand_homeo
 from knaster_lab.tents import tent
 
 from test_conjugator_frozen import ETAS, PAIRS
@@ -121,36 +119,6 @@ def oracle_restrict(bps, a, b):
         if _k.rcmp((p[0], p[1]), a) > 0 and _k.rcmp((p[0], p[1]), b) < 0:
             out.append(p)
     out.append((b[0], b[1], vb[0], vb[1]))
-    return _k.canonical(out)
-
-
-def oracle_pl_extremum(f, g, take_max):
-    """Pointwise min (or max), merging the crossings in by rcmp."""
-    a = _k.merged_xs(f, g)
-    b = _k.crossings(f, g)
-    xs = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        c = _k.rcmp(a[i], b[j])
-        if c < 0:
-            xs.append(a[i])
-            i += 1
-        elif c > 0:
-            xs.append(b[j])
-            j += 1
-        else:
-            xs.append(a[i])
-            i += 1
-            j += 1
-    xs.extend(a[i:])
-    xs.extend(b[j:])
-    fv = _k.eval_sorted(f, xs)
-    gv = _k.eval_sorted(g, xs)
-    out = []
-    for k in range(len(xs)):
-        c = _k.rcmp(fv[k], gv[k])
-        pick = fv[k] if (c >= 0) == take_max else gv[k]
-        out.append((xs[k][0], xs[k][1], pick[0], pick[1]))
     return _k.canonical(out)
 
 
@@ -309,22 +277,6 @@ def test_concat_of_blocks(maps):
     got = _k.concat(pieces)
     assert got == oracle_concat(pieces)
     assert _k.canonical(got) == got
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_pl_extremum_matches_oracle(rng, reflected):
-    # reflected pairs cross each other symmetrically about 1/2
-    f = rand_homeo(rng, 8, 24)
-    g = reflect(f) if reflected else rand_homeo(rng, 8, 24)
-    crosses = _k.crossings(f._kbps, g._kbps)
-    for take_max, op in ((False, _k.pl_min), (True, _k.pl_max)):
-        got = op(f._kbps, g._kbps)
-        assert got == oracle_pl_extremum(f._kbps, g._kbps, take_max)
-        assert _k.canonical(got) == got
-        # a strict crossing lies inside a segment of both maps, where f - g
-        # has nonzero slope, so it is a kink of the extremum
-        assert set(crosses) <= {p[:2] for p in got}
 
 
 # ------------------------------------------------------- compose_sup_diff

@@ -6,6 +6,7 @@ diag_dist example whose per-level differences peak at t = 1/4 and 3/4.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,8 @@ from hypothesis import strategies as st
 
 from knaster_lab.knaster import (
     DiagonalHomeo,
-    GeneralDiagonalMap,
     PrimeSequence,
     TruncatedKnasterPoint,
-    degree_diagonal,
     diag_dist,
     diagonal_equal,
     eval_diagonal,
@@ -26,8 +25,9 @@ from knaster_lab.knaster import (
     lift,
     validate_point,
 )
-from knaster_lab.plmap import OpenPLMap, PLHomeo, compose, identity, sup_dist
+from knaster_lab.plmap import PLHomeo, compose, identity
 from knaster_lab.randgen import derive_rng, rand_homeo
+import knaster_lab.tents as tents
 from knaster_lab.tents import oplus_power, tent, tent_value
 
 F = Fraction
@@ -90,6 +90,22 @@ class TestPrimeSequence:
         assert PrimeSequence.from_json_dict("all2") == ALL2
         assert PrimeSequence.from_json_dict([2, 3]) == PrimeSequence((2, 3))
 
+    def test_product_keeps_no_prefix_products(self):
+        # p_1...p_20001 on "diagonal" is about 20 KB; caching every prefix
+        # product on the way would hold about 200 MB
+        P = PrimeSequence("diagonal")
+        want = 1
+        for i in range(1, 20002):
+            want *= P.prime(i)
+        tracemalloc.start()
+        try:
+            got = P.product(1, 20001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 4 * 2**20
+
 
 class TestPoints:
     def test_extend_zero(self):
@@ -106,6 +122,13 @@ class TestPoints:
             extend_point(2, 1, ALL2)
         with pytest.raises(ValueError):
             extend_point(F(1, 2), -1, ALL2)
+
+    def test_extend_refuses_past_the_limit(self, monkeypatch):
+        # a level-n stalk has n + 1 coordinates, held to the breakpoint limit
+        monkeypatch.setattr(tents, "MAX_BREAKPOINTS", 8)
+        assert extend_point(F(1, 2), 7, ALL2).truncation == 7
+        with pytest.raises(ValueError, match="a stalk of truncation 8"):
+            extend_point(F(1, 2), 8, ALL2)
 
     def test_coherence_check(self):
         validate_point(extend_point(F(3, 7), 3, DIAG), DIAG)
@@ -192,6 +215,10 @@ class TestLift:
     def test_lift_composes(self):
         Fd = DiagonalHomeo(0, G_BUMP)
         assert lift(lift(Fd, 1, DIAG), 3, DIAG) == lift(Fd, 3, DIAG)
+
+    def test_diagonal_json_round_trip(self):
+        Fd = DiagonalHomeo(1, G_BUMP)
+        assert DiagonalHomeo.from_json_dict(Fd.to_json_dict()) == Fd
 
     def test_lift_below_base(self):
         with pytest.raises(ValueError):
@@ -305,49 +332,6 @@ class TestDiagDist:
             diag_dist(
                 DiagonalHomeo(2, G_BUMP), DiagonalHomeo(0, G_BUMP), 1, ALL2
             )
-
-
-class TestDegree:
-    def test_tent_windows(self):
-        w4 = GeneralDiagonalMap(0, 1, tent(4))
-        assert degree_diagonal(w4, ALL2) == 2
-        w2 = GeneralDiagonalMap(0, 1, tent(2))
-        assert degree_diagonal(w2, ALL2) == 1
-
-    def test_degree_one_diagonal(self):
-        assert degree_diagonal(GeneralDiagonalMap(2, 2, G_BUMP), DIAG) == 1
-
-    def test_homeo_window_coerced(self):
-        gd = GeneralDiagonalMap(1, 3, G_BUMP)
-        assert isinstance(gd.window, OpenPLMap)
-        assert degree_diagonal(gd, ALL2) == F(1, 4)
-
-    def test_window_must_fix_zero(self):
-        valley = OpenPLMap([(0, 1), (F(1, 2), 0), (1, 1)])
-        with pytest.raises(ValueError):
-            degree_diagonal(GeneralDiagonalMap(0, 1, valley), ALL2)
-
-    def test_bad_coords(self):
-        with pytest.raises(ValueError):
-            GeneralDiagonalMap(2, 1, tent(2))
-
-    def test_multiplicative_under_composition(self):
-        # windows compose down the tower: (0 <- 1, T4) after (1 <- 2, T6)
-        a = GeneralDiagonalMap(0, 1, tent(4))
-        b = GeneralDiagonalMap(1, 2, tent(6))
-        comp = GeneralDiagonalMap(0, 2, compose(a.window, b.window))
-        assert degree_diagonal(comp, ALL2) == degree_diagonal(
-            a, ALL2
-        ) * degree_diagonal(b, ALL2)
-
-    def test_json_round_trip(self):
-        gd = GeneralDiagonalMap(0, 1, tent(4))
-        again = GeneralDiagonalMap.from_json_dict(
-            json.loads(json.dumps(gd.to_json_dict()))
-        )
-        assert again == gd
-        Fd = DiagonalHomeo(1, G_BUMP)
-        assert DiagonalHomeo.from_json_dict(Fd.to_json_dict()) == Fd
 
 
 class TestSemiconjugacyDownTower:

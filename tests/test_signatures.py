@@ -58,6 +58,25 @@ def test_fixed_intervals_frozen():
     ]
 
 
+def crossings(f, g):
+    """Strict sign-change roots of f - g between merged breakpoints.
+
+    A copy of the merged-breakpoint scan the kernel once exported, kept
+    as the oracle for fixed_structure's isolated fixed points.
+    """
+    xs = _kernel_py.merged_xs(f, g)
+    fv = _kernel_py.eval_sorted(f, xs)
+    gv = _kernel_py.eval_sorted(g, xs)
+    roots = []
+    prev = _kernel_py.rsub(fv[0], gv[0])
+    for k in range(1, len(xs)):
+        cur = _kernel_py.rsub(fv[k], gv[k])
+        if (prev[0] > 0 and cur[0] < 0) or (prev[0] < 0 and cur[0] > 0):
+            roots.append(_kernel_py.segment_root(xs[k - 1], xs[k], prev, cur))
+        prev = cur
+    return roots
+
+
 def test_isolated_fixed_points_match_kernel_crossings():
     # both find strict sign changes of h - id inside a segment through the
     # kernel's one root formula; h is canonical, so h - id breaks exactly
@@ -69,7 +88,7 @@ def test_isolated_fixed_points_match_kernel_crossings():
         h = rand_homeo(rng, max_interior=6, den=16)
         on_bps = {x for x, _ in h.breakpoints}
         isolated = [a for a, b in fixed_intervals(h) if a == b and a not in on_bps]
-        roots = [F(*r) for r in _kernel_py.crossings(h._kbps, ident)]
+        roots = [F(*r) for r in crossings(h._kbps, ident)]
         assert isolated == roots
         found += len(roots)
     assert found > 0

@@ -10,14 +10,12 @@ synthesis failure (with a replay file for campaigns), 2 usage errors.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from pathlib import Path
 
 from . import knaster as kn
-from .config import ExperimentConfig
 from .conjugator import (
     ConjugatorError,
     GridNotFixedError,
@@ -28,6 +26,7 @@ from .conjugator import (
 )
 from .experiments import (
     SUITE_PARAMS,
+    ExperimentConfig,
     VERIFY_SUITES,
     render_table,
     replay_config,
@@ -209,15 +208,16 @@ def _cmd_knaster_evaldiag(args):
 
 
 def _cmd_campaign(args):
+    # the config file's fields, then the flags over them, checked as one
     given = {k: v for k, v in vars(args).items() if v is not None}
-    fields = {k: given[k] for k in ("suite", "trials", "seed", "output") if k in given}
+    data = dict(_read_json(args.config)) if args.config else {}
+    fields = ("suite", "trials", "seed", "output")
+    data.update((k, given[k]) for k in fields if k in given)
     if "primes" in given:
-        fields["primes"] = _primes(args.primes)
-    cfg = ExperimentConfig.from_file(args.config) if args.config else None
-    # built in one step so ExperimentConfig validates the flag values too
-    cfg = dataclasses.replace(cfg, **fields) if cfg else ExperimentConfig(**fields)
-    cfg.params.update((k, given[k]) for k in SUITE_PARAMS[args.suite] if k in given)
-    report = run_suite(cfg)
+        data["primes"] = _primes(args.primes)
+    data["params"] = dict(data.get("params", {}))
+    data["params"].update((k, given[k]) for k in SUITE_PARAMS[args.suite] if k in given)
+    report = run_suite(ExperimentConfig.from_json_dict(data))
     print(render_table(report))
     if report.config.output:
         Path(report.config.output).write_text(report.to_json() + "\n")

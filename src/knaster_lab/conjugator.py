@@ -136,7 +136,6 @@ in as PLHomeo, and h leaves as one. The post-check reads their kernel
 lists and turns only achieved into a Fraction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernel_py as _k
@@ -575,31 +574,16 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
     return g
 
 
-@dataclass
-class PseudoGenericSpec:
-    """Request for a randomized map with k non-fixed intervals.
+def pseudo_generic(k, seed=0):
+    """Seeded map with k non-fixed intervals of alternating sign, + first.
 
-    signs defaults to the alternating pattern starting +1. Genuine generic
-    elements have densely interleaved intervals and are not PL; this is
-    the finite stand-in used throughout the verification campaigns.
+    Genuine generic elements have densely interleaved intervals and are
+    not PL; this is the finite stand-in the density experiment lifts.
     """
-
-    k: int
-    signs: list | None = None
-    seed: int | str = 0
-
-
-def pseudo_generic(spec):
-    """Seeded map whose signature matches the requested pattern exactly."""
-    if spec.k < 1:
+    if k < 1:
         raise ValueError("need at least one non-fixed interval")
-    signs = spec.signs
-    if signs is None:
-        signs = [(-1) ** i for i in range(spec.k)]
-    if len(signs) != spec.k or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be a list of ±1 of length k")
-    rng = derive_rng(spec.seed, "pseudo-generic", spec.k)
-    h = rand_signature_homeo(rng, signs)
+    signs = [(-1) ** i for i in range(k)]
+    h = rand_signature_homeo(derive_rng(seed, "pseudo-generic", k), signs)
     if signature(h) != signs:
         raise SignatureMismatchError(
             f"generated map has signature {signature(h)}, requested {signs}"

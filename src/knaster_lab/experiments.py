@@ -6,29 +6,31 @@ failed trial never raises out of the runner; it lands in the report
 with enough detail to replay (see replay_config), and the CLI turns it
 into a standalone replay file plus a nonzero exit code.
 
-SUITE_PARAMS declares each suite's params once, with their defaults.
-resolve_config checks a campaign's params against it before the first
-trial, raising ValueError on an undeclared key or a badly typed value,
-and the report records every param as the trials read it.
+A config is checked and typed once, when it is built: a key other than
+its fields, an unknown suite, a nonpositive trial count, a param its
+suite does not declare and a badly typed value all raise ValueError
+before the first trial. SUITE_PARAMS declares each suite's params once,
+with their defaults, and the report records every param as the trials
+read it. Configs serialize to JSON with every rational as a "p/q"
+string; the CLI lays command-line flags over a config file field by
+field.
 """
 
 import json
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
 
 from . import _kernel_py as _k
-from .config import ExperimentConfig, radius_schedule
 from .conjugator import (
     ConjugatorError,
     OrbitCapError,
-    PseudoGenericSpec,
     SignatureMismatchError,
     _checked_conjugator,
     pseudo_generic,
 )
-from .knaster import DiagonalHomeo, check_fold_size, diag_dist, lift
+from .knaster import DiagonalHomeo, PrimeSequence, check_fold_size, diag_dist, lift
 from .lemmas import (
     CounterexampleError,
     certify_mod_bound,
@@ -37,7 +39,7 @@ from .lemmas import (
     separation_lower_bound,
     tent_witness,
 )
-from .plmap import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
+from .plmap import PLHomeo, compose, reflect, sup_dist, to_json_dict
 from .randgen import (
     derive_rng,
     perturb_homeo,
@@ -52,24 +54,96 @@ from .signatures import (
     signature_reflect,
     signature_to_string,
 )
-from .tents import oplus_power, verify_semiconjugacy
+from .tents import check_size, oplus_power, verify_semiconjugacy
 
-
-class CheckFailure(Exception):
-    """An exact law failed on a concrete trial; details are JSON-ready."""
-
-    def __init__(self, message, details):
-        super().__init__(message)
-        self.details = details
-
+# perfbench/test_gate.py plants a failed trial through this name
+CheckFailure = CounterexampleError
 
 _TRIAL_ERRORS = (
-    CheckFailure,
     CounterexampleError,
     ConjugatorError,
     SignatureMismatchError,
     OrbitCapError,
 )
+
+
+# A default's type is its param's type. A Fraction makes a rational ("p/q"
+# or an int), an int or None an integer (an int or its decimal string).
+# Any suite also takes an integer replay_trial.
+SUITE_PARAMS = {
+    "semiconj": {"d_max": 7, "max_breakpoints": 12},
+    "oplus-scaling": {"d_max": 7},
+    "grid-fix": {"d_max": 7},
+    "mod-bound": {"eps": Fraction(1, 10), "n_max": 3},
+    "tent-witness": {"delta": Fraction(1, 5), "d": None},
+    "separation": {"eta": Fraction(1, 40), "n_max": 1},
+    "comod": {"delta": Fraction(1, 5)},
+    "signature-laws": {"d_max": 5},
+    "density": {"m": 1, "eta": Fraction(1, 4), "generic_k": 2},
+}
+
+
+def _typed(name, default, value):
+    """value as the type of default; ValueError if it is none."""
+    rational = isinstance(default, Fraction)
+    if type(value) is type(default) or type(value) is int and (rational or default is None):
+        return Fraction(value) if rational else value
+    if isinstance(value, str):
+        with suppress(ValueError):
+            return parse_rational(value) if rational else int(value)
+    kind = "a rational" if rational else "an integer"
+    raise ValueError(f"{name} takes {kind}, not {value!r}")
+
+
+@dataclass
+class ExperimentConfig:
+    suite: str
+    primes: PrimeSequence = field(default_factory=PrimeSequence)
+    trials: int = 20
+    seed: int = 0
+    params: dict = field(default_factory=dict)
+    output: str | None = None
+
+    def __post_init__(self):
+        if self.suite not in SUITE_PARAMS:
+            raise ValueError(f"unknown suite {self.suite!r}")
+        if not isinstance(self.primes, PrimeSequence):
+            self.primes = PrimeSequence.from_json_dict(self.primes)
+        self.trials = _typed("trials", 0, self.trials)
+        self.seed = _typed("seed", 0, self.seed)
+        if self.trials < 1:
+            raise ValueError("trial count must be positive")
+        params = dict(self.params)
+        declared = dict(SUITE_PARAMS[self.suite])
+        if "replay_trial" in params:
+            declared["replay_trial"] = 0
+        unknown = sorted(set(params) - set(declared))
+        if unknown:
+            raise ValueError(f"suite {self.suite} takes no param {', '.join(unknown)}")
+        self.params = {
+            k: _typed(f"param {k}", v, params.get(k, v)) for k, v in declared.items()
+        }
+
+    def to_json_dict(self):
+        params = {}
+        for k, v in self.params.items():
+            params[k] = format_rational(v) if isinstance(v, Fraction) else v
+        return {
+            "suite": self.suite,
+            "primes": self.primes.to_json_dict(),
+            "trials": self.trials,
+            "seed": self.seed,
+            "params": params,
+            "output": self.output,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data):
+        # a misspelled key would otherwise fall back to its default unseen
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -145,48 +219,7 @@ def replay_config(report, index):
     return data
 
 
-# A default's type is its param's type. A Fraction makes a rational ("p/q"
-# or an int), a str a string, an int or None an integer (an int or its
-# decimal string). Any suite also takes an integer replay_trial.
-SUITE_PARAMS = {
-    "semiconj": {"d_max": 7, "max_breakpoints": 12},
-    "oplus-scaling": {"d_max": 7},
-    "grid-fix": {"d_max": 7},
-    "mod-bound": {"eps": Fraction(1, 10), "n_max": 3},
-    "tent-witness": {"delta": Fraction(1, 5), "d": None},
-    "separation": {"eta": Fraction(1, 40), "n_max": 1},
-    "comod": {"delta": Fraction(1, 5)},
-    "signature-laws": {"d_max": 5},
-    "density": {"m": 1, "eta": Fraction(1, 4), "generic_k": 2, "target": "generic"},
-}
-
-
-def _param_value(name, default, value):
-    """value as a param of the type of default; ValueError if it is none."""
-    rational = isinstance(default, Fraction)
-    if type(value) is type(default) or type(value) is int and (rational or default is None):
-        return Fraction(value) if rational else value
-    if isinstance(value, str):
-        with suppress(ValueError):
-            return parse_rational(value) if rational else int(value)
-    kind = {Fraction: "a rational", str: "a string"}.get(type(default), "an integer")
-    raise ValueError(f"param {name} takes {kind}, not {value!r}")
-
-
-def resolve_config(cfg):
-    """cfg with the params of its suite checked, typed and defaulted."""
-    declared = dict(SUITE_PARAMS[cfg.suite])
-    if "replay_trial" in cfg.params:
-        declared["replay_trial"] = 0
-    unknown = sorted(set(cfg.params) - set(declared))
-    if unknown:
-        raise ValueError(f"suite {cfg.suite} takes no param {', '.join(unknown)}")
-    params = {k: _param_value(k, v, cfg.params.get(k, v)) for k, v in declared.items()}
-    return replace(cfg, params=params)
-
-
 def _run_campaign(cfg, trial_fn):
-    cfg = resolve_config(cfg)
     if "replay_trial" in cfg.params:
         indices = [cfg.params["replay_trial"]]
     else:
@@ -202,9 +235,9 @@ def _run_campaign(cfg, trial_fn):
         except _TRIAL_ERRORS as err:
             ok = False
             details = {"error": str(err)}
-            extra = getattr(err, "details", None) or getattr(err, "payload", None)
-            if extra:
-                details["diagnostics"] = extra
+            payload = getattr(err, "payload", None)
+            if payload:
+                details["diagnostics"] = payload
         outcomes.append(TrialOutcome(i, ok, details, perf_counter() - s0))
     return CertificateReport(cfg.suite, cfg, tuple(outcomes), perf_counter() - t0)
 
@@ -212,15 +245,28 @@ def _run_campaign(cfg, trial_fn):
 # ----------------------------------------------------------- verify suites
 
 
+def _d_max(cfg, interior=8):
+    """cfg's d_max, checked before any draw.
+
+    Refused when oplus_power at degree d_max of a map with `interior`
+    interior breakpoints would pass tents.MAX_BREAKPOINTS, so that no
+    seed gets past a too large d_max.
+    """
+    d_max = cfg.params["d_max"]
+    check_size((interior + 1) * d_max + 1, f"oplus_power of degree {d_max}")
+    return d_max
+
+
 def _t_semiconj(cfg, rng):
-    d_max, most = cfg.params["d_max"], cfg.params["max_breakpoints"]
+    most = cfg.params["max_breakpoints"]
     if most < 1:
         # rand_homeo(rng, 0) is always the identity, which tests nothing
         raise ValueError(f"max_breakpoints must be at least 1, not {most}")
+    d_max = _d_max(cfg, most)
     g = rand_homeo(rng, most)
     for d in range(1, d_max + 1):
         if not verify_semiconjugacy(g, d):
-            raise CheckFailure(
+            raise CounterexampleError(
                 "semiconjugacy identity failed",
                 {"d": d, "g": to_json_dict(g)},
             )
@@ -228,13 +274,13 @@ def _t_semiconj(cfg, rng):
 
 
 def _t_oplus_scaling(cfg, rng):
-    d = rng.randint(1, cfg.params["d_max"])
+    d = rng.randint(1, _d_max(cfg))
     g1 = rand_homeo(rng, 8)
     g2 = rand_homeo(rng, 8)
     want = sup_dist(g1, g2) / d
     got = sup_dist(oplus_power(g1, d), oplus_power(g2, d))
     if got != want:
-        raise CheckFailure(
+        raise CounterexampleError(
             "block sum did not contract by exactly d",
             {"d": d, "g1": to_json_dict(g1), "g2": to_json_dict(g2)},
         )
@@ -242,13 +288,13 @@ def _t_oplus_scaling(cfg, rng):
 
 
 def _t_grid_fix(cfg, rng):
-    d = rng.randint(1, cfg.params["d_max"])
+    d = rng.randint(1, _d_max(cfg))
     g = rand_homeo(rng, 8)
     h = oplus_power(g, d)
     for i in range(d + 1):
         p = Fraction(i, d)
         if h(p) != p:
-            raise CheckFailure(
+            raise CounterexampleError(
                 "block sum moved a grid point",
                 {"d": d, "i": i, "g": to_json_dict(g)},
             )
@@ -291,7 +337,7 @@ def _t_tent_witness(cfg, rng):
     g = _gapped_pair(rng, delta, d, f)
     w = tent_witness(f, g, d, delta)
     if not check_tent_witness(f, g, d, delta, w):
-        raise CheckFailure(
+        raise CounterexampleError(
             "witness certificate failed its exact recheck",
             {"x": format_rational(w.x), "case": w.case},
         )
@@ -337,7 +383,6 @@ def _t_comod(cfg, rng):
     lifted = lift(DiagonalHomeo(j, g_phi), n, P).inducer
     p_prime = _gapped_pair(rng, delta, P.product(j + 1, n), lifted)
     cert = comod_lower_bound_check(p_prime, n, g_phi, j, delta, P)
-    alpha = radius_schedule(delta, j, n, P)
     return {
         "j": j,
         "n": n,
@@ -346,24 +391,24 @@ def _t_comod(cfg, rng):
         "coordinate": cert.coordinate,
         "bound": format_rational(cert.bound),
         "achieved": format_rational(cert.achieved),
-        "alpha": [[c, format_rational(a)] for c, a in alpha],
     }
 
 
 def _t_signature_laws(cfg, rng):
+    d_max = _d_max(cfg)
     f = rand_homeo(rng, 8)
-    d = rng.randint(1, cfg.params["d_max"])
+    d = rng.randint(1, d_max)
     sig = signature(f)
     if signature(reflect(f)) != signature_reflect(sig):
-        raise CheckFailure("reflection law failed", {"f": to_json_dict(f)})
+        raise CounterexampleError("reflection law failed", {"f": to_json_dict(f)})
     if signature(oplus_power(f, d)) != signature_oplus(sig, d):
-        raise CheckFailure(
+        raise CounterexampleError(
             "block sum law failed", {"f": to_json_dict(f), "d": d}
         )
     phi = rand_homeo(rng, 6)
     conj = compose(compose(phi.invert(), f), phi)
     if signature(conj) != sig:
-        raise CheckFailure(
+        raise CounterexampleError(
             "conjugation moved the signature",
             {"f": to_json_dict(f), "phi": to_json_dict(phi)},
         )
@@ -403,35 +448,28 @@ def proof_slack_sum(m, P):
 
 def _t_density(cfg, rng):
     P = cfg.primes
-    m, eta, kind = cfg.params["m"], cfg.params["eta"], cfg.params["target"]
+    m, eta = cfg.params["m"], cfg.params["eta"]
     if eta <= 0:
         raise ValueError("eta must be positive")
     if m < 0:
         raise ValueError("target coordinate must be nonnegative")
-    if kind not in ("generic", "identity"):
-        raise ValueError(f"target must be generic or identity, not {kind!r}")
     # diag_dist at m folds m levels; refuse before paying for the products
     check_fold_size(m, P)
     eps = eta / (4 * proof_slack_sum(m, P))
-    if kind == "identity":
-        fm = target = identity()
-        signs = []
-    else:
-        spec = PseudoGenericSpec(cfg.params["generic_k"], seed=rng.getrandbits(32))
-        f0 = pseudo_generic(spec)
-        fm = lift(DiagonalHomeo(0, f0), m, P).inducer
-        # each lifted level is a block sum, so fm's signs follow from f0's;
-        # _checked_conjugator refuses the target if they did not
-        signs = signature(f0)
-        for k in range(1, m + 1):
-            signs = signature_oplus(signs, P.prime(k))
-        target = rand_signature_homeo(rng, signs)
+    f0 = pseudo_generic(cfg.params["generic_k"], rng.getrandbits(32))
+    fm = lift(DiagonalHomeo(0, f0), m, P).inducer
+    # each lifted level is a block sum, so fm's signs follow from f0's;
+    # _checked_conjugator refuses the target if they did not
+    signs = signature(f0)
+    for k in range(1, m + 1):
+        signs = signature_oplus(signs, P.prime(k))
+    target = rand_signature_homeo(rng, signs)
     # the post-check's distance to target; h⁻¹ ∘ fm ∘ h from its h⁻¹ ∘ fm
     h, gap, hf, _ = _checked_conjugator(fm, target, eps)
     conj = PLHomeo._from_kernel(_k.compose(hf, h._kbps))
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:
-        raise CheckFailure(
+        raise CounterexampleError(
             "could not certify the conjugated distance under eta",
             {"upper": format_rational(dist.upper)},
         )

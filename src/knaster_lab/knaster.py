@@ -273,7 +273,7 @@ def extend_point(x, n, P):
         raise ValueError("coordinate must lie in [0, 1]")
     if n < 0:
         raise ValueError("truncation must be nonnegative")
-    check_size(n + 1, f"a stalk of truncation {n}")
+    check_size(n + 1, f"a stalk of truncation {n}", "coordinates")
     return TruncatedKnasterPoint._from_kernel(
         _stalk((x.numerator, x.denominator), n, P)
     )
@@ -363,6 +363,20 @@ class DiagonalHomeo:
         return cls(int(data["base_coord"]), _map_from(data["inducer"]))
 
 
+def _check_depth(levels, what):
+    """Refuse (ValueError) a block sum over `levels` levels from its depth.
+
+    Every prime is at least 2, so it needs over 2^levels breakpoints,
+    past tents.MAX_BREAKPOINTS once levels reaches that limit's bit
+    length; no product of the schedule is formed.
+    """
+    if levels >= MAX_BREAKPOINTS.bit_length():
+        raise ValueError(
+            f"{what} needs over 2^{levels} breakpoints, "
+            f"more than the limit {MAX_BREAKPOINTS}"
+        )
+
+
 def lift(F, m, P):
     """The canonical representation of F at coordinate m >= F.base_coord.
 
@@ -370,20 +384,15 @@ def lift(F, m, P):
     sum, and ⊕_b(⊕_a g) = ⊕_{ab} g, so the lift is one block sum of
     degree p_{base+1}...p_m; at m = base it is F itself. Raises
     ValueError, before building anything, when it would have more than
-    tents.MAX_BREAKPOINTS breakpoints: from the depth alone when
-    m - base reaches that limit's bit length, since every prime is at
-    least 2, and otherwise from the product.
+    tents.MAX_BREAKPOINTS breakpoints: from the depth m - base alone
+    (_check_depth), and otherwise from the product.
     """
     b = F.base_coord
     if m < b:
         raise ValueError("cannot lift below the base coordinate")
     if m == b:
         return F
-    if m - b >= MAX_BREAKPOINTS.bit_length():
-        raise ValueError(
-            f"lifting to coordinate {m} may need over 2^{m - b} breakpoints, "
-            f"more than the limit {MAX_BREAKPOINTS}"
-        )
+    _check_depth(m - b, f"lifting to coordinate {m}")
     d = P.product(b + 1, m)
     check_size(oplus_size(F.inducer, d), f"lifting to coordinate {m}")
     return DiagonalHomeo(m, oplus_power(F.inducer, d))
@@ -430,15 +439,10 @@ def check_fold_size(M, P):
     diag_dist folds both level-M maps down to coordinate 0 through the
     tents, and the level-0 fold of a homeomorphism is an open map with
     p_1...p_M laps, so at least p_1...p_M + 1 breakpoints. Refused when
-    that passes tents.MAX_BREAKPOINTS: from the depth alone when M
-    reaches that limit's bit length, since every prime is at least 2,
-    and otherwise from the product.
+    that passes tents.MAX_BREAKPOINTS: from the depth M alone
+    (_check_depth), and otherwise from the product.
     """
-    if M >= MAX_BREAKPOINTS.bit_length():
-        raise ValueError(
-            f"folding coordinate {M} down to 0 needs over 2^{M} breakpoints, "
-            f"more than the limit {MAX_BREAKPOINTS}"
-        )
+    _check_depth(M, f"folding coordinate {M} down to 0")
     size = P.product(1, M) + 1
     if size > MAX_BREAKPOINTS:
         raise ValueError(

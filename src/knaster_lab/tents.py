@@ -31,11 +31,11 @@ from .plmap import OpenPLMap, PLHomeo, PLMap, compose
 MAX_BREAKPOINTS = 10**6
 
 
-def check_size(size, what):
-    """Refuse (ValueError) to build more than MAX_BREAKPOINTS breakpoints."""
+def check_size(size, what, unit="breakpoints"):
+    """Refuse (ValueError) to build more than MAX_BREAKPOINTS of unit."""
     if size > MAX_BREAKPOINTS:
         raise ValueError(
-            f"{what} needs up to {size} breakpoints, "
+            f"{what} needs up to {size} {unit}, "
             f"more than the limit {MAX_BREAKPOINTS}"
         )
 
@@ -45,7 +45,9 @@ def oplus_size(g, d):
     return (len(g._kbps) - 1) * d + 1
 
 
-@lru_cache(maxsize=None)
+# few degrees recur (the schedule primes, small d); a campaign sweeping
+# d = 1..d_max must not keep every tent it built
+@lru_cache(maxsize=32)
 def tent(d):
     """The standard degree-d tent map (d + 1 breakpoints)."""
     if d < 1:

@@ -8,13 +8,12 @@ rational arithmetic; "zero tolerance" means representation equality.
 import time
 from fractions import Fraction
 
-from knaster_lab.config import ExperimentConfig
 from knaster_lab.conjugator import (
     SignatureMismatchError,
     approx_conjugator,
     grid_block_conjugate,
 )
-from knaster_lab.experiments import run_density_experiment
+from knaster_lab.experiments import ExperimentConfig, run_density_experiment
 from knaster_lab.knaster import DiagonalHomeo, PrimeSequence, lift
 from knaster_lab.lemmas import (
     certify_mod_bound,

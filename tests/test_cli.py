@@ -9,7 +9,9 @@ import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
 import knaster_lab.knaster as kn
 from knaster_lab.cli import main
-from knaster_lab.experiments import SUITE_PARAMS, CheckFailure, VERIFY_SUITES
+from knaster_lab import experiments
+from knaster_lab.experiments import SUITE_PARAMS, VERIFY_SUITES
+from knaster_lab.lemmas import CounterexampleError
 
 
 def write_map(path, points):
@@ -279,12 +281,18 @@ def test_campaign_config_with_unknown_key_exits_two(tmp_path, capsys):
     assert "3 trials" in capsys.readouterr().out
 
 
-def test_density_refuses_unknown_target(capsys):
+def test_density_refuses_unknown_target(tmp_path, capsys):
+    # density takes no target: its identity target only certified 0 <= 0
     argv = ["experiment", "density", "--trials", "1", "--seed", "1"]
-    assert main(argv + ["--target", "idnetity"]) == 2
-    assert "target must be generic or identity" in capsys.readouterr().err
-    assert main(argv + ["--target", "identity"]) == 0
-    assert "sup_gap=0" in capsys.readouterr().out
+    for target in ("idnetity", "identity"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--target", target])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "density", "params": {"target": "identity"}}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "takes no param target" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -356,7 +364,7 @@ def test_verify_failure_writes_replay_file(tmp_path, monkeypatch, capsys):
     def rigged(cfg, rng):
         rng.random()
         if rng.random() < 0.6:
-            raise CheckFailure("rigged failure", {"note": "planted"})
+            raise CounterexampleError("rigged failure", {"note": "planted"})
         return {"note": "fine"}
 
     monkeypatch.setitem(VERIFY_SUITES, "grid-fix", rigged)
@@ -388,26 +396,32 @@ def test_experiment_density_cli(capsys):
     assert "eps=1/16" in out
 
 
-def test_seed_env_var_overrides_cli(monkeypatch, capsys):
-    rc = main(["verify", "grid-fix", "--trials", "2", "--seed", "1"])
-    base = capsys.readouterr().out
-    monkeypatch.setenv("KNASTER_LAB_SEED", "1")
-    rc2 = main(["verify", "grid-fix", "--trials", "2", "--seed", "777"])
-    overridden = capsys.readouterr().out
-    assert rc == rc2 == 0
-    base_rows = [l for l in base.splitlines() if "trial" in l]
-    over_rows = [l for l in overridden.splitlines() if "trial" in l]
-    assert base_rows == over_rows
+@pytest.mark.parametrize(
+    "argv, d_max",
+    [
+        # (max_breakpoints + 1)·d_max + 1 = 13·76923 + 1 is the limit itself
+        (["verify", "semiconj"], 76923),
+        (["verify", "semiconj", "--max-breakpoints", "1"], 499999),
+        # 9·d_max + 1 for the suites that draw with 8 interior breakpoints
+        (["verify", "oplus-scaling"], 111111),
+        (["verify", "grid-fix"], 111111),
+        (["verify", "signature-laws"], 111111),
+    ],
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_suites_refuse_a_large_d_max_before_the_first_draw(
+    argv, d_max, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew a map")
 
-
-def test_seed_env_var_is_recorded_in_the_report(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("KNASTER_LAB_SEED", "99")
-    out = tmp_path / "r.json"
-    rc = main(["verify", "grid-fix", "--trials", "2", "--seed", "5",
-               "--output", str(out)])
-    assert rc == 0
-    assert capsys.readouterr().out.startswith("suite grid-fix  (seed 99)")
-    assert json.loads(out.read_text())["config"]["seed"] == 99
+    monkeypatch.setattr(experiments, "rand_homeo", refuse)
+    argv = argv + ["--seed", str(seed), "--trials", "2", "--d-max"]
+    assert main(argv + [str(d_max + 1)]) == 2
+    assert f"oplus_power of degree {d_max + 1} needs up to" in capsys.readouterr().err
+    # at the limit the guard passes, and the first draw is reached
+    with pytest.raises(AssertionError, match="drew a map"):
+        main(argv + [str(d_max)])
 
 
 def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):
@@ -489,8 +503,7 @@ def _readme_campaign_sessions():
     return sessions
 
 
-def test_readme_campaign_sessions_replay(monkeypatch, capsys):
-    monkeypatch.delenv("KNASTER_LAB_SEED", raising=False)
+def test_readme_campaign_sessions_replay(capsys):
     sessions = _readme_campaign_sessions()
     assert [argv for argv, _ in sessions] == [
         ["verify", "tent-witness", "--trials", "5", "--seed", "42"],

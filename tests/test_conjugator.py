@@ -11,7 +11,6 @@ from knaster_lab.conjugator import (
     ConjugatorError,
     GridNotFixedError,
     OrbitCapError,
-    PseudoGenericSpec,
     SignatureMismatchError,
     approx_conjugator,
     conjugator_certificate,
@@ -275,19 +274,14 @@ def test_degree_below_one_refused(d):
 
 
 def test_pseudo_generic():
-    spec = PseudoGenericSpec(k=4, seed=7)
-    h = pseudo_generic(spec)
+    h = pseudo_generic(4, 7)
     assert signature(h) == [1, -1, 1, -1]
-    again = pseudo_generic(PseudoGenericSpec(k=4, seed=7))
+    again = pseudo_generic(4, 7)
     assert again == h
-    other = pseudo_generic(PseudoGenericSpec(k=4, seed=8))
+    other = pseudo_generic(4, 8)
     assert other != h
-    custom = pseudo_generic(PseudoGenericSpec(k=2, signs=[-1, -1], seed=1))
-    assert signature(custom) == [-1, -1]
     with pytest.raises(ValueError):
-        pseudo_generic(PseudoGenericSpec(k=0))
-    with pytest.raises(ValueError):
-        pseudo_generic(PseudoGenericSpec(k=2, signs=[1]))
+        pseudo_generic(0)
 
 
 # The post-checks below are certificates, so they must raise (not assert,
@@ -336,4 +330,4 @@ def test_blockwise_distance_postcheck_raises(monkeypatch):
 def test_pseudo_generic_signature_postcheck_raises(monkeypatch):
     monkeypatch.setattr(conjugator, "rand_signature_homeo", lambda rng, signs: BUMP)
     with pytest.raises(SignatureMismatchError):
-        pseudo_generic(PseudoGenericSpec(k=2, seed=3))
+        pseudo_generic(2, 3)

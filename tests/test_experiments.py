@@ -1,26 +1,25 @@
 """Campaign harness: determinism, splittable streams, replay, density."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 import knaster_lab.experiments as experiments
-from knaster_lab.config import ExperimentConfig, SEED_ENV_VAR, radius_schedule
+from knaster_lab import tents
 from knaster_lab.experiments import (
     SUITE_PARAMS,
-    CheckFailure,
     VERIFY_SUITES,
+    ExperimentConfig,
     proof_slack_sum,
     render_table,
     replay_config,
-    resolve_config,
     run_density_experiment,
     run_suite,
     run_verify_suite,
 )
 from knaster_lab.knaster import CertifiedDistance, PrimeSequence
+from knaster_lab.lemmas import CounterexampleError
 from knaster_lab.randgen import derive_rng
 from knaster_lab.rational import parse_rational
 
@@ -50,30 +49,21 @@ def test_config_round_trips_through_json():
     back = ExperimentConfig.from_json_dict(data)
     assert back.suite == cfg.suite
     assert back.primes == ALL2
-    assert back.params == {"eps": "1/50", "n_max": 2}
-    assert resolve_config(back).params == {"eps": F(1, 50), "n_max": 2}
+    assert back.params == {"eps": F(1, 50), "n_max": 2}
     assert back.output == "report.json"
-
-
-def test_seed_env_var_wins(monkeypatch):
-    assert cfg_for("grid-fix", seed=5).seed == 5
-    monkeypatch.setenv(SEED_ENV_VAR, "99")
-    assert cfg_for("grid-fix", seed=5).seed == 99
-    assert ExperimentConfig.from_json_dict({"suite": "grid-fix", "seed": 5}).seed == 99
+    assert back == cfg
 
 
 # ------------------------------------------------------------------ params
 
 
 def test_resolve_fills_defaults_and_types():
-    cfg = resolve_config(cfg_for("tent-witness", params={"delta": "2/10"}))
+    cfg = cfg_for("tent-witness", params={"delta": "2/10"})
     assert cfg.params == {"delta": F(1, 5), "d": None}
-    cfg = resolve_config(cfg_for("tent-witness", params={"delta": 1, "d": "3"}))
+    cfg = cfg_for("tent-witness", params={"delta": 1, "d": "3"})
     assert cfg.params == {"delta": F(1), "d": 3}
-    cfg = resolve_config(cfg_for("density", params={"replay_trial": "4"}))
-    assert cfg.params == {
-        "m": 1, "eta": F(1, 4), "generic_k": 2, "target": "generic", "replay_trial": 4,
-    }
+    cfg = cfg_for("density", params={"replay_trial": "4"})
+    assert cfg.params == {"m": 1, "eta": F(1, 4), "generic_k": 2, "replay_trial": 4}
 
 
 @pytest.mark.parametrize(
@@ -92,9 +82,29 @@ def test_resolve_fills_defaults_and_types():
 )
 def test_resolve_rejects_undeclared_and_badly_typed_params(suite, params):
     with pytest.raises(ValueError):
-        resolve_config(cfg_for(suite, params=params))
+        cfg_for(suite, params=params)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"suite": "mod-bound", "params": {"eps": 0.1}},
+        {"suite": "bogus"},
+        {"suite": "grid-fix", "trials": 0},
+        {"suite": "grid-fix", "trials": 2.5},
+        {"suite": "grid-fix", "seed": "x"},
+        {"suite": "grid-fix", "primes": "bogus"},
+    ],
+)
+def test_config_is_checked_when_built(kw):
     with pytest.raises(ValueError):
-        run_suite(cfg_for(suite, params=params))
+        ExperimentConfig(**kw)
+
+
+def test_config_types_primes_from_json():
+    cfg = ExperimentConfig(suite="grid-fix", primes={"prefix": [5]}, trials="3")
+    assert cfg.primes == PrimeSequence([5])
+    assert cfg.trials == 3
 
 
 class _ReadLog(dict):
@@ -118,18 +128,11 @@ def test_trials_read_exactly_the_declared_params(suite):
     # a param that is declared but never read, or read but never
     # declared, fails here
     trial = experiments._t_density if suite == "density" else VERIFY_SUITES[suite]
-    cfg = resolve_config(cfg_for(suite, seed=4))
-    log = _ReadLog(cfg.params)
-    cfg = dataclasses.replace(cfg, params=log)
+    cfg = cfg_for(suite, seed=4)
+    log = cfg.params = _ReadLog(cfg.params)
     for i in range(2):
         trial(cfg, derive_rng(cfg.seed, suite, i))
     assert log.read == set(SUITE_PARAMS[suite])
-
-
-def test_radius_schedule_frozen():
-    # diagonal primes start 2, 2, 3, 2: alpha halves by the later primes
-    sched = radius_schedule(F(1, 5), 2, 4, DIAG)
-    assert sched == [(2, F(1, 5)), (3, F(1, 15)), (4, F(1, 30))]
 
 
 # ---------------------------------------------------------------- campaigns
@@ -177,7 +180,7 @@ def test_failed_trials_are_reported_and_replayable(monkeypatch):
     def flaky(cfg, rng):
         x = rng.random()
         if x < 0.5:
-            raise CheckFailure("synthetic failure", {"x": round(x, 3)})
+            raise CounterexampleError("synthetic failure", {"x": round(x, 3)})
         return {"x": round(x, 3)}
 
     monkeypatch.setitem(VERIFY_SUITES, "grid-fix", flaky)
@@ -209,6 +212,17 @@ def test_semiconj_suite_runs_the_library_check(monkeypatch):
     for o in report.outcomes:
         assert o.details["error"] == "semiconjugacy identity failed"
         assert o.details["diagnostics"]["d"] == 2
+
+
+def test_semiconj_keeps_few_tents_cached():
+    # the sweep d = 1..d_max builds tent(d) for each d; the cache must not
+    # keep them all
+    tents.tent.cache_clear()
+    report = run_verify_suite(cfg_for("semiconj", trials=1, params={"d_max": 300}))
+    assert report.all_ok()
+    info = tents.tent.cache_info()
+    assert info.misses == 300
+    assert info.currsize <= info.maxsize <= 64
 
 
 def test_render_table_mentions_counts():
@@ -288,21 +302,6 @@ def test_density_reads_the_lifted_signature_once(monkeypatch):
     for fm, o in zip(lifted, report.outcomes):
         assert sum(bps is fm._kbps for bps in passes) == 1
         assert o.details["signs"] == signature_to_string(signature(fm))
-
-
-def test_density_identity_target_is_trivial():
-    report = run_density_experiment(
-        cfg_for(
-            "density",
-            trials=2,
-            seed=5,
-            params={"m": 1, "eta": "1/4", "target": "identity"},
-        )
-    )
-    assert report.all_ok()
-    for o in report.outcomes:
-        assert o.details["sup_gap"] == "0"
-        assert o.details["upper"] == "0"
 
 
 def test_density_self_check_reports_a_failed_trial(monkeypatch):

@@ -26,9 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import _kernel_py as _k
-from knaster_lab.config import ExperimentConfig
 from knaster_lab.conjugator import _checked_conjugator
-from knaster_lab.experiments import VERIFY_SUITES, run_verify_suite
+from knaster_lab.experiments import VERIFY_SUITES, ExperimentConfig, run_verify_suite
 from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
 from knaster_lab.tents import tent
 

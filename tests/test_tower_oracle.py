@@ -442,13 +442,12 @@ class TestFoldGuard:
         assert cli.main(argv + ["--seed", str(seed), "--trials", "2"]) == 2
         assert "breakpoints" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["generic", "identity"])
-    def test_density_refuses_a_deep_m_before_its_slack_sum(self, target, monkeypatch, capsys):
+    def test_density_refuses_a_deep_m_before_its_slack_sum(self, monkeypatch, capsys):
         def refuse(*_):
             raise AssertionError("density summed the proof slack before refusing m")
 
         monkeypatch.setattr(ex, "proof_slack_sum", refuse)
-        argv = ["experiment", "density", "--m", "3000", "--target", target]
+        argv = ["experiment", "density", "--m", "3000"]
         assert cli.main(argv + ["--trials", "1", "--seed", "1"]) == 2
         assert "over 2^3000 breakpoints" in capsys.readouterr().err
 

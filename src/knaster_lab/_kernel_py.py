@@ -21,15 +21,17 @@ Typed maps are canonical, and so are the lists that compose, concat,
 restrict and pl_sub return, and the affine_image of a canonical list
 under a map with sy != 0.
 
-One walk of f∘g serves three functions. ``_walk(f, g)`` yields g's
+One walk of f∘g serves four functions. ``_walk(f, g)`` yields g's
 breakpoints and the points where g crosses a breakpoint of f, with their
 values, unreduced. ``compose`` normalizes them and drops the collinear
 ones. ``compose_sup_diff(f, g, t)`` scores them against t, and
 ``sup_diff(f, g)`` is ``compose_sup_diff`` with the identity as the inner
-map. compose_sup_diff needs no canonical input: it tests no collinearity
-and builds no list, so a collinear point only adds a candidate. It needs
-g's range inside f's domain, as compose does, and t on g's domain: the
-same first and last x.
+map. ``compose_pair_sup(f1, g1, f2, g2)`` merges two walks in x and
+scores each against the other's chords, for the sup of f1∘g1 - f2∘g2.
+The scorers need no canonical input: they test no collinearity and build
+no list, so a collinear point only adds a candidate. They need each
+inner map's range inside its outer map's domain, as compose does, and
+the functions they compare on one domain: the same first and last x.
 """
 
 from math import gcd
@@ -306,6 +308,65 @@ def compose_sup_diff(f, g, t):
         if dn * bd > bn * dd:
             bn, bd, wn, wd = dn, dd, xn, xd
         last = (xn, xd, vn, vd)
+    return rnorm(bn, bd) + rnorm(wn, wd)
+
+
+def compose_pair_sup(f1, g1, f2, g2):
+    """Exact sup of |f1∘g1 - f2∘g2| over the common domain, leftmost witness.
+
+    Returns (dn, dd, wxn, wxd), as compose_sup_diff does, and builds
+    neither composite. g1 and g2 share their first and last x, and each
+    g's range lies in its f's domain. The difference is affine between
+    consecutive points of the two walks, so the two _walk streams are
+    merged in x and scored left to right; only a strictly larger score
+    moves the witness. A point of one walk strictly inside a segment of
+    the other is scored against that segment's chord, read off the
+    other walk's points on either side. Nothing is reduced to lowest
+    terms until the end: every denominator stays positive, and scores
+    are compared by cross-multiplication. Like compose_sup_diff, it
+    tests no collinearity, so no input need be canonical.
+    """
+    w1 = _walk(f1, g1)
+    w2 = _walk(f2, g2)
+    a = next(w1)
+    b = next(w2)
+    bn, bd, wn, wd = -1, 1, 0, 1  # below any score, so the first point wins
+    while True:
+        xn, xd, an, ad, _ = a
+        yn, yd, cn, cd, _ = b
+        c = xn * yd - yn * xd
+        if c:
+            if c < 0:
+                # a lies strictly inside b's segment pb..b: chord of w2 at a
+                p, q = pb, b
+            else:
+                # b lies strictly inside a's segment pa..a: chord of w1 at b
+                xn, xd, an, ad = yn, yd, cn, cd
+                p, q = pa, a
+            x0n, x0d, v0n, v0d, _ = p
+            x1n, x1d, v1n, v1d, _ = q
+            # the chord at x is v0 + (v1 - v0)·tn/tq, with tn/tq = (x - x0)/(x1 - x0)
+            tn = (xn * x0d - x0n * xd) * x1d
+            tq = (x1n * x0d - x0n * x1d) * xd
+            cn = v0n * v1d * tq + (v1n * v0d - v0n * v1d) * tn
+            cd = v0d * v1d * tq
+        dn = abs(an * cd - cn * ad)
+        dd = ad * cd
+        if dn * bd > bn * dd:
+            bn, bd, wn, wd = dn, dd, xn, xd
+        if c < 0:
+            pa = a
+            a = next(w1)
+        elif c > 0:
+            pb = b
+            b = next(w2)
+        else:
+            pa = a
+            pb = b
+            a = next(w1, None)
+            if a is None:
+                break
+            b = next(w2)
     return rnorm(bn, bd) + rnorm(wn, wd)
 
 

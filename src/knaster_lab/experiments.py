@@ -352,7 +352,9 @@ def _t_tent_witness(cfg, rng):
 def _t_separation(cfg, rng):
     P = cfg.primes
     eta = cfg.params["eta"]
-    # diag_dist runs at m <= n_max + 2; refuse before the draw, as mod-bound
+    # bounds nothing the trial builds, since the certificate is one stalk
+    # and no fold; it keeps the set of accepted configs until the
+    # per-suite size model of ROADMAP item 5 replaces it
     check_fold_size(cfg.params["n_max"] + 2, P)
     n = rng.randint(0, cfg.params["n_max"])
     m = n + rng.randint(1, 2)
@@ -367,7 +369,7 @@ def _t_separation(cfg, rng):
         "n": n,
         "m": m,
         "bound": format_rational(cert.bound),
-        "lower": format_rational(cert.distance.lower),
+        "lower": format_rational(cert.lower),
     }
 
 
@@ -455,8 +457,13 @@ def _t_density(cfg, rng):
         raise ValueError("target coordinate must be nonnegative")
     # diag_dist at m folds m levels; refuse before paying for the products
     check_fold_size(m, P)
+    # f0 has at most 2k + 1 breakpoints, so its lift at most 2k·p_1...p_m
+    # + 1; refuse before pseudo_generic builds f0, whatever the seed
+    k = cfg.params["generic_k"]
+    check_size(2 * k * P.product(1, m) + 1,
+               f"a {k}-interval generic map lifted to coordinate {m}")
     eps = eta / (4 * proof_slack_sum(m, P))
-    f0 = pseudo_generic(cfg.params["generic_k"], rng.getrandbits(32))
+    f0 = pseudo_generic(k, rng.getrandbits(32))
     fm = lift(DiagonalHomeo(0, f0), m, P).inducer
     # each lifted level is a block sum, so fm's signs follow from f0's;
     # _checked_conjugator refuses the target if they did not

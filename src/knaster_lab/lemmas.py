@@ -8,11 +8,13 @@ rational certificate that a distance bound holds:
     CertifiedDistance whose upper bound is strictly below eps.
   * tent_witness: a sup gap of delta/d survives composition with the
     degree-d tent, either undiminished (case 1) or halved but pinned to
-    a boundary value (case 2); one exact search over the tent
-    composites' sup and the grid preimages returns the witness point,
-    and check_tent_witness rechecks it.
+    a boundary value (case 2); one exact search returns the witness
+    point: the sup of the tent composites, taken on one merged walk
+    without building them, then the grid preimages. check_tent_witness
+    rechecks it.
   * separation_lower_bound: a window that moves the grid point 1/d is
-    uniformly far from every diagonal induced below it.
+    uniformly far from every diagonal induced below it; the certificate
+    is the metric at the stalk through 1/d, the point the proof names.
   * comod_lower_bound_check: a sup gap at a high coordinate forces a
     metric gap at a fixed low coordinate, via tent_witness.
 
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _kernel_py as _k
 from .knaster import (
-    CertifiedDistance,
     DiagonalHomeo,
     TruncatedKnasterPoint,
     diag_dist,
@@ -35,7 +37,7 @@ from .knaster import (
     knaster_dist,
     lift,
 )
-from .plmap import compose, sup_dist, sup_dist_witness, to_json_dict
+from .plmap import sup_dist, sup_dist_witness, to_json_dict
 from .rational import format_rational
 from .tents import tent, tent_value
 
@@ -101,11 +103,15 @@ def tent_witness(f, g, d, delta):
     TentWitness(x, case) with case 1 meaning |T∘f - T∘g| >= delta at x,
     and case 2 meaning the gap is >= delta/2 with one side in {0, 1}.
 
-    The search takes the exact sup of the tent composites and, when
-    that falls under delta, the finitely many grid preimages f⁻¹(k/d)
-    and g⁻¹(k/d). Every case-2 point the proof's anchored walk can end
-    on is one of them, so the search finds a witness whenever the
-    lemma holds.
+    The search takes the exact sup of |T∘f - T∘g| and its leftmost
+    witness from compose_pair_sup, which walks both composites together
+    and builds neither. That witness is the one the built composites'
+    sup_dist_witness gives: the leftmost maximizer of the difference is
+    0 or one of its kinks, and both searches score every kink. When the
+    sup falls under delta, the search takes the finitely many grid
+    preimages f⁻¹(k/d) and g⁻¹(k/d). Every case-2 point the proof's
+    anchored walk can end on is one of them, so the search finds a
+    witness whenever the lemma holds.
     """
     delta = Fraction(delta)
     if d < 1:
@@ -114,12 +120,10 @@ def tent_witness(f, g, d, delta):
         raise ValueError("delta must lie in (0, 1/4)")
     if sup_dist(f, g) < delta / d:
         raise ValueError("pair is closer than delta/d in the sup metric")
-    t = tent(d)
-    tf = compose(t, f)
-    tg = compose(t, g)
-    m, wx = sup_dist_witness(tf, tg)
-    if m >= delta:
-        return TentWitness(wx, 1)
+    t = tent(d)._kbps
+    mn, md, wn, wd = _k.compose_pair_sup(t, f._kbps, t, g._kbps)
+    if Fraction(mn, md) >= delta:
+        return TentWitness(Fraction(wn, wd), 1)
     # the full composite sup fell under delta, so hunt along the exact
     # preimages of the tent grid, where one side is pinned to 0 or 1
     half = delta / 2
@@ -155,7 +159,8 @@ def check_tent_witness(f, g, d, delta, w):
 @dataclass(frozen=True)
 class SeparationCertificate:
     bound: Fraction
-    distance: CertifiedDistance
+    lower: Fraction
+    witness: TruncatedKnasterPoint
 
 
 def separation_lower_bound(F, h_window, m, eta, P):
@@ -163,9 +168,13 @@ def separation_lower_bound(F, h_window, m, eta, P):
 
     F lives at a coordinate n < m; d = p_{n+1}...p_m. Every lift of F
     fixes the grid point 1/d, so a window with |h(1/d) - 1/d| >= 2*eta
-    stays a weighted step away from F. The grid point is a corner of the
-    lifted block inducer, hence among diag_dist's candidates, and the
-    certified lower bound dominates the coordinate-m term there.
+    stays a weighted step away from F. The check follows that argument:
+    x is the level-m stalk through 1/d, and the metric between the two
+    image stalks, truncated at m, is at least its coordinate-m term
+    |h(1/d) - 1/d|/(p_1...p_m) >= 2*eta/(p_1...p_m). Returns
+    SeparationCertificate(bound, lower, witness): lower is that
+    truncated metric and witness is x. The sup over all stalks that
+    diag_dist takes is at least lower, so this check is the stricter.
     """
     eta = Fraction(eta)
     if eta <= 0:
@@ -178,9 +187,12 @@ def separation_lower_bound(F, h_window, m, eta, P):
     margin = abs(h_window(grid) - grid)
     if margin < 2 * eta:
         raise ValueError("window moves 1/d by less than 2*eta")
-    dist = diag_dist(F, DiagonalHomeo(m, h_window), m, P)
+    x = extend_point(grid, m, P)
+    ya = eval_diagonal(F, x, P)
+    yb = eval_diagonal(DiagonalHomeo(m, h_window), x, P)
+    lower = knaster_dist(ya, yb, P).lower
     bound = eta / P.product(1, m)
-    if dist.lower < bound:
+    if lower < bound:
         raise CounterexampleError(
             "separation bound failed at the grid stalk",
             {
@@ -189,9 +201,10 @@ def separation_lower_bound(F, h_window, m, eta, P):
                 "window": to_json_dict(h_window),
                 "coord": m,
                 "eta": format_rational(eta),
+                "witness": x.to_json_dict(),
             },
         )
-    return SeparationCertificate(bound, dist)
+    return SeparationCertificate(bound, lower, x)
 
 
 @dataclass(frozen=True)

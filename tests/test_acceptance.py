@@ -223,7 +223,7 @@ def test_10_separation():
         shift = 2 * eta + F(rng.randint(0, 8), 128)
         window = perturb_homeo(rand_homeo(rng, 4), F(1, d), F(1, d) + shift)
         cert = separation_lower_bound(Fd, window, m, eta, P)
-        assert cert.distance.lower >= cert.bound
+        assert cert.lower >= cert.bound
     _report(10, "separation", "50 instances certified")
 
 

@@ -424,6 +424,34 @@ def test_suites_refuse_a_large_d_max_before_the_first_draw(
         main(argv + [str(d_max)])
 
 
+@pytest.mark.parametrize(
+    "m, k",
+    [
+        # 2·k·p_1...p_m + 1 on the diagonal schedule (p_1...p_m = 2, 4, 12)
+        # is within the limit, and one more interval passes it
+        (1, 249999),
+        (2, 124999),
+        (3, 41666),
+    ],
+)
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_density_refuses_a_large_generic_k_before_the_first_draw(
+    m, k, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew a map")
+
+    monkeypatch.setattr(experiments, "pseudo_generic", refuse)
+    monkeypatch.setattr(experiments, "rand_signature_homeo", refuse)
+    argv = ["experiment", "density", "--m", str(m), "--seed", str(seed),
+            "--trials", "2", "--generic-k"]
+    assert main(argv + [str(k + 1)]) == 2
+    assert f"a {k + 1}-interval generic map lifted" in capsys.readouterr().err
+    # at the limit the guard passes, and the first draw is reached
+    with pytest.raises(AssertionError, match="drew a map"):
+        main(argv + [str(k)])
+
+
 def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):
     assert main(["verify", "grid-fix", "--trials", "0"]) == 2
     assert "trial count must be positive" in capsys.readouterr().err

@@ -15,6 +15,8 @@ f∘g, and sup_diff(f, g) is compose_sup_diff over the identity. Their
 oracle is the merged-xs sup_diff they replaced: evaluate both lists on
 the union of their breakpoints and keep the leftmost largest gap. Value
 and witness must match it, compose_sup_diff's on oracle_compose(f, g).
+compose_pair_sup merges two walks and builds neither composite; value
+and witness must match sup_diff of the two built composites.
 """
 
 import sys
@@ -29,7 +31,7 @@ from knaster_lab import _kernel_py as _k
 from knaster_lab.conjugator import _checked_conjugator
 from knaster_lab.experiments import VERIFY_SUITES, ExperimentConfig, run_verify_suite
 from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
-from knaster_lab.tents import tent
+from knaster_lab.tents import oplus_power, tent
 
 from test_conjugator_frozen import ETAS, PAIRS
 
@@ -154,6 +156,9 @@ def open_maps(draw):
     d = draw(st.integers(1, 4))
     h = draw(homeos())
     return OpenPLMap._from_kernel(oracle_compose(tent(d)._kbps, h._kbps))
+
+
+any_maps = flat_maps() | homeos() | open_maps()
 
 
 def check_compose(f, g):
@@ -358,6 +363,74 @@ def test_compose_sup_diff_kink_off_the_walk(y):
     assert _k.compose_sup_diff(g.invert()._kbps, g._kbps, t) == (1, 3, 1, 2)
 
 
+# ------------------------------------------------------- compose_pair_sup
+
+
+def check_compose_pair_sup(f1, g1, f2, g2):
+    """compose_pair_sup against sup_diff of the built composites."""
+    got = _k.compose_pair_sup(f1, g1, f2, g2)
+    c1, c2 = _k.compose(f1, g1), _k.compose(f2, g2)
+    assert got == _k.sup_diff(c1, c2)
+    assert got == oracle_sup_diff(oracle_compose(f1, g1), oracle_compose(f2, g2))
+    return got
+
+
+@st.composite
+def collinear_inner(draw):
+    """A homeo's list with a collinear point added inside one segment."""
+    h = draw(homeos())._kbps
+    k = draw(st.integers(0, len(h) - 2))
+    r = draw(interior)
+    a, b = F(h[k][0], h[k][1]), F(h[k + 1][0], h[k + 1][1])
+    x = _pair(a + r * (b - a))
+    return h[:k + 1] + [x + _k.eval_at(h, x)] + h[k + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(homeos(), st.integers(1, 6))
+def test_compose_pair_sup_semiconjugacy(g, d):
+    # g∘T_d against T_d∘⊕_d g: equal maps, so the sup is 0 at 0
+    t = tent(d)._kbps
+    got = check_compose_pair_sup(g._kbps, t, t, oplus_power(g, d)._kbps)
+    assert got == (0, 1, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(homeos(), homeos(), st.integers(1, 6))
+def test_compose_pair_sup_against_another_block_sum(g, h, d):
+    # g∘T_d against T_d∘⊕_d h, the semiconjugacy shape with unequal sides
+    t = tent(d)._kbps
+    check_compose_pair_sup(g._kbps, t, t, oplus_power(h, d)._kbps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(homeos() | collinear_inner().map(PLMap._from_kernel),
+       homeos() | collinear_inner().map(PLMap._from_kernel), st.integers(1, 6))
+def test_compose_pair_sup_tent_after_inducers(f, g, d):
+    # T_d∘f against T_d∘g, tent_witness's case 1
+    t = tent(d)._kbps
+    check_compose_pair_sup(t, f._kbps, t, g._kbps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_maps, any_maps | collinear_inner().map(PLMap._from_kernel),
+       any_maps, any_maps | collinear_inner().map(PLMap._from_kernel))
+def test_compose_pair_sup_unequal_pairs(f1, g1, f2, g2):
+    check_compose_pair_sup(f1._kbps, g1._kbps, f2._kbps, g2._kbps)
+
+
+def test_compose_pair_sup_points_inside_each_other():
+    # walk 1 is 0, 1/3, 1 and walk 2 is 0, 2/3, 1: each interior point lies
+    # strictly inside a segment of the other walk and is scored against its
+    # chord. At 1/3 the gap is 1/2 - 1/6 = 1/3, at 2/3 it is 3/4 - 1/3 =
+    # 5/12, the sup, whichever walk comes first
+    ident = [(0, 1, 0, 1), (1, 1, 1, 1)]
+    g1 = [(0, 1, 0, 1), (1, 3, 1, 2), (1, 1, 1, 1)]
+    g2 = [(0, 1, 0, 1), (2, 3, 1, 3), (1, 1, 1, 1)]
+    assert check_compose_pair_sup(ident, g1, ident, g2) == (5, 12, 2, 3)
+    assert check_compose_pair_sup(ident, g2, ident, g1) == (5, 12, 2, 3)
+
+
 # ---------------------------------------------------------------- sup_diff
 
 
@@ -365,9 +438,6 @@ def check_sup_diff(f, g):
     """sup_diff both ways round against the merged-xs oracle."""
     assert _k.sup_diff(f, g) == oracle_sup_diff(f, g)
     assert _k.sup_diff(g, f) == oracle_sup_diff(g, f)
-
-
-any_maps = flat_maps() | homeos() | open_maps()
 
 
 @settings(max_examples=300, deadline=None)

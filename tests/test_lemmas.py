@@ -29,6 +29,7 @@ from knaster_lab.lemmas import (
 )
 from knaster_lab.plmap import (
     PLHomeo,
+    compose,
     from_json_dict,
     identity,
     reflect,
@@ -44,7 +45,7 @@ from knaster_lab.randgen import (
     rand_nudge,
 )
 from knaster_lab.rational import format_rational
-from knaster_lab.tents import tent_value
+from knaster_lab.tents import tent, tent_value
 
 ALL2 = PrimeSequence("all2")
 DIAG = PrimeSequence("diagonal")
@@ -211,6 +212,13 @@ def oracle_walk_witness(f, g, d, delta):
     )
 
 
+def oracle_case_one(f, g, d, delta):
+    """The case-1 search tent_witness replaced: the sup of the built
+    composites T∘f and T∘g, and its leftmost witness; None below delta."""
+    m, x = sup_dist_witness(compose(tent(d), f), compose(tent(d), g))
+    return TentWitness(x, 1) if m >= delta else None
+
+
 def test_tent_witness_degree_one_is_plain_sup():
     w = tent_witness(identity(), bump("1/2", "7/10"), 1, F(1, 5))
     assert w == (F(1, 2), 1)
@@ -288,6 +296,9 @@ def test_tent_witness_seeded_sweep(stream):
         assert sup_dist(f, g) >= delta / d
         w = tent_witness(f, g, d, delta)
         assert check_tent_witness(f, g, d, delta, w)
+        # the merged walk's case-1 witness is the built composites'
+        one = oracle_case_one(f, g, d, delta)
+        assert (w if w.case == 1 else None) == one
         walk = oracle_walk_witness(f, g, d, delta)
         assert check_tent_witness(f, g, d, delta, walk)
         if walk.case == 2:
@@ -297,6 +308,16 @@ def test_tent_witness_seeded_sweep(stream):
             assert walk.x in cands
     if stream == "trace":
         assert walk_case_two >= 1
+
+
+def test_tent_witness_builds_no_composite(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("tent_witness built a composite")
+
+    g = bump("1/4", "7/20")
+    want = tent_witness(identity(), g, 2, F(1, 5))
+    monkeypatch.setattr(lemmas._k, "compose", refuse)
+    assert tent_witness(identity(), g, 2, F(1, 5)) == want == (F(1, 4), 1)
 
 
 def test_tent_witness_is_deterministic():
@@ -312,14 +333,16 @@ def test_tent_witness_is_deterministic():
 def test_separation_frozen_grid_bump():
     # all2, n=0, m=1: d = 2 and the window moves 1/2 to 5/8, margin 1/8.
     # eta = 1/16 sits exactly at the non-strict boundary 2*eta = 1/8.
-    # diag_dist at N=1 has lower 3/16 at the stalk (1, 1/2).
+    # The stalk through 1/2 is (1, 1/2); the window sends it to (3/4, 5/8),
+    # so the metric there is |1 - 3/4|/2 + |1/2 - 5/8|/2 = 3/16, which is
+    # also diag_dist's lower bound at N=1.
     Fd = DiagonalHomeo(0, identity())
     h = bump("1/2", "5/8")
     cert = separation_lower_bound(Fd, h, 1, F(1, 16), ALL2)
     assert cert.bound == F(1, 32)
-    assert cert.distance.lower == F(3, 16)
-    assert cert.distance.upper == F(3, 16) + F(1, 48)
-    assert cert.distance.witness == TruncatedKnasterPoint((F(1), F(1, 2)))
+    assert cert.lower == F(3, 16)
+    assert cert.witness == TruncatedKnasterPoint((F(1), F(1, 2)))
+    assert diag_dist(Fd, DiagonalHomeo(1, h), 1, ALL2).lower == cert.lower
 
 
 def test_separation_spec_eta():
@@ -344,6 +367,35 @@ def test_separation_rejects_thin_margin():
         )
 
 
+def test_separation_certifies_at_the_stalk_alone(monkeypatch):
+    # one stalk settles it: no diag_dist, no lift, no fold
+    def refuse(*_):
+        raise AssertionError("separation built more than the grid stalk")
+
+    monkeypatch.setattr(lemmas, "diag_dist", refuse)
+    monkeypatch.setattr(lemmas, "lift", refuse)
+    monkeypatch.setattr(lemmas._k, "compose", refuse)
+    cert = separation_lower_bound(
+        DiagonalHomeo(0, identity()), bump("1/2", "5/8"), 1, F(1, 16), ALL2
+    )
+    assert cert.lower == F(3, 16)
+
+
+def test_separation_self_check_raises_with_replay_payload(monkeypatch):
+    # a stalk metric under the bound must not pass as a certificate
+    def too_close(a, b, P):
+        return CertifiedDistance(F(0), F(1), a.truncation, None)
+
+    monkeypatch.setattr(lemmas, "knaster_dist", too_close)
+    h = bump("1/2", "5/8")
+    with pytest.raises(CounterexampleError) as err:
+        separation_lower_bound(DiagonalHomeo(0, identity()), h, 1, F(1, 16), ALL2)
+    payload = err.value.payload
+    assert from_json_dict(payload["window"]) == h
+    assert payload["coord"] == 1
+    assert payload["witness"] == {"coords": ["1", "1/2"]}
+
+
 @pytest.mark.parametrize("P", [ALL2, DIAG], ids=["all2", "diagonal"])
 def test_separation_seeded_sweep(P):
     eta = F(1, 40)
@@ -356,7 +408,11 @@ def test_separation_seeded_sweep(P):
         shift = 2 * eta + F(rng.randint(0, 8), 128)
         h = perturb_homeo(rand_homeo(rng, 4), F(1, d), F(1, d) + shift)
         cert = separation_lower_bound(Fd, h, m, eta, P)
-        assert cert.distance.lower >= cert.bound
+        # the stalk through 1/d is one candidate of diag_dist's sup
+        oracle = diag_dist(Fd, DiagonalHomeo(m, h), m, P)
+        assert oracle.lower >= cert.lower >= cert.bound
+        assert cert.witness.truncation == m
+        assert cert.witness.coords[m] == F(1, d)
 
 
 # -------------------------------------------------------------------- comod

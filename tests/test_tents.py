@@ -127,6 +127,38 @@ def test_semiconjugacy_random(g, d):
     assert verify_semiconjugacy(g, d)
 
 
+def oracle_semiconjugacy(g, d):
+    """The check verify_semiconjugacy replaced: both composites, built."""
+    t = tent(d)
+    return compose(g, t) == compose(t, tents.oplus_power(g, d))
+
+
+def test_semiconjugacy_matches_built_composites(monkeypatch):
+    # against a block sum of another map the identity fails, and the
+    # merged walk must say so exactly when the built composites differ
+    rng = derive_rng("semiconj-oracle")
+    real = tents.oplus_power
+    seen = set()
+    for _ in range(40):
+        g, h = rand_homeo(rng, 4), rand_homeo(rng, 4)
+        d = rng.randint(1, 5)
+        for inner in (g, h):
+            monkeypatch.setattr(tents, "oplus_power", lambda _, n, h=inner: real(h, n))
+            got = verify_semiconjugacy(g, d)
+            assert got == oracle_semiconjugacy(g, d)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_semiconjugacy_builds_no_composite(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("verify_semiconjugacy built a composite")
+
+    monkeypatch.setattr(tents._k, "compose", refuse)
+    for d in range(1, 8):
+        assert verify_semiconjugacy(BUMP, d)
+
+
 @settings(max_examples=30, deadline=None)
 @given(homeos(), homeos(), st.integers(min_value=1, max_value=5))
 def test_oplus_contraction_exact(g1, g2, d):

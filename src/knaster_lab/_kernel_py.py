@@ -21,17 +21,17 @@ Typed maps are canonical, and so are the lists that compose, concat,
 restrict and pl_sub return, and the affine_image of a canonical list
 under a map with sy != 0.
 
-One walk of f∘g serves four functions. ``_walk(f, g)`` yields g's
-breakpoints and the points where g crosses a breakpoint of f, with their
-values, unreduced. ``compose`` normalizes them and drops the collinear
-ones. ``compose_sup_diff(f, g, t)`` scores them against t, and
-``sup_diff(f, g)`` is ``compose_sup_diff`` with the identity as the inner
-map. ``compose_pair_sup(f1, g1, f2, g2)`` merges two walks in x and
-scores each against the other's chords, for the sup of f1∘g1 - f2∘g2.
-The scorers need no canonical input: they test no collinearity and build
-no list, so a collinear point only adds a candidate. They need each
-inner map's range inside its outer map's domain, as compose does, and
-the functions they compare on one domain: the same first and last x.
+One walk of f∘g serves two functions, and through them every exact sup
+of a difference of maps. ``_walk(f, g)`` yields g's breakpoints and the
+points where g crosses a breakpoint of f, with their values, unreduced.
+``compose`` normalizes them and drops the collinear ones.
+``compose_pair_sup(f1, g1, f2, g2)`` merges two walks in x and scores
+each against the other's chords, for the sup of |f1∘g1 - f2∘g2|; with
+the identity as both inner maps it is ``sup_diff(f, g)``. It needs no
+canonical input: it tests no collinearity and builds no list, so a
+collinear point only adds a candidate. It needs each inner map's range
+inside its outer map's domain, as compose does, and both inner maps on
+one domain: the same first and last x.
 """
 
 from math import gcd
@@ -264,67 +264,19 @@ def compose(f, g):
     return out
 
 
-def compose_sup_diff(f, g, t):
-    """Exact sup of |f∘g - t| over g's domain, with its leftmost witness.
-
-    Returns (dn, dd, wxn, wxd); f∘g is never built. f∘g - t is affine
-    between consecutive points of two kinds: _walk's and t's breakpoints.
-    So the sup is the largest |f∘g - t| among them, scored left to right,
-    and only a strictly larger one moves the witness. At a walk point, t
-    is slope*x + offset on the segment a forward pointer holds; at a
-    breakpoint of t strictly between two walk points, f∘g is read off the
-    chord through them. No walk value is reduced to lowest terms: every
-    denominator stays positive, the running max is compared by
-    cross-multiplication, and it and its witness are normalized once at
-    the end.
-    """
-    aff = []
-    for k in range(len(t) - 1):
-        (sn, sd), (on, od) = segment_affine(t, k)
-        aff.append((sn * od, on * sd, sd * od))
-    top = len(aff) - 1
-    k = 0
-    s1, s2, s3 = aff[0]
-    bn, bd, wn, wd = -1, 1, 0, 1  # below any score, so the first point wins
-    for xn, xd, vn, vd, _ in _walk(f, g):
-        # t's breakpoints up to x; those strictly before it lie on the
-        # chord from the previous walk point
-        while k < top:
-            tb = t[k + 1]
-            if tb[0] * xd > xn * tb[1]:
-                break
-            k += 1
-            s1, s2, s3 = aff[k]
-            if tb[0] * xd < xn * tb[1]:
-                un, ud = _interp(tb[:2], last, (xn, xd, vn, vd))
-                dn = abs(un * tb[3] - tb[2] * ud)
-                dd = ud * tb[3]
-                if dn * bd > bn * dd:
-                    bn, bd, wn, wd = dn, dd, tb[0], tb[1]
-        tn = s1 * xn + s2 * xd
-        td = s3 * xd
-        dn = abs(vn * td - tn * vd)
-        dd = vd * td
-        if dn * bd > bn * dd:
-            bn, bd, wn, wd = dn, dd, xn, xd
-        last = (xn, xd, vn, vd)
-    return rnorm(bn, bd) + rnorm(wn, wd)
-
-
 def compose_pair_sup(f1, g1, f2, g2):
     """Exact sup of |f1∘g1 - f2∘g2| over the common domain, leftmost witness.
 
-    Returns (dn, dd, wxn, wxd), as compose_sup_diff does, and builds
-    neither composite. g1 and g2 share their first and last x, and each
-    g's range lies in its f's domain. The difference is affine between
-    consecutive points of the two walks, so the two _walk streams are
-    merged in x and scored left to right; only a strictly larger score
-    moves the witness. A point of one walk strictly inside a segment of
+    Returns (dn, dd, wxn, wxd), both in lowest terms, and builds neither
+    composite. g1 and g2 share their first and last x, and each g's range
+    lies in its f's domain. The difference is affine between consecutive
+    points of the two walks, so the two _walk streams are merged in x and
+    scored left to right; only a strictly larger score moves the witness. A point of one walk strictly inside a segment of
     the other is scored against that segment's chord, read off the
     other walk's points on either side. Nothing is reduced to lowest
     terms until the end: every denominator stays positive, and scores
-    are compared by cross-multiplication. Like compose_sup_diff, it
-    tests no collinearity, so no input need be canonical.
+    are compared by cross-multiplication. It tests no collinearity, so
+    no input need be canonical.
     """
     w1 = _walk(f1, g1)
     w2 = _walk(f2, g2)
@@ -412,12 +364,14 @@ def merged_xs(f, g):
 def sup_diff(f, g):
     """Exact sup of |f - g| over their common domain, with leftmost witness.
 
-    f and g share their first and last x. f - g is f∘id - g, so this is
-    compose_sup_diff with the identity on that domain. Returns (dn, dd,
-    wxn, wxd).
+    f and g share their first and last x. f - g is f∘id - g∘id, so this is
+    compose_pair_sup with the identity on that domain as both inner maps:
+    its walks are f's and g's breakpoints, merged and scored left to
+    right. Returns (dn, dd, wxn, wxd).
     """
     a, b = f[0][:2], f[-1][:2]
-    return compose_sup_diff(f, [a + a, b + b], g)
+    ident = [a + a, b + b]
+    return compose_pair_sup(f, ident, g, ident)
 
 
 def fixed_structure(bps):

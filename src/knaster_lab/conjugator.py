@@ -116,17 +116,19 @@ at most a few pieces sideways and the error stays proportional to the
 piece width, which we pick below the cap margin.
 
 Post-check: achieved = sup |h⁻¹ ∘ f ∘ h - g| is computed exactly, without
-building h⁻¹ ∘ f ∘ h. _conjugacy_gap composes hf = h⁻¹ ∘ f once, and
-_kernel_py.compose_sup_diff(hf, h, g) scores every point where the
-difference can break: h's breakpoints and the points where h crosses a
-breakpoint of hf (the walk compose itself makes, _kernel_py._walk), and
-g's breakpoints. Between consecutive ones both h⁻¹ ∘ f ∘ h and g are
-affine, so |difference| is convex there and its sup over the cell sits
-at an end. The running max stays an unreduced fraction, compared by
-cross-multiplication and normalized once at the end; the post-check
-keeps the value and drops the witness. _checked_conjugator hands hf
-back, so a caller that needs the conjugate as a map pays one compose
-for it.
+building h⁻¹ ∘ f ∘ h or any other composite. h is a bijection of [0, 1],
+so with y = h(x) the sup over x is the sup over y of
+|h⁻¹(f(y)) - g(h⁻¹(y))|, the difference of h⁻¹ ∘ f and g ∘ h⁻¹.
+_conjugacy_gap scores it with _kernel_py.compose_pair_sup(h⁻¹, f, g, h⁻¹),
+which merges two walks (_kernel_py._walk, the one compose makes): f's
+breakpoints and the points where f crosses a breakpoint of h⁻¹, and h⁻¹'s
+breakpoints and the points where h⁻¹ crosses a breakpoint of g. Between
+consecutive points of the merged walk both maps are affine, so
+|difference| is convex there and its sup over the cell sits at an end. A
+point of one walk inside a segment of the other is read off that
+segment's chord. The running max stays an unreduced fraction, compared by
+cross-multiplication and normalized once at the end; the post-check keeps
+the value and drops the witness, which is a point y of h's range.
 
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
@@ -478,23 +480,26 @@ def _cap_margin(eta, f_ivs, g_ivs):
 
 
 def _conjugacy_gap(fk, hk, gk):
-    """(sup |h⁻¹ ∘ f ∘ h - g| as a Fraction, h⁻¹ ∘ f) on kernel lists."""
-    hf = _k.compose(_k.invert(hk), fk)
-    return Fraction(*_k.compose_sup_diff(hf, hk, gk)[:2]), hf
+    """sup |h⁻¹ ∘ f ∘ h - g| as a Fraction, on kernel lists.
+
+    Scored in h's range, as sup |h⁻¹ ∘ f - g ∘ h⁻¹|; see Post-check in the
+    module docstring.
+    """
+    hinv = _k.invert(hk)
+    return Fraction(*_k.compose_pair_sup(hinv, fk, gk, hinv)[:2])
 
 
 def _checked_conjugator(f, g, eta, max_steps=1_000_000):
-    """approx_conjugator's build and post-check: (h, achieved, hf, steps).
+    """approx_conjugator's build and post-check: (h, achieved, steps).
 
-    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), hf is h⁻¹ ∘ f as a
-    kernel list, so a caller gets the conjugate as compose(hf, h), and
-    steps is the orbit budget the build spent.
+    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), found without building
+    the conjugate, and steps is the orbit budget the build spent.
     """
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity(), Fraction(0), f._kbps, 0
+        return identity(), Fraction(0), 0
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
     if f_signs != signs:
@@ -504,12 +509,12 @@ def _checked_conjugator(f, g, eta, max_steps=1_000_000):
     eta_cap = _cap_margin(eta, f_ivs, g_ivs)
     budget = _Budget(max_steps)
     h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
-    achieved, hf = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
+    achieved = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved, hf, max_steps - budget.left
+    return h, achieved, max_steps - budget.left
 
 
 def approx_conjugator(f, g, eta, max_steps=1_000_000):
@@ -566,7 +571,7 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
             f"blockwise post-check failed: sup_dist(g, id) = {norm} is not "
             f"the largest block norm over {d}"
         )
-    achieved, _ = _conjugacy_gap(oplus_power(f, d)._kbps, g._kbps, h._kbps)
+    achieved = _conjugacy_gap(oplus_power(f, d)._kbps, g._kbps, h._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"blockwise post-check failed: achieved {achieved}, needed < {eta}"
@@ -600,7 +605,7 @@ def conjugator_certificate(f, g, eta):
     (the orbit budget the build spent) say what the conjugator cost; all
     three are deterministic.
     """
-    h, achieved, _, steps = _checked_conjugator(f, g, eta)
+    h, achieved, steps = _checked_conjugator(f, g, eta)
     eta = Fraction(eta)
     return {
         "f": to_json_dict(f),

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
 
-from . import _kernel_py as _k
 from .conjugator import (
     ConjugatorError,
     OrbitCapError,
@@ -39,7 +38,7 @@ from .lemmas import (
     separation_lower_bound,
     tent_witness,
 )
-from .plmap import PLHomeo, compose, reflect, sup_dist, to_json_dict
+from .plmap import compose, reflect, sup_dist, to_json_dict
 from .randgen import (
     derive_rng,
     perturb_homeo,
@@ -453,8 +452,9 @@ def _t_density(cfg, rng):
     m, eta = cfg.params["m"], cfg.params["eta"]
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if m < 0:
-        raise ValueError("target coordinate must be nonnegative")
+    if m < 1:
+        # proof_slack_sum(0, P) is the empty sum, so eps would be eta/0
+        raise ValueError(f"target coordinate m must be at least 1, not {m}")
     # diag_dist at m folds m levels; refuse before paying for the products
     check_fold_size(m, P)
     # f0 has at most 2k + 1 breakpoints, so its lift at most 2k·p_1...p_m
@@ -471,9 +471,10 @@ def _t_density(cfg, rng):
     for k in range(1, m + 1):
         signs = signature_oplus(signs, P.prime(k))
     target = rand_signature_homeo(rng, signs)
-    # the post-check's distance to target; h⁻¹ ∘ fm ∘ h from its h⁻¹ ∘ fm
-    h, gap, hf, _ = _checked_conjugator(fm, target, eps)
-    conj = PLHomeo._from_kernel(_k.compose(hf, h._kbps))
+    # the post-check's distance to target, found without the conjugate;
+    # diag_dist needs h⁻¹ ∘ fm ∘ h as a map, so it is built here
+    h, gap, steps = _checked_conjugator(fm, target, eps)
+    conj = compose(compose(h.invert(), fm), h)
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:
         raise CounterexampleError(
@@ -486,6 +487,7 @@ def _t_density(cfg, rng):
         "eps": format_rational(eps),
         "signs": signature_to_string(signs) or "(none)",
         "sup_gap": format_rational(gap),
+        "orbit_steps": steps,
         "lower": format_rational(dist.lower),
         "upper": format_rational(dist.upper),
     }

@@ -113,19 +113,19 @@ def test_conj_synthesize_rejects_nonconjugate(maps, capsys):
 
 def test_conj_synthesize_postchecks_once(maps, tmp_path, monkeypatch):
     # the certificate reuses the distance the post-check computed, and the
-    # post-check is one compose_sup_diff walk with no sup_dist of a built
+    # post-check is one compose_pair_sup walk with no sup_dist of a built
     # conjugate
     calls = []
-    real = _k.compose_sup_diff
+    real = _k.compose_pair_sup
 
-    def counted(f, g, t):
+    def counted(f1, g1, f2, g2):
         calls.append(1)
-        return real(f, g, t)
+        return real(f1, g1, f2, g2)
 
     def refused(f, g):
         raise AssertionError("synthesis must not call sup_dist")
 
-    monkeypatch.setattr(_k, "compose_sup_diff", counted)
+    monkeypatch.setattr(_k, "compose_pair_sup", counted)
     monkeypatch.setattr(conjugator, "sup_dist", refused)
     g2 = write_map(tmp_path / "g2.json", [("0", "0"), ("1/4", "1/2"), ("1", "1")])
     cert = tmp_path / "cert.json"
@@ -450,6 +450,23 @@ def test_density_refuses_a_large_generic_k_before_the_first_draw(
     # at the limit the guard passes, and the first draw is reached
     with pytest.raises(AssertionError, match="drew a map"):
         main(argv + [str(k)])
+
+
+def test_density_refuses_m_below_one_before_the_first_draw(monkeypatch, capsys):
+    # proof_slack_sum(0, P) is the empty sum, so m = 0 has no epsilon
+    def refuse(*_):
+        raise AssertionError("drew a map")
+
+    monkeypatch.setattr(experiments, "pseudo_generic", refuse)
+    monkeypatch.setattr(experiments, "rand_signature_homeo", refuse)
+    argv = ["experiment", "density", "--trials", "1", "--m"]
+    for m in ("0", "-1"):
+        assert main(argv + [m]) == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
+    with pytest.raises(AssertionError, match="drew a map"):
+        main(argv + ["1"])
 
 
 def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_slow_tail_pairs_pass_their_postcheck(eta):
     for kind, pairs in _slow_tail_pairs(1, 16).items():
         worst[kind] = F(0)
         for f, g in pairs:
-            h, achieved, _, _ = conjugator._checked_conjugator(f, g, eta)
+            h, achieved, _ = conjugator._checked_conjugator(f, g, eta)
             assert achieved == sup_dist(compose(compose(h.invert(), f), h), g) < eta
             worst[kind] = max(worst[kind], achieved / eta)
     assert worst["neutral"] > F(1, 2)

@@ -249,7 +249,9 @@ def test_density_all_trials_certify():
     assert report.all_ok()
     eta = F(1, 4)
     for o in report.outcomes:
-        assert set(o.details) == {"m", "eta", "eps", "signs", "sup_gap", "lower", "upper"}
+        assert set(o.details) == {
+            "m", "eta", "eps", "signs", "sup_gap", "orbit_steps", "lower", "upper"
+        }
         assert o.details["eps"] == "1/16"
         lower = parse_rational(o.details["lower"])
         upper = parse_rational(o.details["upper"])

@@ -10,13 +10,16 @@ with _interp_x and canonicalizes the whole output, concat canonicalizes
 the glued list, restrict scans every breakpoint and canonicalizes.
 Outputs must be bit-identical and canonical.
 
-compose_sup_diff scores compose's walk of f∘g against t without building
-f∘g, and sup_diff(f, g) is compose_sup_diff over the identity. Their
-oracle is the merged-xs sup_diff they replaced: evaluate both lists on
-the union of their breakpoints and keep the leftmost largest gap. Value
-and witness must match it, compose_sup_diff's on oracle_compose(f, g).
 compose_pair_sup merges two walks and builds neither composite; value
-and witness must match sup_diff of the two built composites.
+and witness must match sup_diff of the two built composites, and the
+merged-xs oracle_sup_diff: evaluate both built lists on the union of
+their breakpoints and keep the leftmost largest gap. With a target t as
+the outer map over the identity, compose_pair_sup(f, g, t, id) is the sup
+of |f∘g - t|; it must match oracle_sup_diff(oracle_compose(f, g), t).
+sup_diff(f, g) is compose_pair_sup with the identity as both inner maps,
+checked against oracle_sup_diff directly. The conjugator's post-check
+scores sup |h⁻¹∘f∘h - g| in h's range as compose_pair_sup(h⁻¹, f, g, h⁻¹);
+it must equal sup_dist of the built conjugate.
 """
 
 import sys
@@ -28,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import _kernel_py as _k
-from knaster_lab.conjugator import _checked_conjugator
+from knaster_lab.conjugator import _checked_conjugator, _conjugacy_gap, grid_block_conjugate
 from knaster_lab.experiments import VERIFY_SUITES, ExperimentConfig, run_verify_suite
 from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
 from knaster_lab.tents import oplus_power, tent
@@ -283,12 +286,15 @@ def test_concat_of_blocks(maps):
     assert _k.canonical(got) == got
 
 
-# ------------------------------------------------------- compose_sup_diff
+# -------------------------------------------- compose_pair_sup, a target
+
+IDENT = [(0, 1, 0, 1), (1, 1, 1, 1)]
 
 
-def check_compose_sup_diff(f, g, t):
-    """compose_sup_diff(f, g, t) against the oracle chain; returns the sup."""
-    got = _k.compose_sup_diff(f, g, t)
+def check_target_sup(f, g, t):
+    """compose_pair_sup(f, g, t, id), the sup of |f∘g - t|, against the
+    oracle chain; returns the sup."""
+    got = _k.compose_pair_sup(f, g, t, IDENT)
     assert got == oracle_sup_diff(oracle_compose(f, g), t)
     return got[:2]
 
@@ -308,18 +314,16 @@ def targets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
-       targets() | homeos().map(lambda h: h._kbps))
-def test_compose_sup_diff_matches_chain(f, g, t):
-    check_compose_sup_diff(f._kbps, g._kbps, t)
+@given(any_maps, any_maps, targets() | homeos().map(lambda h: h._kbps))
+def test_compose_pair_sup_against_a_target(f, g, t):
+    check_target_sup(f._kbps, g._kbps, t)
 
 
 @settings(max_examples=150, deadline=None)
-@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
-       values(2))
-def test_compose_sup_diff_two_point_target(f, g, ends):
+@given(any_maps, any_maps, values(2))
+def test_compose_pair_sup_two_point_target(f, g, ends):
     t = [(0, 1) + _pair(ends[0]), (1, 1) + _pair(ends[1])]
-    check_compose_sup_diff(f._kbps, g._kbps, t)
+    check_target_sup(f._kbps, g._kbps, t)
 
 
 def _kinked_target(fg, cuts):
@@ -346,21 +350,21 @@ nonzero = st.fractions(-1, 1, max_denominator=12).filter(lambda v: v != 0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(flat_maps() | homeos() | open_maps(), flat_maps() | homeos() | open_maps(),
+@given(any_maps, any_maps,
        st.lists(st.tuples(st.integers(0, 20), interior, nonzero), min_size=1, max_size=4))
-def test_compose_sup_diff_target_kinks_inside_a_piece(f, g, cuts):
+def test_compose_pair_sup_target_kinks_inside_a_walk_segment(f, g, cuts):
     t, gap = _kinked_target(_k.compose(f._kbps, g._kbps), cuts)
-    assert F(*check_compose_sup_diff(f._kbps, g._kbps, t)) == gap
+    assert F(*check_target_sup(f._kbps, g._kbps, t)) == gap
 
 
 @pytest.mark.parametrize("y", [F(1, 6), F(5, 6)])
-def test_compose_sup_diff_kink_off_the_walk(y):
+def test_compose_pair_sup_target_kink_off_the_walk(y):
     # f∘g is the identity and t leaves it only at 1/2, by 1/3 below or
     # above: the sup is 1/3, attained at a point that is neither a
     # breakpoint of g nor a crossing of f, with f∘g - t of either sign
     g = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
     t = [(0, 1, 0, 1), (1, 2) + _pair(y), (1, 1, 1, 1)]
-    assert _k.compose_sup_diff(g.invert()._kbps, g._kbps, t) == (1, 3, 1, 2)
+    assert _k.compose_pair_sup(g.invert()._kbps, g._kbps, t, IDENT) == (1, 3, 1, 2)
 
 
 # ------------------------------------------------------- compose_pair_sup
@@ -424,11 +428,11 @@ def test_compose_pair_sup_points_inside_each_other():
     # strictly inside a segment of the other walk and is scored against its
     # chord. At 1/3 the gap is 1/2 - 1/6 = 1/3, at 2/3 it is 3/4 - 1/3 =
     # 5/12, the sup, whichever walk comes first
-    ident = [(0, 1, 0, 1), (1, 1, 1, 1)]
     g1 = [(0, 1, 0, 1), (1, 3, 1, 2), (1, 1, 1, 1)]
     g2 = [(0, 1, 0, 1), (2, 3, 1, 3), (1, 1, 1, 1)]
-    assert check_compose_pair_sup(ident, g1, ident, g2) == (5, 12, 2, 3)
-    assert check_compose_pair_sup(ident, g2, ident, g1) == (5, 12, 2, 3)
+    assert check_compose_pair_sup(IDENT, g1, IDENT, g2) == (5, 12, 2, 3)
+    assert check_compose_pair_sup(IDENT, g2, IDENT, g1) == (5, 12, 2, 3)
+
 
 
 # ---------------------------------------------------------------- sup_diff
@@ -477,15 +481,37 @@ def test_sup_diff_constant_gap_is_witnessed_at_the_left_end(f, c):
     check_sup_diff(f._kbps, shifted)
 
 
+def check_conjugacy_gap(f, h, g):
+    """_conjugacy_gap, scored in h's range, against the built conjugate."""
+    want = sup_dist(compose(compose(h.invert(), f), h), g)
+    assert _conjugacy_gap(f._kbps, h._kbps, g._kbps) == want
+    return want
+
+
 def test_checked_conjugator_matches_chain():
-    """achieved is the old chain's sup_dist(h⁻¹∘f∘h, g) on the frozen pairs."""
+    """achieved is the old chain's sup_dist(h⁻¹∘f∘h, g) on the frozen pairs.
+
+    The post-check's gap must match the chain for h on the reflected pair
+    too, where h conjugates nothing and the gap is large.
+    """
+    gaps = []
     for f, g in PAIRS:
         for ff, gg in ((f, g), (reflect(f), reflect(g))):
             for eta in ETAS:
-                h, achieved, hf, _ = _checked_conjugator(ff, gg, eta)
-                hf_chain = compose(h.invert(), ff)
-                assert hf == hf_chain._kbps
-                assert achieved == sup_dist(compose(hf_chain, h), gg)
+                h, achieved, _ = _checked_conjugator(ff, gg, eta)
+                assert achieved == check_conjugacy_gap(ff, h, gg)
+                gaps.append(check_conjugacy_gap(reflect(ff), h, reflect(gg)))
+    assert max(gaps) > F(1, 100)
+
+
+def test_conjugacy_gap_of_a_grid_block_conjugate():
+    # the blockwise post-check: ⊕²(bump) against ⊕² of a conjugate of it
+    bump = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
+    phi = PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (1, 1)])
+    target = oplus_power(compose(compose(phi.invert(), bump), phi), 2)
+    eta = F(1, 100)
+    g = grid_block_conjugate(bump, 2, target, eta)
+    assert check_conjugacy_gap(oplus_power(bump, 2), g, target) < eta
 
 
 # ------------------------------------------------- canonical-input contract
@@ -495,15 +521,15 @@ def _synthesis_workload():
     """A small seed-0 synthesis workload of the benchmark (perfbench/workloads.py).
 
     Larger than its reference inputs, so compose still runs over a
-    thousand times now that most orbit steps are affine images and the
-    orbit anchors sit on breakpoints.
+    thousand times now that most orbit steps are affine images, the
+    orbit anchors sit on breakpoints and the post-check composes nothing.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    wl = workloads.Synthesis(0, regular=32, squeeze=8, grid=4)
+    wl = workloads.Synthesis(0, regular=48, squeeze=8, grid=4)
     return wl, wl.ops
 
 

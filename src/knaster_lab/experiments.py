@@ -8,12 +8,12 @@ into a standalone replay file plus a nonzero exit code.
 
 A config is checked and typed once, when it is built: a key other than
 its fields, an unknown suite, a nonpositive trial count, a param its
-suite does not declare and a badly typed value all raise ValueError
-before the first trial. SUITE_PARAMS declares each suite's params once,
-with their defaults, and the report records every param as the trials
-read it. Configs serialize to JSON with every rational as a "p/q"
-string; the CLI lays command-line flags over a config file field by
-field.
+suite does not declare, a badly typed value, a size param below its
+PARAM_LEAST and a size its suite's SUITE_SIZE check refuses all raise
+ValueError before the first draw. SUITE_PARAMS declares each suite's
+params once, with their defaults, and the report records every param as
+the trials read it. Configs serialize to JSON with every rational as a
+"p/q" string; the CLI lays flags over a config file field by field.
 """
 
 import json
@@ -53,7 +53,7 @@ from .signatures import (
     signature_reflect,
     signature_to_string,
 )
-from .tents import check_size, oplus_power, verify_semiconjugacy
+from .tents import MAX_BREAKPOINTS, check_size, oplus_power, verify_semiconjugacy
 
 # perfbench/test_gate.py plants a failed trial through this name
 CheckFailure = CounterexampleError
@@ -79,6 +79,49 @@ SUITE_PARAMS = {
     "comod": {"delta": Fraction(1, 5)},
     "signature-laws": {"d_max": 5},
     "density": {"m": 1, "eta": Fraction(1, 4), "generic_k": 2},
+}
+
+# Least value of each integer size param: below it a draw range or semiconj's
+# sweep is empty, rand_homeo draws the identity, or density's slack sum is 0.
+PARAM_LEAST = {"d_max": 1, "max_breakpoints": 1, "n_max": 0, "d": 1, "m": 1, "generic_k": 1}
+
+
+def _block_sum_size(p, P):
+    # oplus_power of degree d_max of a map with up to max_breakpoints
+    # interior breakpoints in semiconj, 8 in the other suites
+    b, d_max = p.get("max_breakpoints", 8), p["d_max"]
+    check_size((b + 1) * d_max + 1, f"oplus_power of degree {d_max}")
+
+
+def _separation_size(p, P):
+    # nothing is folded, but knaster_dist and the bound multiply out the
+    # weight denominator p_1...p_{n_max+2}; any 20 primes pass the limit
+    n = p["n_max"]
+    if P.product(1, min(n + 2, MAX_BREAKPOINTS.bit_length())) >= MAX_BREAKPOINTS:
+        raise ValueError(f"n_max {n} needs the weight denominator p_1...p_{n + 2}, "
+                         f"not below the limit {MAX_BREAKPOINTS}")
+
+
+def _density_size(p, P):
+    if p["eta"] <= 0:
+        raise ValueError("eta must be positive")
+    # diag_dist at m folds m levels; refuse before paying for the products
+    m, k = p["m"], p["generic_k"]
+    check_fold_size(m, P)
+    # f0 has at most 2k + 1 breakpoints, so its lift at most 2k·p_1...p_m + 1
+    check_size(2 * k * P.product(1, m) + 1,
+               f"a {k}-interval generic map lifted to coordinate {m}")
+
+
+# Each suite's size check, of (params, primes), against tents.MAX_BREAKPOINTS
+SUITE_SIZE = {
+    **dict.fromkeys(("semiconj", "oplus-scaling", "grid-fix", "signature-laws"),
+                    _block_sum_size),
+    "mod-bound": lambda p, P: check_fold_size(p["n_max"], P),
+    "tent-witness": lambda p, P: p["d"] and check_size(p["d"] + 1, f"tent(d) at d {p['d']}"),
+    "separation": _separation_size,
+    "comod": lambda p, P: None,  # its maps have a fixed size
+    "density": _density_size,
 }
 
 
@@ -122,6 +165,10 @@ class ExperimentConfig:
         self.params = {
             k: _typed(f"param {k}", v, params.get(k, v)) for k, v in declared.items()
         }
+        for k, least in PARAM_LEAST.items():
+            if self.params.get(k) is not None and self.params[k] < least:
+                raise ValueError(f"{k} must be at least {least}, not {self.params[k]}")
+        SUITE_SIZE[self.suite](self.params, self.primes)
 
     def to_json_dict(self):
         params = {}
@@ -244,36 +291,19 @@ def _run_campaign(cfg, trial_fn):
 # ----------------------------------------------------------- verify suites
 
 
-def _d_max(cfg, interior=8):
-    """cfg's d_max, checked before any draw.
-
-    Refused when oplus_power at degree d_max of a map with `interior`
-    interior breakpoints would pass tents.MAX_BREAKPOINTS, so that no
-    seed gets past a too large d_max.
-    """
-    d_max = cfg.params["d_max"]
-    check_size((interior + 1) * d_max + 1, f"oplus_power of degree {d_max}")
-    return d_max
-
-
 def _t_semiconj(cfg, rng):
-    most = cfg.params["max_breakpoints"]
-    if most < 1:
-        # rand_homeo(rng, 0) is always the identity, which tests nothing
-        raise ValueError(f"max_breakpoints must be at least 1, not {most}")
-    d_max = _d_max(cfg, most)
-    g = rand_homeo(rng, most)
-    for d in range(1, d_max + 1):
+    g = rand_homeo(rng, cfg.params["max_breakpoints"])
+    for d in range(1, cfg.params["d_max"] + 1):
         if not verify_semiconjugacy(g, d):
             raise CounterexampleError(
                 "semiconjugacy identity failed",
                 {"d": d, "g": to_json_dict(g)},
             )
-    return {"breakpoints": len(g.breakpoints), "d_max": d_max}
+    return {"breakpoints": len(g.breakpoints), "d_max": cfg.params["d_max"]}
 
 
 def _t_oplus_scaling(cfg, rng):
-    d = rng.randint(1, _d_max(cfg))
+    d = rng.randint(1, cfg.params["d_max"])
     g1 = rand_homeo(rng, 8)
     g2 = rand_homeo(rng, 8)
     want = sup_dist(g1, g2) / d
@@ -287,7 +317,7 @@ def _t_oplus_scaling(cfg, rng):
 
 
 def _t_grid_fix(cfg, rng):
-    d = rng.randint(1, _d_max(cfg))
+    d = rng.randint(1, cfg.params["d_max"])
     g = rand_homeo(rng, 8)
     h = oplus_power(g, d)
     for i in range(d + 1):
@@ -303,8 +333,6 @@ def _t_grid_fix(cfg, rng):
 def _t_mod_bound(cfg, rng):
     P = cfg.primes
     eps = cfg.params["eps"]
-    # refuse before the draw, so that no seed gets past a too deep n_max
-    check_fold_size(cfg.params["n_max"], P)
     n = rng.randint(0, cfg.params["n_max"])
     g = rand_homeo(rng, 5)
     h, _ = rand_nudge(rng, g, eps / P.product(1, n))
@@ -327,11 +355,7 @@ def _gapped_pair(rng, delta, d, base):
 
 def _t_tent_witness(cfg, rng):
     delta = cfg.params["delta"]
-    d = cfg.params["d"]
-    if d is None:
-        d = rng.choice([2, 3, 4, 6, 8])
-    elif d < 1:
-        raise ValueError(f"tent degree d must be at least 1, not {d}")
+    d = cfg.params["d"] or rng.choice([2, 3, 4, 6, 8])
     f = rand_homeo(rng, 6)
     g = _gapped_pair(rng, delta, d, f)
     w = tent_witness(f, g, d, delta)
@@ -351,10 +375,6 @@ def _t_tent_witness(cfg, rng):
 def _t_separation(cfg, rng):
     P = cfg.primes
     eta = cfg.params["eta"]
-    # bounds nothing the trial builds, since the certificate is one stalk
-    # and no fold; it keeps the set of accepted configs until the
-    # per-suite size model of ROADMAP item 5 replaces it
-    check_fold_size(cfg.params["n_max"] + 2, P)
     n = rng.randint(0, cfg.params["n_max"])
     m = n + rng.randint(1, 2)
     F = DiagonalHomeo(n, rand_homeo(rng, 4))
@@ -396,9 +416,8 @@ def _t_comod(cfg, rng):
 
 
 def _t_signature_laws(cfg, rng):
-    d_max = _d_max(cfg)
     f = rand_homeo(rng, 8)
-    d = rng.randint(1, d_max)
+    d = rng.randint(1, cfg.params["d_max"])
     sig = signature(f)
     if signature(reflect(f)) != signature_reflect(sig):
         raise CounterexampleError("reflection law failed", {"f": to_json_dict(f)})
@@ -429,11 +448,7 @@ VERIFY_SUITES = {
 
 
 def run_verify_suite(cfg):
-    try:
-        fn = VERIFY_SUITES[cfg.suite]
-    except KeyError:
-        raise ValueError(f"unknown verify suite {cfg.suite!r}") from None
-    return _run_campaign(cfg, fn)
+    return _run_campaign(cfg, VERIFY_SUITES[cfg.suite])
 
 
 # ------------------------------------------------------- density experiment
@@ -441,35 +456,18 @@ def run_verify_suite(cfg):
 
 def proof_slack_sum(m, P):
     """Sum of prod(p_i..p_m)/prod(p_1..p_i) for i = 1..m."""
-    return sum(
-        (Fraction(P.product(i, m), P.product(1, i)) for i in range(1, m + 1)),
-        Fraction(0),
-    )
+    return sum(Fraction(P.product(i, m), P.product(1, i)) for i in range(1, m + 1))
 
 
 def _t_density(cfg, rng):
     P = cfg.primes
     m, eta = cfg.params["m"], cfg.params["eta"]
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if m < 1:
-        # proof_slack_sum(0, P) is the empty sum, so eps would be eta/0
-        raise ValueError(f"target coordinate m must be at least 1, not {m}")
-    # diag_dist at m folds m levels; refuse before paying for the products
-    check_fold_size(m, P)
-    # f0 has at most 2k + 1 breakpoints, so its lift at most 2k·p_1...p_m
-    # + 1; refuse before pseudo_generic builds f0, whatever the seed
-    k = cfg.params["generic_k"]
-    check_size(2 * k * P.product(1, m) + 1,
-               f"a {k}-interval generic map lifted to coordinate {m}")
     eps = eta / (4 * proof_slack_sum(m, P))
-    f0 = pseudo_generic(k, rng.getrandbits(32))
+    f0 = pseudo_generic(cfg.params["generic_k"], rng.getrandbits(32))
     fm = lift(DiagonalHomeo(0, f0), m, P).inducer
-    # each lifted level is a block sum, so fm's signs follow from f0's;
-    # _checked_conjugator refuses the target if they did not
-    signs = signature(f0)
-    for k in range(1, m + 1):
-        signs = signature_oplus(signs, P.prime(k))
+    # the lift is one block sum, of degree p_1...p_m, so fm's signs follow
+    # from f0's; _checked_conjugator refuses the target if they did not
+    signs = signature_oplus(signature(f0), P.product(1, m))
     target = rand_signature_homeo(rng, signs)
     # the post-check's distance to target, found without the conjugate;
     # diag_dist needs h⁻¹ ∘ fm ∘ h as a map, so it is built here

@@ -26,8 +26,8 @@ from . import _kernel_py as _k
 from .plmap import OpenPLMap, PLHomeo, PLMap, compose
 
 # Largest map tent, oplus_power, knaster.lift and grid_block_conjugate will
-# build, and longest stalk knaster.extend_point will; each checks its
-# predicted size before allocating.
+# build, and longest stalk knaster.extend_point will; each checks its predicted
+# size before allocating, and experiments.SUITE_SIZE each campaign config.
 MAX_BREAKPOINTS = 10**6
 
 

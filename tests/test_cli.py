@@ -249,18 +249,6 @@ def test_verify_tent_witness_spec_invocation(capsys):
     assert "25 passed, 0 failed" in capsys.readouterr().out
 
 
-def test_verify_tent_witness_refuses_degree_below_one(capsys):
-    assert main(["verify", "tent-witness", "--d", "0", "--trials", "2"]) == 2
-    assert "d must be at least 1" in capsys.readouterr().err
-    assert main(["verify", "tent-witness", "--d", "-3", "--trials", "2"]) == 2
-
-
-def test_verify_semiconj_refuses_no_breakpoints(capsys):
-    assert main(["verify", "semiconj", "--max-breakpoints", "0", "--trials", "2"]) == 2
-    assert "max_breakpoints must be at least 1, not 0" in capsys.readouterr().err
-    assert main(["verify", "semiconj", "--max-breakpoints", "1", "--trials", "2"]) == 0
-
-
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_verify_semiconj_refuses_more_breakpoints_than_the_grid(seed, capsys):
     # the 1/64 grid holds 63 interior points; the refusal must not wait for

@@ -7,6 +7,7 @@ import pytest
 
 import knaster_lab.experiments as experiments
 from knaster_lab import tents
+from knaster_lab.cli import main
 from knaster_lab.experiments import (
     SUITE_PARAMS,
     VERIFY_SUITES,
@@ -85,6 +86,44 @@ def test_resolve_rejects_undeclared_and_badly_typed_params(suite, params):
         cfg_for(suite, params=params)
 
 
+# suite, the flags it runs with, a size param, its least value and its
+# limit, the largest value whose objects fit in tents.MAX_BREAKPOINTS
+SIZE_ROWS = [
+    # oplus_power of degree d_max: (max_breakpoints + 1)·d_max + 1
+    ("semiconj", {}, "d_max", 1, 76923),
+    ("semiconj", {"max_breakpoints": 1}, "d_max", 1, 499999),
+    ("semiconj", {"d_max": 20000}, "max_breakpoints", 1, 48),
+    # 9·d_max + 1, for the suites that draw with 8 interior breakpoints
+    ("oplus-scaling", {}, "d_max", 1, 111111),
+    ("grid-fix", {}, "d_max", 1, 111111),
+    ("signature-laws", {}, "d_max", 1, 111111),
+    # the fold at n_max: p_1...p_n_max + 1 breakpoints
+    ("mod-bound", {}, "n_max", 0, 12),
+    ("mod-bound", {"primes": "all2"}, "n_max", 0, 19),
+    # tent(d): d + 1 breakpoints
+    ("tent-witness", {}, "d", 1, 999999),
+    # the weight denominator p_1...p_{n_max+2}, below the limit
+    ("separation", {}, "n_max", 0, 10),
+    ("separation", {"primes": "all2"}, "n_max", 0, 17),
+    # the lifted generic map: 2·generic_k·p_1...p_m + 1
+    ("density", {}, "m", 1, 11),
+    ("density", {"m": 1}, "generic_k", 1, 249999),
+    ("density", {"m": 2}, "generic_k", 1, 124999),
+    ("density", {"m": 3}, "generic_k", 1, 41666),
+]
+
+
+def size_row_id(row):
+    suite, flags, param = row[:3]
+    return "-".join([suite, param] + [f"{k}={v}" for k, v in flags.items()])
+
+
+def size_config(suite, flags, param, value):
+    params = {k: v for k, v in flags.items() if k != "primes"}
+    primes = PrimeSequence(flags.get("primes", "diagonal"))
+    return {"suite": suite, "primes": primes, "params": {**params, param: value}}
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -94,11 +133,63 @@ def test_resolve_rejects_undeclared_and_badly_typed_params(suite, params):
         {"suite": "grid-fix", "trials": 2.5},
         {"suite": "grid-fix", "seed": "x"},
         {"suite": "grid-fix", "primes": "bogus"},
+        {"suite": "density", "params": {"eta": 0}},
+    ]
+    + [
+        size_config(suite, flags, param, value)
+        for suite, flags, param, least, limit in SIZE_ROWS
+        for value in (least - 1, limit + 1)
     ],
 )
 def test_config_is_checked_when_built(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "suite, flags, param, least, limit", SIZE_ROWS, ids=[size_row_id(r) for r in SIZE_ROWS]
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_size_params_are_checked_before_the_first_draw(
+    suite, flags, param, least, limit, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew from the trial stream")
+
+    for name in ("derive_rng", "rand_homeo", "pseudo_generic", "rand_signature_homeo"):
+        monkeypatch.setattr(experiments, name, refuse)
+    product = PrimeSequence.product
+
+    def shallow_product(P, i, j):
+        # a deep config must be refused from its depth, not its product
+        if j > 64:
+            raise AssertionError(f"formed the product p_{i}...p_{j}")
+        return product(P, i, j)
+
+    monkeypatch.setattr(PrimeSequence, "product", shallow_product)
+    argv = ["experiment" if suite == "density" else "verify", suite]
+    for k, v in flags.items():
+        argv += [f"--{k.replace('_', '-')}", str(v)]
+    argv += ["--seed", str(seed), "--trials", "2", f"--{param.replace('_', '-')}"]
+    for value in (least - 1, -10**9):
+        assert main(argv + [str(value)]) == 2
+        assert f"{param} must be at least {least}, not {value}" in capsys.readouterr().err
+    # one past the limit, and far past it
+    for value in (limit + 1, 10**9):
+        assert main(argv + [str(value)]) == 2
+        assert f"the limit {tents.MAX_BREAKPOINTS}" in capsys.readouterr().err
+    for value in (least, limit):
+        with pytest.raises(AssertionError, match="drew from the trial stream"):
+            main(argv + [str(value)])
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))
+def test_suites_pass_at_their_least_size_params(suite, capsys):
+    argv = ["experiment" if suite == "density" else "verify", suite]
+    for k in sorted(SUITE_PARAMS[suite].keys() & experiments.PARAM_LEAST.keys()):
+        argv += [f"--{k.replace('_', '-')}", str(experiments.PARAM_LEAST[k])]
+    assert main(argv + ["--trials", "2", "--seed", "1"]) == 0
+    assert "2 passed, 0 failed" in capsys.readouterr().out
 
 
 def test_config_types_primes_from_json():

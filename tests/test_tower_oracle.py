@@ -440,7 +440,7 @@ class TestFoldGuard:
 
         monkeypatch.setattr(ex, "rand_homeo", refuse)
         assert cli.main(argv + ["--seed", str(seed), "--trials", "2"]) == 2
-        assert "breakpoints" in capsys.readouterr().err
+        assert f"the limit {MAX_BREAKPOINTS}" in capsys.readouterr().err
 
     def test_density_refuses_a_deep_m_before_its_slack_sum(self, monkeypatch, capsys):
         def refuse(*_):

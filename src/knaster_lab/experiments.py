@@ -9,11 +9,12 @@ into a standalone replay file plus a nonzero exit code.
 A config is checked and typed once, when it is built: a key other than
 its fields, an unknown suite, a nonpositive trial count, a param its
 suite does not declare, a badly typed value, a size param below its
-PARAM_LEAST and a size its suite's SUITE_SIZE check refuses all raise
-ValueError before the first draw. SUITE_PARAMS declares each suite's
-params once, with their defaults, and the report records every param as
-the trials read it. Configs serialize to JSON with every rational as a
-"p/q" string; the CLI lays flags over a config file field by field.
+PARAM_LEAST, a rational param outside its PARAM_RANGE and a config its
+suite's SUITE_SIZE check refuses all raise ValueError before the first
+draw. SUITE_PARAMS declares each suite's params once, with their
+defaults, and the report records every param as the trials read it.
+Configs serialize to JSON with every rational as a "p/q" string; the
+CLI lays flags over a config file field by field.
 """
 
 import json
@@ -85,6 +86,10 @@ SUITE_PARAMS = {
 # sweep is empty, rand_homeo draws the identity, or density's slack sum is 0.
 PARAM_LEAST = {"d_max": 1, "max_breakpoints": 1, "n_max": 0, "d": 1, "m": 1, "generic_k": 1}
 
+# Open interval (low, high) of each rational param, high None for no bound:
+# tent_witness and comod_lower_bound_check need delta < 1/4
+PARAM_RANGE = {"eps": (0, None), "eta": (0, None), "delta": (0, Fraction(1, 4))}
+
 
 def _block_sum_size(p, P):
     # oplus_power of degree d_max of a map with up to max_breakpoints
@@ -100,11 +105,16 @@ def _separation_size(p, P):
     if P.product(1, min(n + 2, MAX_BREAKPOINTS.bit_length())) >= MAX_BREAKPOINTS:
         raise ValueError(f"n_max {n} needs the weight denominator p_1...p_{n + 2}, "
                          f"not below the limit {MAX_BREAKPOINTS}")
+    # the window is forced through (1/d, 1/d + 2·eta + k/128), k <= 8, with
+    # d = p_{n+1}...p_m; the largest 1/d comes from the least p_{n+1}
+    d = min(P.prime(i) for i in range(1, n + 2))
+    top = Fraction(1, d) + 2 * p["eta"] + Fraction(8, 128)
+    if top >= 1:
+        raise ValueError(f"eta {format_rational(p['eta'])} forces the window through "
+                         f"1/{d} + 2·eta + 1/16 = {format_rational(top)}, not below 1")
 
 
 def _density_size(p, P):
-    if p["eta"] <= 0:
-        raise ValueError("eta must be positive")
     # diag_dist at m folds m levels; refuse before paying for the products
     m, k = p["m"], p["generic_k"]
     check_fold_size(m, P)
@@ -168,6 +178,11 @@ class ExperimentConfig:
         for k, least in PARAM_LEAST.items():
             if self.params.get(k) is not None and self.params[k] < least:
                 raise ValueError(f"{k} must be at least {least}, not {self.params[k]}")
+        for k, (low, high) in PARAM_RANGE.items():
+            v = self.params.get(k)
+            if v is not None and not (low < v and (high is None or v < high)):
+                where = f"in ({low}, {format_rational(high)})" if high else f"above {low}"
+                raise ValueError(f"{k} must lie {where}, not {format_rational(v)}")
         SUITE_SIZE[self.suite](self.params, self.primes)
 
     def to_json_dict(self):

@@ -22,7 +22,9 @@ every coordinate above M repeats the level-M difference scaled down by
 the bonding degrees (the semiconjugacy g o T_d == T_d o oplus_power(g, d)
 of tents.py). diag_dist therefore lifts only to M and costs the same at
 every truncation N >= M, and eval_diagonal walks the stalk's block
-indices instead of building the level-N inducer.
+indices instead of building the level-N inducer. Below M, diag_dist
+folds only where the two level-M maps differ: every level's difference
+vanishes wherever they agree (see diag_dist).
 
 The Fraction boundary sits where it sits for maps (see plmap). Stalks
 keep their coordinates as kernel pairs (n, d), and extend_point,
@@ -469,6 +471,24 @@ def _tail_weights(M, N, P):
     return _k.rnorm(num, 2 * D), _k.rnorm(3 * p2 * num + 8, 6 * D * p2)
 
 
+def _support(D):
+    """The closed intervals between the maximal zero segments of D, in order.
+
+    D is a canonical breakpoint list, so a maximal zero segment is one
+    segment with both ends at 0, and the intervals are nondegenerate.
+    """
+    out = []
+    a = D[0][:2]
+    for p, q in zip(D, D[1:]):
+        if p[2] == 0 == q[2]:
+            if p[:2] != a:
+                out.append((a, p[:2]))
+            a = q[:2]
+    if a != D[-1][:2]:
+        out.append((a, D[-1][:2]))
+    return out
+
+
 def diag_dist(F, G, N, P):
     """Certified sup-metric distance between two diagonal homeomorphisms.
 
@@ -490,6 +510,19 @@ def diag_dist(F, G, N, P):
     it lies in block 0 at every level above M, so the tents carry it
     back to s unreflected.
 
+    Only the support of D_M is folded. With A and B the level-M
+    inducers, D_m = T(A) - T(B) for the composed tents T, so wherever
+    A(s) = B(s) every level vanishes and s scores 0. So D_M's maximal
+    zero segments are skipped, and the intervals between them are each
+    folded, merged and scored on restrictions of A, B and D_M, left to
+    right. An interval's breakpoints are exactly the full fold's inside
+    it (a kink is local, and its ends are breakpoints of D_M), and
+    every point skipped scores 0. D_m(0) = 0 at every level, since
+    homeomorphisms and tents fix 0, so the full fold's leftmost witness
+    is 0 until some point scores above 0: starting from 0 at 0 and
+    letting only a strictly larger score move the witness gives the
+    same lower, upper and witness, bit for bit. Equal maps fold nothing.
+
     Untruncated, the level-M weight is C(M, inf), whose terms past N
     shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
     r_N = 4/(3 p_1...p_{N+1} p_{M+1}...p_{N+1}), equal on "all2". upper
@@ -508,43 +541,42 @@ def diag_dist(F, G, N, P):
     check_fold_size(M, P)
     A = lift(F, M, P).inducer._kbps
     B = lift(G, M, P).inducer._kbps
-
-    levels = []
-    m = M
-    while True:
-        levels.append((m, _k.pl_sub(A, B)))
-        if m == 0:
-            break
-        t = tent(P.prime(m))._kbps
-        A = _k.compose(t, A)
-        B = _k.compose(t, B)
-        m -= 1
-
-    # every level's breakpoints are sorted already: merge, dropping repeats
-    xs = [(p[0], p[1]) for p in levels[0][1]]
-    for _, D in levels[1:]:
-        xs = _k.merged_xs(xs, D)
-
-    # the weighted levels below M, then level M under both weights
-    below = [(0, 1)] * len(xs)
-    for m, D in levels[1:]:
-        w = (1, 2) if m == 0 else (1, P.product(1, m))
-        for i, v in enumerate(_k.eval_sorted(D, xs)):
-            if v[0]:
-                below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
-
+    DM = _k.pl_sub(A, B)
     c, h = _tail_weights(M, N, P)
-    lower = upper = (-1, 1)
-    wit = xs[0]
-    for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
-        a = _k.rabs(v)
-        lo = _k.radd(b, _k.rmul(a, c))
-        if _k.rcmp(lo, lower) > 0:
-            lower = lo
-            wit = x
-        hi = _k.radd(b, _k.rmul(a, h))
-        if _k.rcmp(hi, upper) > 0:
-            upper = hi
+
+    # D_j(0) = 0 at every level, and every skipped point scores 0
+    lower = upper = wit = (0, 1)
+    for left, right in _support(DM):
+        levels = [(M, _k.restrict(DM, left, right))]
+        fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
+        for m in range(M, 0, -1):
+            t = tent(P.prime(m))._kbps
+            fa = _k.compose(t, fa)
+            fb = _k.compose(t, fb)
+            levels.append((m - 1, _k.pl_sub(fa, fb)))
+
+        # every level's breakpoints are sorted already: merge, dropping repeats
+        xs = [(p[0], p[1]) for p in levels[0][1]]
+        for _, D in levels[1:]:
+            xs = _k.merged_xs(xs, D)
+
+        # the weighted levels below M, then level M under both weights
+        below = [(0, 1)] * len(xs)
+        for m, D in levels[1:]:
+            w = (1, 2) if m == 0 else (1, P.product(1, m))
+            for i, v in enumerate(_k.eval_sorted(D, xs)):
+                if v[0]:
+                    below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
+
+        for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
+            a = _k.rabs(v)
+            lo = _k.radd(b, _k.rmul(a, c))
+            if _k.rcmp(lo, lower) > 0:
+                lower = lo
+                wit = x
+            hi = _k.radd(b, _k.rmul(a, h))
+            if _k.rcmp(hi, upper) > 0:
+                upper = hi
 
     sn, sd = wit
     witness = TruncatedKnasterPoint._from_kernel(

@@ -97,8 +97,10 @@ def fraction_tail_weights(M, N, P):
 def fraction_diag_dist(F, G, N, P):
     """diag_dist with its witness and tail weights built from Fractions.
 
-    The fold, merge and score passes are diag_dist's own; the lift to M
-    is one block sum, and the witness is extended down from the top.
+    The fold, merge and score passes run over all of [0, 1], as
+    diag_dist's did before it skipped the stretches where the two maps
+    agree; the lift to M is one block sum, and the witness is extended
+    down from the top.
     """
     if N < F.base_coord or N < G.base_coord:
         raise ValueError("truncation is below a base coordinate")

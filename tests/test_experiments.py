@@ -61,8 +61,10 @@ def test_config_round_trips_through_json():
 def test_resolve_fills_defaults_and_types():
     cfg = cfg_for("tent-witness", params={"delta": "2/10"})
     assert cfg.params == {"delta": F(1, 5), "d": None}
-    cfg = cfg_for("tent-witness", params={"delta": 1, "d": "3"})
-    assert cfg.params == {"delta": F(1), "d": 3}
+    cfg = cfg_for("tent-witness", params={"d": "3"})
+    assert cfg.params == {"delta": F(1, 5), "d": 3}
+    cfg = cfg_for("mod-bound", params={"eps": 1})
+    assert cfg.params == {"eps": F(1), "n_max": 3}
     cfg = cfg_for("density", params={"replay_trial": "4"})
     assert cfg.params == {"m": 1, "eta": F(1, 4), "generic_k": 2, "replay_trial": 4}
 
@@ -181,6 +183,44 @@ def test_size_params_are_checked_before_the_first_draw(
     for value in (least, limit):
         with pytest.raises(AssertionError, match="drew from the trial stream"):
             main(argv + [str(value)])
+
+
+# suite, the flags it runs with, a rational param, values refused (below
+# and at each end of its range) and a valid value next to the upper end
+RANGE_ROWS = [
+    ("mod-bound", {}, "eps", ("-1", "0"), "1/1000000"),
+    ("tent-witness", {}, "delta", ("-1", "0", "1/4"), "249/1000"),
+    # the trial's clamp to 1/(2·p_j) gave exactly 1/4 at p_j = 2
+    ("comod", {}, "delta", ("-1", "0", "1/4", "1/3", "1/2"), "249/1000"),
+    # the window's forced point 1/d + 2·eta + 1/16 below 1, least d = p_1
+    ("separation", {}, "eta", ("-1", "0", "7/32"), "223/1024"),
+    # n_max 1 draws d = p_2 = 3 as well
+    ("separation", {"primes": "5,3,7,11"}, "eta", ("29/96",), "7/24"),
+    ("density", {}, "eta", ("-1", "0"), "1000"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, flags, param, refused, valid", RANGE_ROWS, ids=[size_row_id(r) for r in RANGE_ROWS]
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_rational_params_are_checked_before_the_first_draw(
+    suite, flags, param, refused, valid, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew from the trial stream")
+
+    monkeypatch.setattr(experiments, "derive_rng", refuse)
+    argv = ["experiment" if suite == "density" else "verify", suite]
+    for k, v in flags.items():
+        argv += [f"--{k}", v]
+    argv += ["--seed", str(seed), "--trials", "2", f"--{param}"]
+    for value in refused:
+        assert main(argv + [value]) == 2
+        assert f"usage error: {param} " in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv + [valid]) == 0
+    assert "2 passed, 0 failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))

@@ -16,7 +16,9 @@ level-by-level lift bit for bit.
 The oracles build their stalks and evaluate through the Fraction stalk
 layer of tests/fraction_tower.py, not the code under test. Against that
 layer, diag_dist's witness, tail weights and bounds, and the stalk
-functions, must agree bit for bit.
+functions, must agree bit for bit. fraction_diag_dist folds all of
+[0, 1], so it is also the oracle for diag_dist's fold of only the
+stretches where the two maps differ, on pairs drawn to agree elsewhere.
 """
 
 from fractions import Fraction
@@ -43,10 +45,10 @@ from knaster_lab.knaster import (
     lift,
     validate_point,
 )
-from knaster_lab.plmap import PLHomeo, compose
-from knaster_lab.randgen import derive_rng, rand_homeo
+from knaster_lab.plmap import PLHomeo, compose, reflect
+from knaster_lab.randgen import derive_rng, perturb_homeo, rand_homeo, rand_nudge
 import knaster_lab.tents as tents
-from knaster_lab.tents import MAX_BREAKPOINTS, check_size, oplus_power, tent, tent_value
+from knaster_lab.tents import MAX_BREAKPOINTS, block_sum, check_size, oplus_power, tent, tent_value
 
 from fraction_tower import (
     fraction_diag_dist,
@@ -96,11 +98,12 @@ def oracle_diag_dist(F_, G, N, P):
     sup_top = F(0)
     for m, D in levels:
         w = F(1, 2) if m == 0 else P.weight(m)
-        for i, v in enumerate(_k.eval_sorted(D, xs)):
-            a = abs(F(*v))
-            if m == N:
-                sup_top = max(sup_top, a)
-            totals[i] += w * a
+        for i, (n, d) in enumerate(_k.eval_sorted(D, xs)):
+            if n:  # a zero difference adds nothing
+                a = F(abs(n), d)
+                if m == N:
+                    sup_top = max(sup_top, a)
+                totals[i] += w * a
     best = max(range(len(xs)), key=lambda i: (totals[i], -i))
     lower = totals[best]
     pn1 = P.prime(N + 1)
@@ -286,16 +289,91 @@ def bit_cases(draw):
     return P, N, Fd, Gd
 
 
-@given(bit_cases())
-@settings(max_examples=150, deadline=None)
-def test_diag_dist_is_bit_identical_to_the_fraction_layer(case):
-    P, N, Fd, Gd = case
+def _check_bit_identical(P, N, Fd, Gd):
     got = diag_dist(Fd, Gd, N, P)
     want = fraction_diag_dist(Fd, Gd, N, P)
     assert type(got.lower) is F and type(got.upper) is F
     assert (got.lower, got.upper, got.truncation) == (want.lower, want.upper, want.truncation)
     _same_stalk(got.witness, want.witness)
     assert got.to_json_dict() == want.to_json_dict()
+
+
+@given(bit_cases())
+@settings(max_examples=150, deadline=None)
+def test_diag_dist_is_bit_identical_to_the_fraction_layer(case):
+    _check_bit_identical(*case)
+
+
+@st.composite
+def agreeing_cases(draw):
+    """Pairs that agree on stretches of [0, 1], at bases 0..3.
+
+    G lives at M >= F's base: F's own lift to M, that lift nudged on up
+    to three segments or forced through one point, or that lift with up
+    to two blocks replaced by a random map. Either map may come first.
+    """
+    name = draw(st.sampled_from(sorted(SCHEDULES)))
+    P, n_max = SCHEDULES[name]
+    bf = draw(st.integers(0, 3))
+    M = draw(st.integers(bf, 3))
+    N = draw(st.integers(M, n_max))
+    kind = draw(st.sampled_from(["equal", "nudge", "perturb", "block"]))
+    rng = derive_rng("tower-agree", draw(st.integers(0, 10**6)))
+    Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=5, den=32))
+    g = lift(Fd, M, P).inducer
+    if kind == "nudge":
+        for _ in range(rng.randint(1, 3)):
+            g, _ = rand_nudge(rng, g, F(1))
+    elif kind == "perturb":
+        x0 = F(rng.randint(1, 63), 64)
+        g = perturb_homeo(g, x0, (g(x0) + F(rng.randint(1, 63), 64)) / 2)
+    elif kind == "block":
+        # up to two blocks take one map, so their scores tie: the leftmost wins
+        f, r = Fd.inducer, rand_homeo(rng, max_interior=5, den=32)
+        d = P.product(bf + 1, M)
+        blocks = [f if i % 2 == 0 else reflect(f) for i in range(d)]
+        for i in rng.sample(range(d), min(2, d)):
+            blocks[i] = r if i % 2 == 0 else reflect(r)
+        g = block_sum(blocks)
+    Gd = DiagonalHomeo(M, g)
+    if draw(st.booleans()):
+        Fd, Gd = Gd, Fd
+    return P, N, Fd, Gd
+
+
+@given(agreeing_cases())
+@settings(max_examples=150, deadline=None)
+def test_diag_dist_on_agreeing_pairs_is_bit_identical_to_the_full_fold(case):
+    # fraction_diag_dist folds all of [0, 1]; diag_dist only its support
+    _check_bit_identical(*case)
+
+
+def test_diag_dist_folds_only_where_the_maps_differ(monkeypatch):
+    folded = []
+    compose_ = _k.compose
+
+    def counting(f, g):
+        folded.append((g[0][:2], g[-1][:2]))
+        return compose_(f, g)
+
+    monkeypatch.setattr(_k, "compose", counting)
+    rng = derive_rng("tower-support")
+    for P, _ in SCHEDULES.values():
+        for bf, M in ((0, 1), (1, 1), (0, 3), (2, 3)):
+            Fd = DiagonalHomeo(bf, rand_homeo(rng, max_interior=5, den=32))
+            g = lift(Fd, M, P).inducer
+            d = diag_dist(Fd, DiagonalHomeo(M, g), M, P)
+            assert (d.lower, d.upper) == (0, 0)
+            assert d.witness.coords == (0,) * (M + 1)
+            assert folded == []
+            # the nudge moves one point inside a segment p..q of g
+            h, _ = rand_nudge(rng, g, F(1))
+            (x0,) = {x for x, _ in h.breakpoints} - {x for x, _ in g.breakpoints}
+            i = _k._locate(g._kbps, (x0.numerator, x0.denominator))
+            support = (g._kbps[i][:2], g._kbps[i + 1][:2])
+            diag_dist(DiagonalHomeo(M, h), Fd, M, P)
+            assert folded == [support] * (2 * M)
+            folded.clear()
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))

@@ -168,36 +168,29 @@ def _cmd_conj_blockwise(args):
 # -------------------------------------------------------------- knaster
 
 
-def _primes(spec):
-    """A schedule name ("diagonal", "all2") or a comma list of primes ("5", "2,3,5")."""
-    if "," in spec or spec.isdigit():
-        return kn.PrimeSequence([int(p) for p in spec.split(",")])
-    return kn.PrimeSequence(spec)
-
-
 def _cmd_knaster_point(args):
-    P = _primes(args.primes)
+    P = kn.PrimeSequence(args.primes)
     x = kn.extend_point(parse_rational(args.x), args.n, P)
     _emit(x.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_dist(args):
-    P = _primes(args.primes)
+    P = kn.PrimeSequence(args.primes)
     d = kn.knaster_dist(_load_point(args.x), _load_point(args.y), P)
     _emit(d.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_lift(args):
-    P = _primes(args.primes)
+    P = kn.PrimeSequence(args.primes)
     F = _load_diagonal(args.f, args.coord)
     _emit(kn.lift(F, args.to, P).to_json_dict(), args.output)
     return 0
 
 
 def _cmd_knaster_evaldiag(args):
-    P = _primes(args.primes)
+    P = kn.PrimeSequence(args.primes)
     F = _load_diagonal(args.f, args.coord)
     y = kn.eval_diagonal(F, _load_point(args.x), P)
     _emit(y.to_json_dict(), args.output)
@@ -211,10 +204,8 @@ def _cmd_campaign(args):
     # the config file's fields, then the flags over them, checked as one
     given = {k: v for k, v in vars(args).items() if v is not None}
     data = dict(_read_json(args.config)) if args.config else {}
-    fields = ("suite", "trials", "seed", "output")
+    fields = ("suite", "primes", "trials", "seed", "output")
     data.update((k, given[k]) for k in fields if k in given)
-    if "primes" in given:
-        data["primes"] = _primes(args.primes)
     data["params"] = dict(data.get("params", {}))
     data["params"].update((k, given[k]) for k in SUITE_PARAMS[args.suite] if k in given)
     report = run_suite(ExperimentConfig.from_json_dict(data))
@@ -237,8 +228,63 @@ def _cmd_campaign(args):
 # ----------------------------------------------------------------- parser
 
 
-def _add_out(p):
-    p.add_argument("-o", "--output", help="write JSON here instead of stdout")
+def _arg(*names, **kw):
+    """One add_argument call: its flag names and keywords."""
+    return names, kw
+
+
+def _helped(arg, text):
+    """A shared flag with one subcommand's help text."""
+    names, kw = arg
+    return names, {**kw, "help": text}
+
+
+_F = _arg("-f", required=True)
+_G = _arg("-g", required=True)
+_D = _arg("-d", type=int, required=True)
+_X = _arg("-x", required=True)
+_COORD = _arg("--coord", type=int, default=0)
+_ETA = _arg("--eta", default="1/100")
+_PRIMES = _arg("--primes", default="diagonal")
+_OUT = _arg("-o", "--output", help="write JSON here instead of stdout")
+
+# group: (help, {subcommand: (handler, *flags)})
+COMMANDS = {
+    "pl": ("exact piecewise-linear map algebra", {
+        "eval": (_cmd_pl_eval, _F, _helped(_X, 'argument as "p/q"')),
+        "compose": (_cmd_pl_compose, _F, _G, _OUT),
+        "invert": (_cmd_pl_invert, _F, _OUT),
+        "dist": (_cmd_pl_dist, _F, _G),
+        "degree": (_cmd_pl_degree, _F),
+        "reflect": (_cmd_pl_reflect, _F, _OUT),
+    }),
+    "tent": ("tent maps, block sums, straightening", {
+        "build": (_cmd_tent_build, _D, _OUT),
+        "oplus": (_cmd_tent_oplus, _F, _D, _OUT),
+        "semiconj": (_cmd_tent_semiconj, _F, _D),
+        "straighten": (_cmd_tent_straighten, _helped(_F, "target open map"),
+                       _helped(_G, "model open map"), _OUT),
+    }),
+    "conj": ("conjugacy invariants and synthesis", {
+        "signature": (_cmd_conj_signature, _F),
+        "decide": (_cmd_conj_decide, _F, _G),
+        "synthesize": (_cmd_conj_synthesize, _F, _G, _ETA, _OUT),
+        "blockwise": (_cmd_conj_blockwise, _helped(_F, "block model map"), _D,
+                      _arg("--target", required=True, help="grid-fixing target map"),
+                      _ETA, _OUT),
+    }),
+    "knaster": ("truncated tower points and diagonals", {
+        "point": (_cmd_knaster_point, _helped(_X, 'top coordinate as "p/q"'),
+                  _arg("-n", type=int, required=True, help="truncation level"),
+                  _PRIMES, _OUT),
+        "dist": (_cmd_knaster_dist, _X, _arg("-y", required=True), _PRIMES, _OUT),
+        "lift": (_cmd_knaster_lift, _helped(_F, "diagonal (or inducer) JSON"),
+                 _helped(_COORD, "coord for bare inducers"),
+                 _arg("--to", type=int, required=True), _PRIMES, _OUT),
+        "evaldiag": (_cmd_knaster_evaldiag, _F, _helped(_X, "point JSON file"),
+                     _COORD, _PRIMES, _OUT),
+    }),
+}
 
 
 def _add_campaign(parsers, suite):
@@ -260,105 +306,14 @@ def build_parser():
         description="Exact PL interval dynamics and certified Knaster-tower bounds",
     )
     sub = top.add_subparsers(dest="group", required=True)
+    for group, (text, commands) in COMMANDS.items():
+        parsers = sub.add_parser(group, help=text).add_subparsers(dest="cmd", required=True)
+        for name, (func, *flags) in commands.items():
+            p = parsers.add_parser(name)
+            p.set_defaults(func=func)
+            for names, kw in flags:
+                p.add_argument(*names, **kw)
 
-    pl = sub.add_parser("pl", help="exact piecewise-linear map algebra")
-    pls = pl.add_subparsers(dest="cmd", required=True)
-    p = pls.add_parser("eval")
-    p.add_argument("-f", required=True)
-    p.add_argument("-x", required=True, help='argument as "p/q"')
-    p.set_defaults(func=_cmd_pl_eval)
-    p = pls.add_parser("compose")
-    p.add_argument("-f", required=True)
-    p.add_argument("-g", required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_pl_compose)
-    p = pls.add_parser("invert")
-    p.add_argument("-f", required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_pl_invert)
-    p = pls.add_parser("dist")
-    p.add_argument("-f", required=True)
-    p.add_argument("-g", required=True)
-    p.set_defaults(func=_cmd_pl_dist)
-    p = pls.add_parser("degree")
-    p.add_argument("-f", required=True)
-    p.set_defaults(func=_cmd_pl_degree)
-    p = pls.add_parser("reflect")
-    p.add_argument("-f", required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_pl_reflect)
-
-    te = sub.add_parser("tent", help="tent maps, block sums, straightening")
-    tes = te.add_subparsers(dest="cmd", required=True)
-    p = tes.add_parser("build")
-    p.add_argument("-d", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_tent_build)
-    p = tes.add_parser("oplus")
-    p.add_argument("-f", required=True)
-    p.add_argument("-d", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_tent_oplus)
-    p = tes.add_parser("semiconj")
-    p.add_argument("-f", required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.set_defaults(func=_cmd_tent_semiconj)
-    p = tes.add_parser("straighten")
-    p.add_argument("-f", required=True, help="target open map")
-    p.add_argument("-g", required=True, help="model open map")
-    _add_out(p)
-    p.set_defaults(func=_cmd_tent_straighten)
-
-    co = sub.add_parser("conj", help="conjugacy invariants and synthesis")
-    cos = co.add_subparsers(dest="cmd", required=True)
-    p = cos.add_parser("signature")
-    p.add_argument("-f", required=True)
-    p.set_defaults(func=_cmd_conj_signature)
-    p = cos.add_parser("decide")
-    p.add_argument("-f", required=True)
-    p.add_argument("-g", required=True)
-    p.set_defaults(func=_cmd_conj_decide)
-    p = cos.add_parser("synthesize")
-    p.add_argument("-f", required=True)
-    p.add_argument("-g", required=True)
-    p.add_argument("--eta", default="1/100")
-    _add_out(p)
-    p.set_defaults(func=_cmd_conj_synthesize)
-    p = cos.add_parser("blockwise")
-    p.add_argument("-f", required=True, help="block model map")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--target", required=True, help="grid-fixing target map")
-    p.add_argument("--eta", default="1/100")
-    _add_out(p)
-    p.set_defaults(func=_cmd_conj_blockwise)
-    kk = sub.add_parser("knaster", help="truncated tower points and diagonals")
-    kks = kk.add_subparsers(dest="cmd", required=True)
-    p = kks.add_parser("point")
-    p.add_argument("-x", required=True, help='top coordinate as "p/q"')
-    p.add_argument("-n", type=int, required=True, help="truncation level")
-    p.add_argument("--primes", default="diagonal")
-    _add_out(p)
-    p.set_defaults(func=_cmd_knaster_point)
-    p = kks.add_parser("dist")
-    p.add_argument("-x", required=True)
-    p.add_argument("-y", required=True)
-    p.add_argument("--primes", default="diagonal")
-    _add_out(p)
-    p.set_defaults(func=_cmd_knaster_dist)
-    p = kks.add_parser("lift")
-    p.add_argument("-f", required=True, help="diagonal (or inducer) JSON")
-    p.add_argument("--coord", type=int, default=0, help="coord for bare inducers")
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--primes", default="diagonal")
-    _add_out(p)
-    p.set_defaults(func=_cmd_knaster_lift)
-    p = kks.add_parser("evaldiag")
-    p.add_argument("-f", required=True)
-    p.add_argument("-x", required=True, help="point JSON file")
-    p.add_argument("--coord", type=int, default=0)
-    p.add_argument("--primes", default="diagonal")
-    _add_out(p)
-    p.set_defaults(func=_cmd_knaster_evaldiag)
     ve = sub.add_parser("verify", help="seeded verification campaigns")
     ves = ve.add_subparsers(dest="suite_cmd", required=True)
     for name in VERIFY_SUITES:

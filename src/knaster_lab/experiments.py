@@ -10,9 +10,11 @@ A config is checked and typed once, when it is built: a key other than
 its fields, an unknown suite, a nonpositive trial count, a param its
 suite does not declare, a badly typed value, a size param below its
 PARAM_LEAST, a rational param outside its PARAM_RANGE and a config its
-suite's SUITE_SIZE check refuses all raise ValueError before the first
-draw. SUITE_PARAMS declares each suite's params once, with their
-defaults, and the report records every param as the trials read it.
+suite's SUITE_SIZE check refuses (an object past the breakpoint limit,
+an explicit schedule shorter than the terms the trials read, comod's
+delta at or above 1/p_j) all raise ValueError before the first draw.
+SUITE_PARAMS declares each suite's params once, with their defaults,
+and the report records every param as the trials read it.
 Configs serialize to JSON with every rational as a "p/q" string; the
 CLI lays flags over a config file field by field.
 """
@@ -98,10 +100,19 @@ def _block_sum_size(p, P):
     check_size((b + 1) * d_max + 1, f"oplus_power of degree {d_max}")
 
 
-def _separation_size(p, P):
-    # nothing is folded, but knaster_dist and the bound multiply out the
-    # weight denominator p_1...p_{n_max+2}; any 20 primes pass the limit
+def _mod_bound_size(p, P):
+    # the fold at n_max, whose tail bound reads p_{n_max+1}
     n = p["n_max"]
+    P.require(n + 1, f"n_max {n}")
+    check_fold_size(n, P)
+
+
+def _separation_size(p, P):
+    # the stalks at m <= n_max + 2 reach p_{n_max+3} through their tail
+    # bound. Nothing is folded, but knaster_dist and the bound multiply out
+    # the weight denominator p_1...p_{n_max+2}; any 20 primes pass the limit
+    n = p["n_max"]
+    P.require(n + 3, f"n_max {n}")
     if P.product(1, min(n + 2, MAX_BREAKPOINTS.bit_length())) >= MAX_BREAKPOINTS:
         raise ValueError(f"n_max {n} needs the weight denominator p_1...p_{n + 2}, "
                          f"not below the limit {MAX_BREAKPOINTS}")
@@ -114,23 +125,36 @@ def _separation_size(p, P):
                          f"1/{d} + 2·eta + 1/16 = {format_rational(top)}, not below 1")
 
 
+def _comod_size(p, P):
+    # its maps have a fixed size; the trials draw j in {2, 3} and n <= j + 1,
+    # whose stalks read p_5, and comod_lower_bound_check needs delta < 1/p_j
+    P.require(5, "comod")
+    q = max(P.prime(2), P.prime(3))
+    if p["delta"] >= Fraction(1, q):
+        raise ValueError(f"delta {format_rational(p['delta'])} must lie below "
+                         f"1/{q} = min(1/p_2, 1/p_3), as the trials draw j = 2, 3")
+
+
 def _density_size(p, P):
-    # diag_dist at m folds m levels; refuse before paying for the products
+    # diag_dist at m folds m levels, and its tail bound reads p_{m+1};
+    # refuse before paying for the products
     m, k = p["m"], p["generic_k"]
+    P.require(m + 1, f"m {m}")
     check_fold_size(m, P)
     # f0 has at most 2k + 1 breakpoints, so its lift at most 2k·p_1...p_m + 1
     check_size(2 * k * P.product(1, m) + 1,
                f"a {k}-interval generic map lifted to coordinate {m}")
 
 
-# Each suite's size check, of (params, primes), against tents.MAX_BREAKPOINTS
+# Each suite's size check, of (params, primes), against tents.MAX_BREAKPOINTS,
+# and against the length of an explicit schedule
 SUITE_SIZE = {
     **dict.fromkeys(("semiconj", "oplus-scaling", "grid-fix", "signature-laws"),
                     _block_sum_size),
-    "mod-bound": lambda p, P: check_fold_size(p["n_max"], P),
+    "mod-bound": _mod_bound_size,
     "tent-witness": lambda p, P: p["d"] and check_size(p["d"] + 1, f"tent(d) at d {p['d']}"),
     "separation": _separation_size,
-    "comod": lambda p, P: None,  # its maps have a fixed size
+    "comod": _comod_size,
     "density": _density_size,
 }
 
@@ -412,9 +436,6 @@ def _t_comod(cfg, rng):
     delta = cfg.params["delta"]
     j = rng.choice([2, 3])
     n = j + rng.randint(0, 1)
-    pj = P.prime(j)
-    if delta >= Fraction(1, pj):
-        delta = Fraction(1, 2 * pj)
     g_phi = rand_homeo(rng, 3)
     lifted = lift(DiagonalHomeo(j, g_phi), n, P).inducer
     p_prime = _gapped_pair(rng, delta, P.product(j + 1, n), lifted)

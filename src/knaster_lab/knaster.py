@@ -76,15 +76,18 @@ class PrimeSequence:
 
     "all2" repeats 2 forever. "diagonal" walks the triangle 2 | 2,3 |
     2,3,5 | 2,3,5,7 | ... so every prime recurs infinitely often. An
-    explicit list gives a finite schedule that errors past its end;
-    certificates at truncation N need N+1 terms (the tail bound looks
-    one level down).
+    explicit list, or its comma string ("5", "2,3,5"), gives a finite
+    schedule that errors past its end; certificates at truncation N need
+    N+1 terms (the tail bound looks one level down).
     """
 
     def __init__(self, spec="diagonal"):
+        if isinstance(spec, str) and spec not in _PRIME_NAMES:
+            try:
+                spec = [int(p) for p in spec.split(",")]
+            except ValueError:
+                raise ValueError(f"unknown prime schedule {spec!r}") from None
         if isinstance(spec, str):
-            if spec not in _PRIME_NAMES:
-                raise ValueError(f"unknown prime schedule {spec!r}")
             self._name = spec
             self._prefix = None
             self._cache = []
@@ -114,6 +117,15 @@ class PrimeSequence:
         while len(self._cache) < n:
             self._row += 1
             self._cache.extend(_first_primes(self._row))
+
+    def require(self, n, what):
+        """Refuse (ValueError) an explicit schedule of fewer than n terms.
+
+        A named schedule never ends, so it is never extended here.
+        """
+        if self._prefix is not None and len(self._prefix) < n:
+            raise ValueError(f"{what} needs p_1...p_{n}, but the schedule "
+                             f"has only {len(self._prefix)} terms")
 
     def prime(self, i):
         """p_i, 1-indexed."""
@@ -158,9 +170,7 @@ class PrimeSequence:
 
     @classmethod
     def from_json_dict(cls, data):
-        if isinstance(data, str):
-            return cls(data)
-        if isinstance(data, (list, tuple)):
+        if isinstance(data, (str, list, tuple)):
             return cls(data)
         if "name" in data:
             return cls(data["name"])

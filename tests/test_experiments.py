@@ -190,8 +190,10 @@ def test_size_params_are_checked_before_the_first_draw(
 RANGE_ROWS = [
     ("mod-bound", {}, "eps", ("-1", "0"), "1/1000000"),
     ("tent-witness", {}, "delta", ("-1", "0", "1/4"), "249/1000"),
-    # the trial's clamp to 1/(2·p_j) gave exactly 1/4 at p_j = 2
+    # below 1/4 as well as min(1/p_2, 1/p_3), which is 1/3 on diagonal
     ("comod", {}, "delta", ("-1", "0", "1/4", "1/3", "1/2"), "249/1000"),
+    # the trials draw j = 2, 3 and need delta < 1/p_j: here 1/5 and 1/7
+    ("comod", {"primes": "2,5,7,11,13"}, "delta", ("1/5", "1/7"), "1/8"),
     # the window's forced point 1/d + 2·eta + 1/16 below 1, least d = p_1
     ("separation", {}, "eta", ("-1", "0", "7/32"), "223/1024"),
     # n_max 1 draws d = p_2 = 3 as well
@@ -221,6 +223,73 @@ def test_rational_params_are_checked_before_the_first_draw(
     monkeypatch.undo()
     assert main(argv + [valid]) == 0
     assert "2 passed, 0 failed" in capsys.readouterr().out
+
+
+# suite, the flags it runs with, the shortest explicit schedule its trials
+# may read to the end, and the refusal of that schedule less its last term
+TERMS_ROWS = [
+    ("semiconj", {}, "3", "unknown prime schedule ''"),
+    ("oplus-scaling", {}, "5", "unknown prime schedule ''"),
+    ("grid-fix", {}, "2", "unknown prime schedule ''"),
+    ("signature-laws", {}, "7", "unknown prime schedule ''"),
+    ("tent-witness", {}, "3", "unknown prime schedule ''"),
+    # the fold at n_max and its tail bound: p_1...p_{n_max+1}
+    ("mod-bound", {}, "3,2,5,2", "n_max 3 needs p_1...p_4"),
+    # stalks at m <= n_max + 2 and their tail bound: p_1...p_{n_max+3}
+    ("separation", {}, "5,2,3,7", "n_max 1 needs p_1...p_4"),
+    ("separation", {"n_max": 3}, "2,3,2,5,2,3", "n_max 3 needs p_1...p_6"),
+    # j <= 3 and n <= j + 1: p_1...p_5
+    ("comod", {}, "5,2,3,2,7", "comod needs p_1...p_5"),
+    # the fold at m and its tail bound: p_1...p_{m+1}
+    ("density", {}, "3,2", "m 1 needs p_1...p_2"),
+    ("density", {"m": 2}, "2,3,5", "m 2 needs p_1...p_3"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, flags, primes, refusal",
+    TERMS_ROWS,
+    ids=[size_row_id((suite, flags, "terms")) for suite, flags, *_ in TERMS_ROWS],
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_explicit_schedules_are_checked_before_the_first_draw(
+    suite, flags, primes, refusal, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew from the trial stream")
+
+    monkeypatch.setattr(experiments, "derive_rng", refuse)
+    argv = ["experiment" if suite == "density" else "verify", suite]
+    for k, v in flags.items():
+        argv += [f"--{k.replace('_', '-')}", str(v)]
+    argv += ["--seed", str(seed), "--primes"]
+    assert main(argv + [primes.rpartition(",")[0]]) == 2
+    assert f"usage error: {refusal}" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv + [primes]) == 0
+    assert "20 passed, 0 failed" in capsys.readouterr().out
+
+
+def test_a_config_file_takes_the_flag_schedule_spec(tmp_path, monkeypatch):
+    from knaster_lab import cli
+
+    built = []
+
+    def keep(cfg):
+        built.append(cfg)
+        return run_suite(cfg)
+
+    monkeypatch.setattr(cli, "run_suite", keep)
+    path = tmp_path / "cfg.json"
+    argv = ["verify", "mod-bound", "--trials", "2", "--n-max", "1"]
+    for spec in ("diagonal", "all2", "5,2", "2,3,5,7"):
+        path.write_text(json.dumps({"suite": "mod-bound", "primes": spec}))
+        assert main(argv + ["--config", str(path)]) == 0
+        assert main(argv + ["--primes", spec]) == 0
+    assert built[0::2] == built[1::2]
+    assert [cfg.primes for cfg in built[1::2]] == [
+        DIAG, ALL2, PrimeSequence([5, 2]), PrimeSequence([2, 3, 5, 7])
+    ]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_PARAMS))

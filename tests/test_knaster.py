@@ -64,8 +64,9 @@ class TestPrimeSequence:
             PrimeSequence([2, 4])
         with pytest.raises(ValueError):
             PrimeSequence([])
-        with pytest.raises(ValueError):
-            PrimeSequence("fibonacci")
+        for spec in ("fibonacci", "", "2,,3", "2,4"):
+            with pytest.raises(ValueError):
+                PrimeSequence(spec)
 
     def test_products_and_weights(self):
         assert DIAG.product(1, 4) == 24
@@ -89,6 +90,9 @@ class TestPrimeSequence:
             assert again == P
         assert PrimeSequence.from_json_dict("all2") == ALL2
         assert PrimeSequence.from_json_dict([2, 3]) == PrimeSequence((2, 3))
+        # the CLI's spec strings
+        assert PrimeSequence.from_json_dict("2,3") == PrimeSequence("2,3") == PrimeSequence((2, 3))
+        assert PrimeSequence("5") == PrimeSequence([5])
 
     def test_product_keeps_no_prefix_products(self):
         # p_1...p_20001 on "diagonal" is about 20 KB; caching every prefix

@@ -384,6 +384,62 @@ def test_experiment_density_cli(capsys):
     assert "eps=1/16" in out
 
 
+@pytest.mark.parametrize(
+    "argv, d_max",
+    [
+        # (max_breakpoints + 1)·d_max + 1 = 13·76923 + 1 is the limit itself
+        (["verify", "semiconj"], 76923),
+        (["verify", "semiconj", "--max-breakpoints", "1"], 499999),
+        # 9·d_max + 1 for the suites that draw with 8 interior breakpoints
+        (["verify", "oplus-scaling"], 111111),
+        (["verify", "grid-fix"], 111111),
+        (["verify", "signature-laws"], 111111),
+    ],
+)
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_suites_refuse_a_large_d_max_before_the_first_draw(
+    argv, d_max, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew a map")
+
+    monkeypatch.setattr(experiments, "rand_homeo", refuse)
+    argv = argv + ["--seed", str(seed), "--trials", "2", "--d-max"]
+    assert main(argv + [str(d_max + 1)]) == 2
+    assert f"oplus_power of degree {d_max + 1} needs up to" in capsys.readouterr().err
+    # at the limit the guard passes, and the first draw is reached
+    with pytest.raises(AssertionError, match="drew a map"):
+        main(argv + [str(d_max)])
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [
+        # 2·k·p_1...p_m + 1 on the diagonal schedule (p_1...p_m = 2, 4, 12)
+        # is within the limit, and one more interval passes it
+        (1, 249999),
+        (2, 124999),
+        (3, 41666),
+    ],
+)
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_density_refuses_a_large_generic_k_before_the_first_draw(
+    m, k, seed, monkeypatch, capsys
+):
+    def refuse(*_):
+        raise AssertionError("drew a map")
+
+    monkeypatch.setattr(experiments, "pseudo_generic", refuse)
+    monkeypatch.setattr(experiments, "rand_signature_homeo", refuse)
+    argv = ["experiment", "density", "--m", str(m), "--seed", str(seed),
+            "--trials", "2", "--generic-k"]
+    assert main(argv + [str(k + 1)]) == 2
+    assert f"a {k + 1}-interval generic map lifted" in capsys.readouterr().err
+    # at the limit the guard passes, and the first draw is reached
+    with pytest.raises(AssertionError, match="drew a map"):
+        main(argv + [str(k)])
+
+
 def test_density_refuses_m_below_one_before_the_first_draw(monkeypatch, capsys):
     # proof_slack_sum(0, P) is the empty sum, so m = 0 has no epsilon
     def refuse(*_):

@@ -501,6 +501,25 @@ class TestFoldGuard:
         with pytest.raises(ValueError, match="at least 2268001 breakpoints"):
             diag_dist(DiagonalHomeo(13, self.G), DiagonalHomeo(0, self.G), 13, P)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "mod-bound", "--n-max", "100000"],
+            ["verify", "mod-bound", "--n-max", "250"],
+            ["verify", "mod-bound", "--n-max", "13"],
+            ["verify", "separation", "--n-max", "60"],
+            ["verify", "separation", "--n-max", "11"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_suites_refuse_a_deep_n_max_up_front(self, argv, seed, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("the suite drew a map before refusing n_max")
+
+        monkeypatch.setattr(ex, "rand_homeo", refuse)
+        assert cli.main(argv + ["--seed", str(seed), "--trials", "2"]) == 2
+        assert f"the limit {MAX_BREAKPOINTS}" in capsys.readouterr().err
+
     def test_density_refuses_a_deep_m_before_its_slack_sum(self, monkeypatch, capsys):
         def refuse(*_):
             raise AssertionError("density summed the proof slack before refusing m")

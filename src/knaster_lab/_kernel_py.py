@@ -432,12 +432,17 @@ def pl_sub(f, g):
 def restrict(bps, a, b):
     """Breakpoints of the restriction to [a, b] inside the domain (a < b).
 
-    A slice of bps between the two ends. Each end lies on the segment of the
-    neighbour it replaces, so with bps canonical every kept point stays a kink.
+    A slice of bps between the two ends. An end that is a breakpoint is kept
+    as it is; any other lies on the segment of the neighbour it replaces, so
+    with bps canonical every kept point stays a kink. Restricted to its whole
+    domain, bps comes back as a plain copy.
     """
     i = _locate(bps, a)
     j = _locate(bps, b)
-    out = [a + _interp(a, bps[i], bps[i + 1])] + bps[i + 1:j + 1]
+    if bps[i][:2] == a:
+        out = bps[i:j + 1]
+    else:
+        out = [a + _interp(a, bps[i], bps[i + 1])] + bps[i + 1:j + 1]
     if out[-1][:2] != b:
         out.append(b + _interp(b, bps[j], bps[j + 1]))
     return out

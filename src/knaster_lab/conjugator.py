@@ -152,8 +152,12 @@ class SignatureMismatchError(ValueError):
     """The two maps are not conjugate: their signatures differ."""
 
 
+# orbit steps one synthesis may take before it gives up with OrbitCapError
+MAX_ORBIT_STEPS = 1_000_000
+
+
 class OrbitCapError(RuntimeError):
-    """Orbit iteration exceeded the configured cap; η too small for it."""
+    """Orbit iteration passed MAX_ORBIT_STEPS; η too small for it."""
 
 
 class ConjugatorError(RuntimeError):
@@ -172,8 +176,7 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise OrbitCapError(
-                "orbit iteration exceeded the cap; "
-                "raise max_steps or use a larger eta"
+                "orbit iteration exceeded the cap; use a larger eta"
             )
 
 
@@ -489,7 +492,7 @@ def _conjugacy_gap(fk, hk, gk):
     return Fraction(*_k.compose_pair_sup(hinv, fk, gk, hinv)[:2])
 
 
-def _checked_conjugator(f, g, eta, max_steps=1_000_000):
+def _checked_conjugator(f, g, eta):
     """approx_conjugator's build and post-check: (h, achieved, steps).
 
     achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), found without building
@@ -507,30 +510,30 @@ def _checked_conjugator(f, g, eta, max_steps=1_000_000):
             "maps are not conjugate: signatures differ"
         )
     eta_cap = _cap_margin(eta, f_ivs, g_ivs)
-    budget = _Budget(max_steps)
+    budget = _Budget(MAX_ORBIT_STEPS)
     h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
     achieved = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved, max_steps - budget.left
+    return h, achieved, MAX_ORBIT_STEPS - budget.left
 
 
-def approx_conjugator(f, g, eta, max_steps=1_000_000):
+def approx_conjugator(f, g, eta):
     """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
 
     Requires signature(f) == signature(g). One build meets eta by the
     module's cap error accounting: caps and seams take all of eta, or
     eta/2 on a pair with a squeeze window, whose pieces are at most
     eta_cap/(k+1) wide. The exact post-check confirms it. Raises
-    OrbitCapError when the orbit matching needs more than max_steps
+    OrbitCapError when the orbit matching needs more than MAX_ORBIT_STEPS
     iterations, and ConjugatorError when the post-check fails.
     """
-    return _checked_conjugator(f, g, eta, max_steps)[0]
+    return _checked_conjugator(f, g, eta)[0]
 
 
-def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
+def grid_block_conjugate(f, d, h, eta):
     """Blockwise conjugator g with sup_dist(g⁻¹ ∘ ⊕ᵈ(f) ∘ g, h) < eta.
 
     h must fix every grid point i/d; each rescaled block of h must be
@@ -559,9 +562,9 @@ def grid_block_conjugate(f, d, h, eta, max_steps=1_000_000):
                 f"block {i} of h is not conjugate to the required model"
             )
         if i % 2 == 0:
-            w = approx_conjugator(f, block, d * eta, max_steps)
+            w = approx_conjugator(f, block, d * eta)
         else:
-            w = reflect(approx_conjugator(f, reflect(block), d * eta, max_steps))
+            w = reflect(approx_conjugator(f, reflect(block), d * eta))
         blocks.append(w)
     g = block_sum(blocks)
     ident = identity()

@@ -26,13 +26,17 @@ indices instead of building the level-N inducer. Below M, diag_dist
 folds only where the two level-M maps differ: every level's difference
 vanishes wherever they agree (see diag_dist).
 
-The Fraction boundary sits where it sits for maps (see plmap). Stalks
-keep their coordinates as kernel pairs (n, d), and extend_point,
-validate_point, eval_diagonal, knaster_dist and diag_dist's witness and
-tail weights run on integers. Fractions appear only at the typed
-surface: a stalk's ``coords``, its constructor and JSON, the values
-callers pass in, and a CertifiedDistance's lower and upper, each built
-once per call.
+One metric serves points and maps. knaster_dist and diag_dist both
+score a pair of coherent stalks with one weighted sum in integers
+(_stalk_sum): knaster_dist the two stalks it is given, diag_dist the
+level-M stalks through A(s) and B(s) at each candidate s, with the
+collapsed tail as the level-M weight. The Fraction boundary sits where
+it sits for maps (see plmap). Stalks keep their coordinates as kernel
+pairs (n, d), and extend_point, validate_point, eval_diagonal, the
+stalk sum and diag_dist's witness and tail weights run on integers.
+Fractions appear only at the typed surface: a stalk's ``coords``, its
+constructor and JSON, the values callers pass in, and a
+CertifiedDistance's lower and upper, each built once per call.
 """
 
 from dataclasses import dataclass
@@ -316,32 +320,41 @@ class CertifiedDistance:
         }
 
 
+def _stalk_sum(xs, ys, P, top):
+    """The truncated metric between two coherent kernel stalks, in lowest terms.
+
+    sum_{i<n} w_i |x_i - y_i| + top |x_n - y_n|, with w_0 = 1/2,
+    w_i = 1/(p_1...p_i) and top a pair: w_n for the metric itself, a
+    collapsed tail weight in diag_dist. A coherent stalk's denominators
+    all divide its top one's, since each tent fold only cancels. So with
+    X and Y the top denominators, every term below n sits over
+    2 p_1...p_n X Y, and the sum is normalized once.
+    """
+    n = len(xs) - 1
+    dx, dy = xs[n][1], ys[n][1]
+    # c = 2 p_{i+1}...p_n is w_i times 2 p_1...p_n; w_0 takes half of it
+    num, c = 0, 2
+    for i in range(n - 1, -1, -1):
+        c *= P.prime(i + 1)
+        (an, ad), (bn, bd) = xs[i], ys[i]
+        diff = abs(an * (dx // ad) * dy - bn * (dy // bd) * dx)
+        num += (c if i else c >> 1) * diff
+    tn, td = top
+    diff = abs(xs[n][0] * dy - ys[n][0] * dx)
+    return _k.rnorm(num * td + tn * c * diff, c * td * dx * dy)
+
+
 def knaster_dist(x, y, P):
     """Certified metric distance between two stalks of equal truncation.
 
-    A coherent stalk's denominators all divide its top one's, since each
-    tent fold only cancels. So with X and Y the top denominators, every
-    term of the truncated metric sits over 2 p_1...p_N X Y, and the sum
-    is normalized once.
+    lower is the stalk sum (_stalk_sum) with w_N on the top coordinate.
     """
     if x.truncation != y.truncation:
         raise ValueError("points have different truncations")
     validate_point(x, P)
     validate_point(y, P)
     n = x.truncation
-    xs, ys = x._kc, y._kc
-    dx, dy = xs[n][1], ys[n][1]
-    # c = 2 p_{i+1}...p_n is w_i times 2 p_1...p_n; w_0 takes half the final c
-    num, c = 0, 2
-    for i in range(n, -1, -1):
-        (an, ad), (bn, bd) = xs[i], ys[i]
-        diff = abs(an * (dx // ad) * dy - bn * (dy // bd) * dx)
-        if i:
-            num += c * diff
-            c *= P.prime(i)
-        else:
-            num += (c >> 1) * diff
-    lower = _k.rnorm(num, c * dx * dy)
+    lower = _stalk_sum(x._kc, y._kc, P, (1, P.product(1, n) if n else 2))
     upper = _k.radd(lower, (2, P.product(1, n + 1)))
     return CertifiedDistance(Fraction(*lower), Fraction(*upper), n, None)
 
@@ -499,6 +512,21 @@ def _support(D):
     return out
 
 
+def _candidates(A, B, M, P):
+    """Where diag_dist scores two level-M lists: their level-0 folds' breakpoints.
+
+    Each fold composes a tent on the left, and a tent has no flat piece,
+    so every kink of a level's fold stays a kink one level down. The
+    merged breakpoints of the two level-0 folds therefore hold every
+    breakpoint of every level's difference.
+    """
+    for m in range(M, 0, -1):
+        t = tent(P.prime(m))._kbps
+        A = _k.compose(t, A)
+        B = _k.compose(t, B)
+    return _k.merged_xs(A, B)
+
+
 def diag_dist(F, G, N, P):
     """Certified sup-metric distance between two diagonal homeomorphisms.
 
@@ -512,26 +540,39 @@ def diag_dist(F, G, N, P):
         C(M, N) = sum_{i=M..N} w_i / (p_{M+1}...p_i),
 
     with w_0 = 1/2 and w_i = 1/(p_1...p_i), where D_m for m < M folds
-    D_M down through the tents. That is piecewise linear in s = x_M, so
-    its sup is attained at a breakpoint of one of the per-level
-    differences. (A sign-change zero of one difference is a convex kink
-    of the sum and can never be a strict maximum, so only breakpoints
-    matter.) The witness is the level-N stalk through s/(p_{M+1}...p_N):
-    it lies in block 0 at every level above M, so the tents carry it
-    back to s unreflected.
+    D_M down through the tents. With A and B the level-M inducers,
+    D_m(s) = a_m - b_m for the level-M stalks (a_0, ..., a_M) through
+    A(s) and (b_0, ..., b_M) through B(s), s = x_M. So the score at s is
+    the truncated metric between those two stalks with C(M, N) in place
+    of w_M: the sum knaster_dist takes (_stalk_sum), once for lower and
+    once under the high weight for upper. It is piecewise linear in s,
+    and its sup is attained at a breakpoint of some D_m. (A sign-change
+    zero of one difference is a convex kink of the sum and can never be
+    a strict maximum.)
 
-    Only the support of D_M is folded. With A and B the level-M
-    inducers, D_m = T(A) - T(B) for the composed tents T, so wherever
-    A(s) = B(s) every level vanishes and s scores 0. So D_M's maximal
-    zero segments are skipped, and the intervals between them are each
-    folded, merged and scored on restrictions of A, B and D_M, left to
-    right. An interval's breakpoints are exactly the full fold's inside
-    it (a kink is local, and its ends are breakpoints of D_M), and
-    every point skipped scores 0. D_m(0) = 0 at every level, since
-    homeomorphisms and tents fix 0, so the full fold's leftmost witness
-    is 0 until some point scores above 0: starting from 0 at 0 and
-    letting only a strictly larger score move the witness gives the
-    same lower, upper and witness, bit for bit. Equal maps fold nothing.
+    The candidates are the merged breakpoints of the level-0 folds of A
+    and B, which hold every breakpoint of every D_m (see _candidates);
+    A and B are read there once. Between two consecutive breakpoints of
+    the D_m the score is a sum of absolute values of affine maps, so
+    convex: a point strictly inside scores at most the larger end, and
+    reaches the maximum over the two ends only where the left end does
+    too. So an extra candidate is never the leftmost maximum, and it
+    changes neither bound nor the witness. The witness is the
+    level-N stalk through s/(p_{M+1}...p_N): it lies in block 0 at every
+    level above M, so the tents carry it back to s unreflected.
+
+    Only the support of D_M is folded. D_m = T(A) - T(B) for the
+    composed tents T, so wherever A(s) = B(s) every level vanishes and s
+    scores 0. So D_M's maximal zero segments are skipped, and the
+    intervals between them are each folded and scored on restrictions
+    of A and B, left to right. An interval's candidates are exactly the
+    full fold's inside it (a kink is local, and its ends are
+    breakpoints of D_M), and every point skipped scores 0. D_m(0) = 0 at
+    every level, since homeomorphisms and tents fix 0, so the full
+    fold's leftmost witness is 0 until some point scores above 0:
+    starting from 0 at 0 and letting only a strictly larger score move
+    the witness gives the same lower, upper and witness, bit for bit.
+    Equal maps fold nothing.
 
     Untruncated, the level-M weight is C(M, inf), whose terms past N
     shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
@@ -554,37 +595,17 @@ def diag_dist(F, G, N, P):
     DM = _k.pl_sub(A, B)
     c, h = _tail_weights(M, N, P)
 
-    # D_j(0) = 0 at every level, and every skipped point scores 0
+    # D_m(0) = 0 at every level, and every skipped point scores 0
     lower = upper = wit = (0, 1)
     for left, right in _support(DM):
-        levels = [(M, _k.restrict(DM, left, right))]
         fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
-        for m in range(M, 0, -1):
-            t = tent(P.prime(m))._kbps
-            fa = _k.compose(t, fa)
-            fb = _k.compose(t, fb)
-            levels.append((m - 1, _k.pl_sub(fa, fb)))
-
-        # every level's breakpoints are sorted already: merge, dropping repeats
-        xs = [(p[0], p[1]) for p in levels[0][1]]
-        for _, D in levels[1:]:
-            xs = _k.merged_xs(xs, D)
-
-        # the weighted levels below M, then level M under both weights
-        below = [(0, 1)] * len(xs)
-        for m, D in levels[1:]:
-            w = (1, 2) if m == 0 else (1, P.product(1, m))
-            for i, v in enumerate(_k.eval_sorted(D, xs)):
-                if v[0]:
-                    below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
-
-        for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
-            a = _k.rabs(v)
-            lo = _k.radd(b, _k.rmul(a, c))
+        xs = _candidates(fa, fb, M, P)
+        for x, a, b in zip(xs, _k.eval_sorted(fa, xs), _k.eval_sorted(fb, xs)):
+            sa, sb = _stalk(a, M, P), _stalk(b, M, P)
+            lo = _stalk_sum(sa, sb, P, c)
             if _k.rcmp(lo, lower) > 0:
-                lower = lo
-                wit = x
-            hi = _k.radd(b, _k.rmul(a, h))
+                lower, wit = lo, x
+            hi = _stalk_sum(sa, sb, P, h)
             if _k.rcmp(hi, upper) > 0:
                 upper = hi
 

@@ -199,10 +199,11 @@ def test_slow_tail_pairs_pass_their_postcheck(eta):
     assert worst["neutral"] > F(1, 2)
 
 
-def test_orbit_cap_guard():
+def test_orbit_cap_guard(monkeypatch):
+    monkeypatch.setattr(conjugator, "MAX_ORBIT_STEPS", 3)
     g = PLHomeo([(0, 0), (F(1, 4), F(2, 3)), (1, 1)])
-    with pytest.raises(OrbitCapError):
-        approx_conjugator(BUMP, g, F(1, 1000), max_steps=3)
+    with pytest.raises(OrbitCapError, match="use a larger eta"):
+        approx_conjugator(BUMP, g, F(1, 1000))
 
 
 def test_certificate():
@@ -320,7 +321,7 @@ def test_blockwise_distance_postcheck_raises(monkeypatch):
     # not conjugate oplus_power(BUMP, 2) to within 1/100 of this target:
     # the blocks' bumps differ by 1/8 at 1/2, so by 1/16 after rescaling
     monkeypatch.setattr(
-        conjugator, "approx_conjugator", lambda f, g, eta, max_steps: identity()
+        conjugator, "approx_conjugator", lambda f, g, eta: identity()
     )
     h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
     with pytest.raises(ConjugatorError, match="achieved 1/16, needed < 1/100"):

@@ -40,6 +40,14 @@ ETAS = (F(1, 100), F(1, 1000), F(1, 10000))
 CAP = 4000
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _orbit_cap():
+    # every synthesis in this module stops at CAP orbit steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjugator, "MAX_ORBIT_STEPS", CAP)
+        yield
+
+
 def _frac(pair):
     return Fraction(pair[0], pair[1])
 
@@ -270,11 +278,11 @@ def test_squeeze_pairs_match_oracle(pair):
     eta = F(1, 100)
     check_pair(f, g, _fp(eta / 2))
     # the whole conjugator, squeeze glue included, is the same map
-    h = conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+    h = conjugator.approx_conjugator(f, g, eta)
     real = conjugator._transport
     conjugator._transport = oracle_transport
     try:
-        want = conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+        want = conjugator.approx_conjugator(f, g, eta)
     finally:
         conjugator._transport = real
     assert h == want
@@ -361,7 +369,7 @@ def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
         for eta in ETAS:
             for name in calls:
                 calls[name] = 0
-            conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+            conjugator.approx_conjugator(f, g, eta)
             assert built["invert"] == 2
             # the post-check inverts h once more
             assert calls["invert"] == 3
@@ -380,7 +388,7 @@ def _midpoint_anchor(bps, lo, hi):
 
 
 def _conjugator_bps(f, g, eta):
-    h = conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+    h = conjugator.approx_conjugator(f, g, eta)
     assert sup_dist(compose(compose(h.invert(), f), h), g) < eta
     return len(h._kbps)
 
@@ -453,7 +461,7 @@ def test_seam_error_is_the_crossing_sup_and_shrinks_by_the_end_slope(monkeypatch
     for f, g in found + [(reflect(f), reflect(g)) for f, g in found]:
         for eta in ETAS:
             tails.clear()
-            conjugator.approx_conjugator(f, g, eta, max_steps=CAP)
+            conjugator.approx_conjugator(f, g, eta)
             for piece, out, sigma, forward in tails:
                 chain = [piece] + out
                 for prev, cur in zip(chain, chain[1:]):

@@ -114,6 +114,18 @@ def test_restrict():
     assert piece == [(1, 4, 1, 2), (1, 2, 1, 1), (3, 4, 1, 2)]
 
 
+def test_restrict_keeps_ends_on_breakpoints(monkeypatch):
+    # an end on a breakpoint is that breakpoint, not interpolated again,
+    # so the whole domain is a plain copy
+    def refuse(*_):
+        raise AssertionError("interpolated an end that is a breakpoint")
+
+    monkeypatch.setattr(k, "_interp", refuse)
+    whole = k.restrict(TENT4, (0, 1), (1, 1))
+    assert whole == TENT4 and whole is not TENT4
+    assert k.restrict(TENT4, (1, 4), (3, 4)) == TENT4[1:4]
+
+
 def test_affine_image_reflection():
     # x -> 1-x, y -> 1-y turns the bump into its mirror
     got = k.affine_image(BUMP, (-1, 1), (1, 1), (-1, 1), (1, 1))

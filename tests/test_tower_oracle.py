@@ -19,6 +19,13 @@ layer, diag_dist's witness, tail weights and bounds, and the stalk
 functions, must agree bit for bit. fraction_diag_dist folds all of
 [0, 1], so it is also the oracle for diag_dist's fold of only the
 stretches where the two maps differ, on pairs drawn to agree elsewhere.
+
+diag_dist scores only the breakpoints of the two level-0 folds, with the
+stalk metric between the level-M image stalks. Two tests check that
+through other paths: those breakpoints hold every breakpoint of every
+level's difference, and, through public functions only, at N = M the
+lower bound and witness are the maximum and leftmost maximizer of
+knaster_dist between the images of the stalks through them.
 """
 
 from fractions import Fraction
@@ -374,6 +381,70 @@ def test_diag_dist_folds_only_where_the_maps_differ(monkeypatch):
             diag_dist(DiagonalHomeo(M, h), Fd, M, P)
             assert folded == [support] * (2 * M)
             folded.clear()
+
+
+@st.composite
+def fold_cases(draw):
+    """Two level-M kernel lists, M up to 4: a random pair or a nudged one."""
+    P = PrimeSequence(draw(st.sampled_from(["diagonal", "all2"])))
+    M = draw(st.integers(0, 4))
+    rng = derive_rng("tower-candidates", draw(st.integers(0, 10**6)))
+
+    def level_m():
+        f = rand_homeo(rng, max_interior=draw(st.integers(0, 4)), den=32)
+        return lift(DiagonalHomeo(draw(st.integers(0, M)), f), M, P).inducer
+
+    a = level_m()
+    if draw(st.booleans()):
+        b, _ = rand_nudge(rng, a, F(1))
+    else:
+        b = level_m()
+    return P, M, a._kbps, b._kbps
+
+
+@given(fold_cases())
+@settings(max_examples=150, deadline=None)
+def test_candidates_hold_every_level_difference_breakpoint(case):
+    # diag_dist scores only the level-0 folds' breakpoints, so those must
+    # hold the breakpoints of the difference at every level of the fold
+    P, M, A, B = case
+    for left, right in kn._support(_k.pl_sub(A, B)):
+        fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
+        xs = set(kn._candidates(fa, fb, M, P))
+        for m in range(M, -1, -1):
+            assert {p[:2] for p in _k.pl_sub(fa, fb)} <= xs, m
+            if m:
+                t = tent(P.prime(m))._kbps
+                fa, fb = _k.compose(t, fa), _k.compose(t, fb)
+
+
+def _fold_breakpoints(Fd, Gd, M, P):
+    """The x of every breakpoint of both maps' level-0 folds, in order."""
+    xs = set()
+    for H in (Fd, Gd):
+        f = lift(H, M, P).inducer
+        for m in range(M, 0, -1):
+            f = compose(tent(P.prime(m)), f)
+        xs.update(x for x, _ in f.breakpoints)
+    return sorted(xs)
+
+
+@given(st.one_of(bit_cases(), agreeing_cases()))
+@settings(max_examples=150, deadline=None)
+def test_diag_dist_is_the_stalk_metric_at_its_candidates(case):
+    # at N = M, diag_dist's score at x is the stalk metric between the
+    # images of the stalk through x; its witness is the leftmost maximizer
+    P, _, Fd, Gd = case
+    M = max(Fd.base_coord, Gd.base_coord)
+    best = wit = None
+    for x in _fold_breakpoints(Fd, Gd, M, P):
+        s = extend_point(x, M, P)
+        d = knaster_dist(eval_diagonal(Fd, s, P), eval_diagonal(Gd, s, P), P).lower
+        if best is None or d > best:
+            best, wit = d, s
+    got = diag_dist(Fd, Gd, M, P)
+    assert got.lower == best
+    assert got.witness == wit
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))

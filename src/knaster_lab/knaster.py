@@ -48,7 +48,7 @@ from .plmap import PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
 from .rational import format_rational, parse_rational
-from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent, tent_fold
+from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent_fold
 
 _PRIME_NAMES = ("diagonal", "all2")
 
@@ -320,14 +320,14 @@ class CertifiedDistance:
         }
 
 
-def _stalk_sum(xs, ys, P, top):
+def _stalk_sum(xs, ys, P, top=None):
     """The truncated metric between two coherent kernel stalks, in lowest terms.
 
     sum_{i<n} w_i |x_i - y_i| + top |x_n - y_n|, with w_0 = 1/2,
-    w_i = 1/(p_1...p_i) and top a pair: w_n for the metric itself, a
-    collapsed tail weight in diag_dist. A coherent stalk's denominators
-    all divide its top one's, since each tent fold only cancels. So with
-    X and Y the top denominators, every term below n sits over
+    w_i = 1/(p_1...p_i) and top a pair, a collapsed tail weight in
+    diag_dist, or None for w_n, the metric itself. A coherent stalk's
+    denominators all divide its top one's, since each tent fold only
+    cancels. So with X and Y the top denominators, every term sits over
     2 p_1...p_n X Y, and the sum is normalized once.
     """
     n = len(xs) - 1
@@ -339,8 +339,10 @@ def _stalk_sum(xs, ys, P, top):
         (an, ad), (bn, bd) = xs[i], ys[i]
         diff = abs(an * (dx // ad) * dy - bn * (dy // bd) * dx)
         num += (c if i else c >> 1) * diff
-    tn, td = top
     diff = abs(xs[n][0] * dy - ys[n][0] * dx)
+    if top is None:  # c = 2 p_1...p_n, so w_n is 2/c (1/c = 1/2 at n = 0)
+        return _k.rnorm(num + (2 if n else 1) * diff, c * dx * dy)
+    tn, td = top
     return _k.rnorm(num * td + tn * c * diff, c * td * dx * dy)
 
 
@@ -354,7 +356,7 @@ def knaster_dist(x, y, P):
     validate_point(x, P)
     validate_point(y, P)
     n = x.truncation
-    lower = _stalk_sum(x._kc, y._kc, P, (1, P.product(1, n) if n else 2))
+    lower = _stalk_sum(x._kc, y._kc, P)
     upper = _k.radd(lower, (2, P.product(1, n + 1)))
     return CertifiedDistance(Fraction(*lower), Fraction(*upper), n, None)
 
@@ -519,11 +521,19 @@ def _candidates(A, B, M, P):
     so every kink of a level's fold stays a kink one level down. The
     merged breakpoints of the two level-0 folds therefore hold every
     breakpoint of every level's difference.
+
+    Tents compose by degree, T_a o T_b = T_ab, so the level-0 fold is
+    one compose with the degree-D tent, D = p_1...p_M (none at M = 0).
+    compose reads its outer map only over the inner map's range, here
+    [f[0].y, f[-1].y] since f is increasing, so each map takes only the
+    tent's breakpoints (k/D, k mod 2) from floor(D y_0) to ceil(D y_1).
+    That slice is canonical, like any slice of a tent, and a PL map's
+    canonical list is unique, so the fold is the chain's bit for bit.
     """
-    for m in range(M, 0, -1):
-        t = tent(P.prime(m))._kbps
-        A = _k.compose(t, A)
-        B = _k.compose(t, B)
+    if M:
+        D = P.product(1, M)
+        A, B = (_k.compose([_k.rnorm(k, D) + (k & 1, 1) for k in range(
+            D * f[0][2] // f[0][3], -(-D * f[-1][2] // f[-1][3]) + 1)], f) for f in (A, B))
     return _k.merged_xs(A, B)
 
 
@@ -540,7 +550,8 @@ def diag_dist(F, G, N, P):
         C(M, N) = sum_{i=M..N} w_i / (p_{M+1}...p_i),
 
     with w_0 = 1/2 and w_i = 1/(p_1...p_i), where D_m for m < M folds
-    D_M down through the tents. With A and B the level-M inducers,
+    D_M down through one tent, of degree p_{m+1}...p_M, since tents
+    compose by degree. With A and B the level-M inducers,
     D_m(s) = a_m - b_m for the level-M stalks (a_0, ..., a_M) through
     A(s) and (b_0, ..., b_M) through B(s), s = x_M. So the score at s is
     the truncated metric between those two stalks with C(M, N) in place
@@ -552,17 +563,18 @@ def diag_dist(F, G, N, P):
 
     The candidates are the merged breakpoints of the level-0 folds of A
     and B, which hold every breakpoint of every D_m (see _candidates);
-    A and B are read there once. Between two consecutive breakpoints of
-    the D_m the score is a sum of absolute values of affine maps, so
-    convex: a point strictly inside scores at most the larger end, and
-    reaches the maximum over the two ends only where the left end does
-    too. So an extra candidate is never the leftmost maximum, and it
-    changes neither bound nor the witness. The witness is the
-    level-N stalk through s/(p_{M+1}...p_N): it lies in block 0 at every
-    level above M, so the tents carry it back to s unreflected.
+    each fold is one compose with the degree p_1...p_M tent. Between two
+    consecutive breakpoints of the D_m the score is a sum of absolute
+    values of affine maps, so convex: a point strictly inside scores at
+    most the larger end, and reaches the maximum over the two ends only
+    where the left end does too. So an extra candidate is never the
+    leftmost maximum, and it changes neither bound nor the witness. The
+    witness is the level-N stalk through s/(p_{M+1}...p_N): it lies in
+    block 0 at every level above M, so the tents carry it back to s
+    unreflected.
 
     Only the support of D_M is folded. D_m = T(A) - T(B) for the
-    composed tents T, so wherever A(s) = B(s) every level vanishes and s
+    composed tent T, so wherever A(s) = B(s) every level vanishes and s
     scores 0. So D_M's maximal zero segments are skipped, and the
     intervals between them are each folded and scored on restrictions
     of A and B, left to right. An interval's candidates are exactly the
@@ -590,8 +602,7 @@ def diag_dist(F, G, N, P):
         raise ValueError("truncation is below a base coordinate")
     M = max(F.base_coord, G.base_coord)
     check_fold_size(M, P)
-    A = lift(F, M, P).inducer._kbps
-    B = lift(G, M, P).inducer._kbps
+    A, B = (lift(H, M, P).inducer._kbps for H in (F, G))
     DM = _k.pl_sub(A, B)
     c, h = _tail_weights(M, N, P)
 
@@ -609,8 +620,6 @@ def diag_dist(F, G, N, P):
             if _k.rcmp(hi, upper) > 0:
                 upper = hi
 
-    sn, sd = wit
     witness = TruncatedKnasterPoint._from_kernel(
-        _stalk(_k.rnorm(sn, sd * P.product(M + 1, N)), N, P)
-    )
+        _stalk(_k.rmul(wit, (1, P.product(M + 1, N))), N, P))
     return CertifiedDistance(Fraction(*lower), Fraction(*upper), N, witness)

@@ -49,9 +49,11 @@ def test_tent_values_frozen():
 
 
 def test_tent_multiplicative():
-    for a in range(1, 6):
-        for b in range(1, 6):
-            assert compose(tent(a), tent(b)) == tent(a * b)
+    # T_a o T_b = T_ab with equal breakpoint lists: diag_dist folds a level-M
+    # map to level 0 with one tent of degree p_1...p_M in place of M composes
+    for a in range(1, 13):
+        for b in range(1, 13):
+            assert compose(tent(a), tent(b)) == tent(a * b), (a, b)
 
 
 def test_degree_multiplicative_random():

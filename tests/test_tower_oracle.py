@@ -26,6 +26,11 @@ through other paths: those breakpoints hold every breakpoint of every
 level's difference, and, through public functions only, at N = M the
 lower bound and witness are the maximum and leftmost maximizer of
 knaster_dist between the images of the stalks through them.
+
+_candidates folds each map to level 0 with one compose against a slice
+of the degree p_1...p_M tent. Its oracle is the chain it replaced, one
+tent per level, and the two must return the same candidates element for
+element.
 """
 
 from fractions import Fraction
@@ -379,7 +384,7 @@ def test_diag_dist_folds_only_where_the_maps_differ(monkeypatch):
             i = _k._locate(g._kbps, (x0.numerator, x0.denominator))
             support = (g._kbps[i][:2], g._kbps[i + 1][:2])
             diag_dist(DiagonalHomeo(M, h), Fd, M, P)
-            assert folded == [support] * (2 * M)
+            assert folded == [support] * 2
             folded.clear()
 
 
@@ -416,6 +421,58 @@ def test_candidates_hold_every_level_difference_breakpoint(case):
             if m:
                 t = tent(P.prime(m))._kbps
                 fa, fb = _k.compose(t, fa), _k.compose(t, fb)
+
+
+def oracle_candidates(A, B, M, P):
+    """_candidates level by level: M composes with one prime's tent per map."""
+    for m in range(M, 0, -1):
+        t = tent(P.prime(m))._kbps
+        A = _k.compose(t, A)
+        B = _k.compose(t, B)
+    return _k.merged_xs(A, B)
+
+
+def _check_candidates(A, B, M, P):
+    # on the whole maps and on each support interval, as diag_dist calls it
+    assert kn._candidates(A, B, M, P) == oracle_candidates(A, B, M, P)
+    for left, right in kn._support(_k.pl_sub(A, B)):
+        fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
+        assert kn._candidates(fa, fb, M, P) == oracle_candidates(fa, fb, M, P), (left, right)
+
+
+@given(fold_cases())
+@settings(max_examples=150, deadline=None)
+def test_candidates_match_the_level_by_level_chain(case):
+    P, M, A, B = case
+    _check_candidates(A, B, M, P)
+
+
+@pytest.mark.parametrize("M", range(6))
+def test_candidates_match_the_chain_on_an_explicit_schedule(M):
+    # D = 2310 at M = 5, and the slice of a support interval starts and
+    # ends off the grid k/D
+    P = PrimeSequence("2,3,5,7,11")
+    rng = derive_rng("tower-candidates-explicit", M)
+    for _ in range(6):
+        a = lift(DiagonalHomeo(rng.randint(0, M), rand_homeo(rng, max_interior=4, den=64)), M, P)
+        b = lift(DiagonalHomeo(rng.randint(0, M), rand_homeo(rng, max_interior=4, den=64)), M, P)
+        nudged, _ = rand_nudge(rng, a.inducer, F(1))
+        _check_candidates(a.inducer._kbps, b.inducer._kbps, M, P)
+        _check_candidates(a.inducer._kbps, nudged._kbps, M, P)
+
+
+def test_diag_dist_builds_no_tent():
+    # at M = 9 on diagonal the fold's tent has degree 10800; tent's cache
+    # must not keep it (its currsize), nor be asked for any tent at all
+    P = PrimeSequence("diagonal")
+    assert P.product(1, 9) == 10800
+    rng = derive_rng("tower-no-tent")
+    Fd = DiagonalHomeo(9, rand_homeo(rng, max_interior=3, den=32))
+    Gd = DiagonalHomeo(9, rand_homeo(rng, max_interior=3, den=32))
+    before = tent.cache_info()
+    d = diag_dist(Fd, Gd, 9, P)
+    assert tent.cache_info() == before
+    assert 0 < d.lower <= d.upper
 
 
 def _fold_breakpoints(Fd, Gd, M, P):

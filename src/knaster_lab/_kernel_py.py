@@ -76,10 +76,6 @@ def rcmp(a, b):
     return (s > 0) - (s < 0)
 
 
-def rabs(a):
-    return (-a[0], a[1]) if a[0] < 0 else a
-
-
 # ---------------------------------------------------------------------------
 # segment primitives
 
@@ -188,6 +184,16 @@ def _walk(f, g):
     crosses, then its end value, read off f[i] or interpolated once. Every
     denominator is positive, but one coordinate may not be in lowest
     terms: the x of a crossing, or the value at a g breakpoint.
+
+    Work is spent only where a point needs it. The parametrization of a g
+    segment that places its crossings is set up once that segment is
+    found to cross an f breakpoint, which most segments of a many-piece g
+    over a few-piece f never do (the post-check's g∘h⁻¹). The end value's
+    two products that depend on f's segment alone are kept while
+    consecutive g segments end on that same segment. The walk stays a
+    generator: a caller may stream a million points through it (a tent
+    slice, or both sides of compose_pair_sup), and no second list of
+    them is held.
     """
     p = g[0]
     yn, yd = p[2], p[3]
@@ -198,6 +204,7 @@ def _walk(f, g):
     else:
         vn, vd = _interp((yn, yd), a, f[i + 1])
     yield p[0], p[1], vn, vd, True
+    k = -1  # the f segment f[k]..f[k + 1] that kx and ky belong to
     for q in g[1:]:
         qn, qd = q[2], q[3]
         c = qn * yd - yn * qd
@@ -208,29 +215,37 @@ def _walk(f, g):
                 s = -1
                 j = i - 1 if f[i][0] * yd == yn * f[i][1] else i
             u = f[j]
-            # g takes the value un/ud at (ud*m1 + (un*y0d - y0n*ud)*m2) / (ud*m3)
-            x0n, x0d, y0n, y0d = p
-            rise = (qn * y0d - y0n * qd) * q[1]
-            m2 = (q[0] * x0d - x0n * q[1]) * qd
-            if rise < 0:
-                rise, m2 = -rise, -m2
-            m1, m3 = x0n * rise, x0d * rise
-            # cross the f breakpoints strictly before the end value
-            while (qn * u[1] - u[0] * qd) * s > 0:
-                yield (u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2, u[1] * m3,
-                       u[2], u[3], False)
-                j += s
-                u = f[j]
+            if (qn * u[1] - u[0] * qd) * s > 0:
+                # g takes the value un/ud at (ud*m1 + (un*y0d - y0n*ud)*m2) / (ud*m3)
+                x0n, x0d, y0n, y0d = p
+                rise = (qn * y0d - y0n * qd) * q[1]
+                m2 = (q[0] * x0d - x0n * q[1]) * qd
+                if rise < 0:
+                    rise, m2 = -rise, -m2
+                m1, m3 = x0n * rise, x0d * rise
+                # cross the f breakpoints strictly before the end value
+                while True:
+                    yield (u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2, u[1] * m3,
+                           u[2], u[3], False)
+                    j += s
+                    u = f[j]
+                    if (qn * u[1] - u[0] * qd) * s <= 0:
+                        break
             if u[0] * qd == qn * u[1]:
                 vn, vd = u[2], u[3]
                 i = j
             else:
                 i = j - 1 if s > 0 else j
-                a, b = f[i], f[i + 1]
-                # f at q's value, on the segment a->b
-                w = qd * b[3] * (b[0] * a[1] - a[0] * b[1])
-                dy = (b[2] * a[3] - a[2] * b[3]) * b[1]
-                vn = a[2] * w + (qn * a[1] - a[0] * qd) * dy
+                a = f[i]
+                if i != k:
+                    # f at qn/qd on the segment a->b, with w = qd*kx, is
+                    # (a[2]*w + (qn*a[1] - a[0]*qd)*ky) / (a[3]*w)
+                    b = f[i + 1]
+                    kx = b[3] * (b[0] * a[1] - a[0] * b[1])
+                    ky = (b[2] * a[3] - a[2] * b[3]) * b[1]
+                    k = i
+                w = qd * kx
+                vn = a[2] * w + (qn * a[1] - a[0] * qd) * ky
                 vd = a[3] * w
         yield q[0], q[1], vn, vd, True
         p = q

@@ -71,7 +71,14 @@ segment's inner breakpoint and the end therefore maps to points between
 the piece and the end, inside the segment. From there, _affine_tail takes
 each step with no segment search, one budget step per piece as before.
 Consecutive pieces share an endpoint: the image of a piece's back end is
-that piece's own front end, so only the other points are mapped.
+that piece's own front end, so only the other points are mapped. Past
+the seam (below) a step maps one point, the newest orbit point, and the
+tail takes it on bare integers: with the two end segments' slopes and
+offsets over common denominators once per tail, each coordinate of the
+new point is one numerator and one denominator, reduced by one gcd, and
+the stop test is _outside's cross-product inline. The result is the
+point affine_image would give, since both reduce the same rational to
+lowest terms.
 
 Seam: an affine step keeps every kink, so a tail piece carries the kinks
 of the piece that entered the tail all the way to the cap. The first tail
@@ -94,7 +101,9 @@ pieces from L on form one polygon through the orbit points. Its
 consecutive slopes differ by the factor τ/σ, τ the end slope of f (f⁻¹
 backward), so every interior point is a kink unless τ = σ, when the
 polygon is a single segment. An affine step scales L⁻¹(y_k) - x_k by σ,
-so E shrinks by exactly σ per step and is computed once per tail. The
+so E shrinks by exactly σ per step and is computed once per tail, by
+_seam_gap over the entering piece, which keeps every point's gap and its
+running max unreduced and reduces once. The
 crossing cell is an orbit cell, never the cap cell next to a component
 end (forward it precedes P; backward it is P's own), and the orbit
 points, hence the caps and the squeeze windows, are the same as without
@@ -114,6 +123,14 @@ inverse slope. The squeeze glue instead halves the window per piece of
 equal width, so a displacement by a bounded slope ratio moves the image
 at most a few pieces sideways and the error stays proportional to the
 piece width, which we pick below the cap margin.
+
+Fixed structure, checked first: every step above trusts the fixed
+intervals and gap signs of f and g. A wrong structure would send an
+orbit toward a point that is not fixed, and synthesis would spend its
+whole orbit budget before the post-check could refuse. So
+_check_fixed_structure tests both structures against their maps' own
+breakpoints, in one linear pass, before anything is built, and refuses a
+wrong one with FixedStructureError.
 
 Post-check: achieved = sup |h⁻¹ ∘ f ∘ h - g| is computed exactly, without
 building h⁻¹ ∘ f ∘ h or any other composite. h is a bijection of [0, 1],
@@ -139,6 +156,7 @@ lists and turns only achieved into a Fraction.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from . import _kernel_py as _k
 from .plmap import PLHomeo, identity, reflect, sup_dist, to_json_dict
@@ -168,6 +186,10 @@ class GridNotFixedError(ValueError):
     """The target map moves a grid point it was required to fix."""
 
 
+class FixedStructureError(ValueError):
+    """A map's fixed intervals or gap signs do not fit its breakpoints."""
+
+
 class _Budget:
     def __init__(self, cap):
         self.left = cap
@@ -183,6 +205,71 @@ class _Budget:
 def _outside(x, end, margin):
     """|end - x| > margin, on kernel pairs, by integer cross-multiplication."""
     return abs(end[0] * x[1] - x[0] * end[1]) * margin[1] > margin[0] * end[1] * x[1]
+
+
+def _check_fixed_structure(bps, ivs, signs):
+    """Raise FixedStructureError unless (ivs, signs) is bps's fixed structure.
+
+    One pass over bps and the interval ends, in x order. The intervals
+    run from 0 to 1 in strict order with one sign per gap between them.
+    Every interval end is fixed: a breakpoint that lies on the diagonal,
+    or an isolated root, where its segment is evaluated. Every breakpoint
+    inside an interval is fixed, so the interval is. Every gap holds a
+    breakpoint, and every breakpoint strictly inside a gap has the gap's
+    sign; h - id is affine between them and the gap's fixed ends, so it
+    keeps that sign on the whole gap. Synthesis trusts this structure, and
+    a wrong one would spend the orbit budget before the post-check could
+    refuse it.
+    """
+
+    def fail(why):
+        raise FixedStructureError(f"wrong fixed structure: {why}")
+
+    if len(ivs) != len(signs) + 1 or ivs[0][0] != (0, 1) or ivs[-1][1] != (1, 1):
+        fail("the intervals must run from 0 to 1 with one sign per gap")
+    ends = [e for iv in ivs for e in iv]
+    n = len(bps)
+    k = 0  # the first breakpoint not yet checked
+    pn, pd = 0, 1  # the previous end
+    for t in range(len(ends)):
+        en, ed = ends[t]
+        c = en * pd - pn * ed
+        if c < 0 or (c == 0 and t and not t & 1):
+            fail(f"interval end {en}/{ed} is out of order")
+        # the breakpoints before this end lie inside an interval (t odd),
+        # where h - id is 0, or strictly inside a gap (t even)
+        if t & 1 or not t:
+            want = 0
+        else:
+            want = signs[(t >> 1) - 1]
+            if want != 1 and want != -1:
+                fail(f"the gap before {en}/{ed} has sign {want}")
+        first = k
+        while k < n:
+            xn, xd, yn, yd = bps[k]
+            if xn * ed >= en * xd:
+                break
+            r = yn * xd - xn * yd  # the sign of h - id there
+            if (r * want <= 0) if want else r != 0:
+                fail(f"h - id has the wrong sign at {xn}/{xd}")
+            k += 1
+        if want and k == first:
+            fail(f"the gap before {en}/{ed} holds no breakpoint")
+        if k < n and bps[k][0] * ed == en * bps[k][1]:
+            xn, xd, yn, yd = bps[k]
+            k += 1
+            if yn * xd != xn * yd:
+                fail(f"interval end {en}/{ed} is not fixed")
+        elif c:
+            # an isolated root inside the segment p..q: (e, e) must lie on
+            # it. (An end equal to the one before closes a degenerate
+            # interval, checked at its left end.)
+            x0n, x0d, y0n, y0d = bps[k - 1]
+            x1n, x1d, y1n, y1d = bps[k]
+            if ((en * x0d - x0n * ed) * (y1n * y0d - y0n * y1d) * x1d
+                    != (en * y0d - y0n * ed) * (x1n * x0d - x0n * x1d) * y1d):
+                fail(f"interval end {en}/{ed} is not fixed")
+        pn, pd = en, ed
 
 
 def _end_segment(bps, end, rightward):
@@ -246,19 +333,32 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
 def _seam_gap(piece):
     """max |L⁻¹(y) - x| over piece's interior breakpoints (x, y), L its chord.
 
-    piece is an increasing kernel piece; the gap is a kernel pair, (0, 1)
-    when piece has no interior breakpoint.
+    piece is an increasing kernel piece; the gap is a kernel pair in
+    lowest terms, (0, 1) when piece has no interior breakpoint. With
+    run/rise the chord's slope, L⁻¹(y) - x is the fraction
+
+        ((y - y0)·run - (x - x0)·rise) / rise,
+
+    over the piece's first point (x0, y0). Each point's fraction stays
+    unreduced, with a positive denominator; the running max is compared
+    by cross-multiplication and normalized once at the end.
     """
-    p, q = piece[0], piece[-1]
-    run = _k.rsub(q[:2], p[:2])
-    rise = _k.rsub(q[2:], p[2:])
-    worst = (0, 1)
-    for b in piece[1:-1]:
-        along = _k.rdiv(_k.rmul(_k.rsub(b[2:], p[2:]), run), rise)
-        gap = _k.rabs(_k.rsub(along, _k.rsub(b[:2], p[:2])))
-        if _k.rcmp(gap, worst) > 0:
-            worst = gap
-    return worst
+    x0n, x0d, y0n, y0d = piece[0]
+    x1n, x1d, y1n, y1d = piece[-1]
+    # run = rn/rd and rise = sn/sd, with rn * sd and rd * sn both positive
+    rs = (x1n * x0d - x0n * x1d) * (y1d * y0d)
+    sr = (x1d * x0d) * (y1n * y0d - y0n * y1d)
+    wn, wd = 0, 1
+    for xn, xd, yn, yd in piece[1:-1]:
+        dy = yn * y0d - y0n * yd  # y - y0, over yd * y0d
+        dx = xn * x0d - x0n * xd  # x - x0, over xd * x0d
+        xq = xd * x0d
+        yq = yd * y0d
+        gn = abs(dy * rs * xq - dx * yq * sr)
+        gd = yq * sr * xq
+        if gn * wd > wn * gd:
+            wn, wd = gn, gd
+    return _k.rnorm(wn, wd)
 
 
 def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
@@ -277,6 +377,11 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     the same slope, when it is a single segment. E is the seam gap times
     1 on the forward orbit, where near is the newest point, and times
     g's slope 1/σ on the backward one; it shrinks by σ per step.
+
+    The polygon grows by one point per step, on bare integers (see Affine
+    tail in the module docstring): each coordinate of the new point is
+    s·v + o over one common denominator, reduced by one gcd, and the stop
+    test is _outside's, inline.
     """
     sigma = xaff[0]
     newest = -1 if rightward else 0
@@ -294,15 +399,35 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
             piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
         pieces.append(piece)
         err = _k.rmul(err, sigma)
-    # the polygon: each step maps the newest orbit point and nothing else
+    # the polygon: each step maps the newest orbit point and nothing else.
+    # x goes to (xa*x + xb) / xc and y to (ya*y + yb) / yc
+    (sxn, sxd), (oxn, oxd) = xaff
+    (syn, syd), (oyn, oyd) = yaff
+    xa, xb, xc = sxn * oxd, oxn * sxd, sxd * oxd
+    ya, yb, yc = syn * oyd, oyn * syd, syd * oyd
+    sn, sd = stop
+    mn, md = margin
     point = piece[newest]
     polygon = [point]
-    end = piece[near]
-    while _outside(end[:2], stop, margin):
+    xn, xd, yn, yd = point
+    # the end piece[near] whose distance to stop is tested: forward the
+    # newest point, backward the one before it
+    en, ed = piece[near][:2]
+    while abs(sn * ed - en * sd) * md > mn * sd * ed:
         budget.spend()
-        point = _k.affine_image([point], *xaff, *yaff)[0]
-        end = point if forward else polygon[-1]
-        polygon.append(point)
+        if not forward:
+            en, ed = xn, xd
+        n = xa * xn + xb * xd
+        d = xc * xd
+        c = gcd(n, d)
+        xn, xd = n // c, d // c
+        n = ya * yn + yb * yd
+        d = yc * yd
+        c = gcd(n, d)
+        yn, yd = n // c, d // c
+        if forward:
+            en, ed = xn, xd
+        polygon.append((xn, xd, yn, yd))
     if len(polygon) == 1:
         return pieces
     if not rightward:
@@ -505,6 +630,8 @@ def _checked_conjugator(f, g, eta):
         return identity(), Fraction(0), 0
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
+    _check_fixed_structure(f._kbps, f_ivs, f_signs)
+    _check_fixed_structure(g._kbps, g_ivs, signs)
     if f_signs != signs:
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"

@@ -129,7 +129,7 @@ def fraction_diag_dist(F, G, N, P):
         w = (w.numerator, w.denominator)
         for i, v in enumerate(_k.eval_sorted(D, xs)):
             if v[0]:
-                below[i] = _k.radd(below[i], _k.rmul(_k.rabs(v), w))
+                below[i] = _k.radd(below[i], _k.rmul((abs(v[0]), v[1]), w))
 
     collapsed, high = fraction_tail_weights(M, N, P)
     c = (collapsed.numerator, collapsed.denominator)
@@ -137,7 +137,7 @@ def fraction_diag_dist(F, G, N, P):
     lower = upper = (-1, 1)
     wit = xs[0]
     for x, b, v in zip(xs, below, _k.eval_sorted(levels[0][1], xs)):
-        a = _k.rabs(v)
+        a = (abs(v[0]), v[1])
         lo = _k.radd(b, _k.rmul(a, c))
         if _k.rcmp(lo, lower) > 0:
             lower = lo

@@ -1,5 +1,6 @@
 """Conjugator synthesis: exact post-checks are the oracle throughout."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +10,11 @@ import knaster_lab.conjugator as conjugator
 from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
 from knaster_lab.conjugator import (
     ConjugatorError,
+    FixedStructureError,
     GridNotFixedError,
     OrbitCapError,
     SignatureMismatchError,
+    _check_fixed_structure,
     approx_conjugator,
     conjugator_certificate,
     grid_block_conjugate,
@@ -332,3 +335,86 @@ def test_pseudo_generic_signature_postcheck_raises(monkeypatch):
     monkeypatch.setattr(conjugator, "rand_signature_homeo", lambda rng, signs: BUMP)
     with pytest.raises(SignatureMismatchError):
         pseudo_generic(2, 3)
+
+
+# ------------------------------------------------- fixed structure, checked
+
+# each map has one isolated fixed point inside a segment, at 1/2
+ROOTED = (
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(3, 4), F(5, 8)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 5), F(3, 10)), (F(4, 5), F(7, 10)), (1, 1)]),
+)
+
+
+def _drop_isolated_roots(real):
+    """_kernel_py.fixed_structure with its isolated roots inside a segment
+    left out: a root's interval goes, and so does the sign of the gap after
+    it, as when the line that appends the root is deleted."""
+
+    def mutant(bps):
+        ivs, signs = real(bps)
+        xs = {p[:2] for p in bps}
+        keep = [not (a == b and a not in xs) for a, b in ivs]
+        return ([iv for iv, k in zip(ivs, keep) if k],
+                [s for s, k in zip(signs, keep) if k])
+
+    return mutant
+
+
+def test_a_wrong_fixed_structure_is_refused_at_once(monkeypatch):
+    # with the roots dropped, both maps read as one + gap on (0, 1), so
+    # the signatures agree and synthesis would spend its whole orbit budget
+    # (over a minute per pair) before a post-check could refuse
+    monkeypatch.setattr(_k, "fixed_structure", _drop_isolated_roots(_k.fixed_structure))
+    for f, g in (ROOTED, (reflect(ROOTED[0]), reflect(ROOTED[1])), ROOTED[::-1]):
+        assert signature(f) == signature(g) == [signature(f)[0]]
+        start = time.perf_counter()
+        with pytest.raises(FixedStructureError, match="wrong sign"):
+            approx_conjugator(f, g, F(1, 100))
+        assert time.perf_counter() - start < 5
+
+
+def test_the_fixed_structure_check_passes_every_real_structure():
+    rng = derive_rng("fixed-structure-check", 0)
+    maps = [rand_homeo(rng) for _ in range(300)] + list(ROOTED) + [BUMP, DIP, identity()]
+    for h in maps:
+        for m in (h, reflect(h)):
+            _check_fixed_structure(m._kbps, *_k.fixed_structure(m._kbps))
+
+
+HALF = (1, 2)
+WRONG = {
+    # ROOTED[0]: fixed on {0, 1/2, 1}, + on (0, 1/2), - on (1/2, 1)
+    "wrong sign": ([((0, 1), (0, 1)), (HALF, HALF), ((1, 1), (1, 1))], [1, 1]),
+    "one sign per gap": ([((0, 1), (0, 1)), (HALF, HALF), ((1, 1), (1, 1))], [1]),
+    "is not fixed": ([((0, 1), (0, 1)), ((1, 3), (1, 3)), ((1, 1), (1, 1))], [1, -1]),
+    "has sign 0": ([((0, 1), (0, 1)), (HALF, HALF), ((1, 1), (1, 1))], [1, 0]),
+    "out of order": (
+        [((0, 1), (0, 1)), (HALF, HALF), (HALF, HALF), ((1, 1), (1, 1))], [1, 1, -1]
+    ),
+}
+
+
+@pytest.mark.parametrize("why", sorted(WRONG))
+def test_the_fixed_structure_check_refuses(why):
+    ivs, signs = WRONG[why]
+    assert _k.fixed_structure(ROOTED[0]._kbps) != (ivs, signs)
+    with pytest.raises(FixedStructureError, match=why):
+        _check_fixed_structure(ROOTED[0]._kbps, ivs, signs)
+
+
+def test_a_gap_without_a_breakpoint_is_refused():
+    # the identity's ends are fixed, but a gap's sign needs a breakpoint
+    ivs = [((0, 1), (0, 1)), ((1, 1), (1, 1))]
+    with pytest.raises(FixedStructureError, match="holds no breakpoint"):
+        _check_fixed_structure(identity()._kbps, ivs, [1])
+
+
+def test_a_fixed_interval_with_a_moved_breakpoint_is_refused():
+    # [1/4, 3/4] claimed fixed, but h moves its interior breakpoint 1/2
+    h = PLHomeo([(0, 0), (F(1, 8), F(3, 16)), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 8)),
+                 (F(3, 4), F(3, 4)), (F(7, 8), F(13, 16)), (1, 1)])
+    ivs = [((0, 1), (0, 1)), ((1, 4), (3, 4)), ((1, 1), (1, 1))]
+    assert signature(h) == [1, 1, -1]
+    with pytest.raises(FixedStructureError, match="wrong sign at 1/2"):
+        _check_fixed_structure(h._kbps, ivs, [1, -1])

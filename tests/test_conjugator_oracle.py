@@ -18,6 +18,13 @@ chord by composing over the crossing cell and taking the exact sup_diff
 against g, where the transport uses the closed-form seam error scaled by
 the end slope. seamless_affine_tail is the tail before the seam; patched
 in, it gives the conjugators the seam shrinks.
+
+The tail itself is checked against its own past: oracle_affine_tail
+steps the polygon by a one-point affine_image list, with _outside as
+the stop test, and oracle_seam_gap reduces every point's gap to lowest
+terms. Pieces, spent budget and seam gaps must be
+identical on the slow-tail pairs of tests/test_conjugator.py and on the
+frozen pairs of tests/test_conjugator_frozen.py.
 """
 
 import random
@@ -71,6 +78,66 @@ def seamless_affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budge
             piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
         pieces.append(piece)
     return pieces
+
+
+def oracle_seam_gap(piece):
+    """conjugator._seam_gap as it was, reducing every point's gap.
+
+    max |L⁻¹(y) - x| over piece's interior breakpoints (x, y), L its chord.
+
+    piece is an increasing kernel piece; the gap is a kernel pair, (0, 1)
+    when piece has no interior breakpoint.
+    """
+    p, q = piece[0], piece[-1]
+    run = _k.rsub(q[:2], p[:2])
+    rise = _k.rsub(q[2:], p[2:])
+    worst = (0, 1)
+    for b in piece[1:-1]:
+        along = _k.rdiv(_k.rmul(_k.rsub(b[2:], p[2:]), run), rise)
+        gap = _k.rsub(along, _k.rsub(b[:2], p[:2]))
+        gap = (abs(gap[0]), gap[1])
+        if _k.rcmp(gap, worst) > 0:
+            worst = gap
+    return worst
+
+
+def oracle_affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
+    """conjugator._affine_tail as it was: its polygon steps one point as a
+    one-point affine_image list, its stop test is _outside, and its seam
+    gap is oracle_seam_gap. Arguments and result are _affine_tail's.
+    """
+    sigma = xaff[0]
+    newest = -1 if rightward else 0
+    forward = near == newest
+    # E of the next piece, whose seam gap is sigma times piece's
+    err = oracle_seam_gap(piece)
+    if forward:
+        err = _k.rmul(err, sigma)
+    pieces = []
+    while _k.rcmp(err, margin) >= 0 and _outside(piece[near][:2], stop, margin):
+        budget.spend()
+        if rightward:
+            piece = [piece[-1]] + _k.affine_image(piece[1:], *xaff, *yaff)
+        else:
+            piece = _k.affine_image(piece[:-1], *xaff, *yaff) + [piece[0]]
+        pieces.append(piece)
+        err = _k.rmul(err, sigma)
+    # the polygon: each step maps the newest orbit point and nothing else
+    point = piece[newest]
+    polygon = [point]
+    end = piece[near]
+    while _outside(end[:2], stop, margin):
+        budget.spend()
+        point = _k.affine_image([point], *xaff, *yaff)[0]
+        end = point if forward else polygon[-1]
+        polygon.append(point)
+    if len(polygon) == 1:
+        return pieces
+    if not rightward:
+        polygon.reverse()
+    if sigma == yaff[0]:
+        polygon = [polygon[0], polygon[-1]]
+    return pieces + [polygon]
 
 
 def in_end_segments(piece, xmap, ymap, high):
@@ -506,3 +573,42 @@ def test_equal_end_slopes_collapse_the_polygon(monkeypatch):
         for eta in ETAS:
             check_pair(f, g, _fp(eta / 2))
     assert polygons and all(len(p) == 2 for p in polygons)
+
+
+# ------------------------------------------------------------ the tail's past
+
+
+def test_affine_tail_matches_its_one_point_loop(monkeypatch):
+    # every tail of every synthesis, run both ways on equal budgets; the
+    # slow-tail pairs have the longest polygons. None of these runs meets
+    # the orbit cap
+    from test_conjugator import _slow_tail_pairs
+    from test_conjugator_frozen import PAIRS
+
+    real = conjugator._affine_tail
+    seen = {"tails": 0, "polygon": 0, "gaps": 0}
+
+    def both(piece, xaff, yaff, rightward, near, stop, margin, budget):
+        args = (piece, xaff, yaff, rightward, near, stop, margin)
+        mirror = _Budget(budget.left)
+        want = oracle_affine_tail(*args, mirror)
+        got = real(*args, budget)
+        assert got == want and budget.left == mirror.left
+        seen["tails"] += 1
+        seen["polygon"] = max(seen["polygon"], max(map(len, got), default=0))
+        for p in [piece] + got:
+            gap = conjugator._seam_gap(p)
+            assert gap == oracle_seam_gap(p)
+            seen["gaps"] += gap != (0, 1)
+        return got
+
+    monkeypatch.setattr(conjugator, "_affine_tail", both)
+    for pairs in _slow_tail_pairs(1, 16).values():
+        for f, g in pairs:
+            for eta in (F(1, 100), F(1, 1000)):
+                conjugator.approx_conjugator(f, g, eta)
+    for f, g in PAIRS:
+        for ff, gg in ((f, g), (reflect(f), reflect(g))):
+            for eta in ETAS:
+                conjugator.approx_conjugator(ff, gg, eta)
+    assert seen["tails"] > 300 and seen["polygon"] > 100 and seen["gaps"] > 500

@@ -38,7 +38,6 @@ def test_scalar_ops():
     assert k.rcmp((1, 2), (2, 4)) == 0
     assert k.rcmp((1, 2), (1, 3)) == 1
     assert k.rcmp((-1, 2), (1, 3)) == -1
-    assert k.rabs((-3, 4)) == (3, 4)
 
 
 def test_eval_frozen():

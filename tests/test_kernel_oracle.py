@@ -10,6 +10,15 @@ with _interp_x and canonicalizes the whole output, concat canonicalizes
 the glued list, restrict scans every breakpoint and canonicalizes.
 Outputs must be bit-identical and canonical.
 
+_walk, the stream of points both share, sets up a segment's crossings
+only when it crosses an f breakpoint and keeps f's segment constants
+from one g segment to the next. oracle_walk is the walk before that, set
+up afresh for every segment; the two streams must be equal tuple for
+tuple, unreduced coordinates included, on every compose and
+compose_pair_sup draw below. Three draws take the post-check's shapes:
+a few-piece inner map under a many-breakpoint outer map, the reverse,
+and the two together in one compose_pair_sup.
+
 compose_pair_sup merges two walks and builds neither composite; value
 and witness must match sup_diff of the two built composites, and the
 merged-xs oracle_sup_diff: evaluate both built lists on the union of
@@ -65,7 +74,8 @@ def oracle_sup_diff(f, g):
     best = (0, 1)
     wit = xs[0]
     for k in range(len(xs)):
-        d = _k.rabs(_k.rsub(fv[k], gv[k]))
+        d = _k.rsub(fv[k], gv[k])
+        d = (abs(d[0]), d[1])
         if _k.rcmp(d, best) > 0:
             best = d
             wit = xs[k]
@@ -102,6 +112,69 @@ def oracle_compose(f, g):
         v = _k.eval_at(f, yb)
         out.append((q[0], q[1], v[0], v[1]))
     return _k.canonical(out)
+
+
+def oracle_walk(f, g):
+    """_kernel_py._walk as it was before it set up crossings lazily.
+
+    The points of f∘g that compose keeps, before its collinearity test.
+
+    Yields (xn, xd, vn, vd, end) in increasing x, with vn/vd the value of
+    f∘g at xn/xd: g's breakpoints (end true) and the points where g
+    strictly crosses a breakpoint of f (end false). The range of g must lie
+    in f's domain. One index i into f (the largest with f[i].x <= the
+    current value of g) walks forward or backward with each g segment,
+    since g is continuous. A segment yields the f breakpoints it strictly
+    crosses, then its end value, read off f[i] or interpolated once. Every
+    denominator is positive, but one coordinate may not be in lowest
+    terms: the x of a crossing, or the value at a g breakpoint.
+    """
+    p = g[0]
+    yn, yd = p[2], p[3]
+    i = _k._locate(f, (yn, yd))
+    a = f[i]
+    if a[0] * yd == yn * a[1]:
+        vn, vd = a[2], a[3]
+    else:
+        vn, vd = _k._interp((yn, yd), a, f[i + 1])
+    yield p[0], p[1], vn, vd, True
+    for q in g[1:]:
+        qn, qd = q[2], q[3]
+        c = qn * yd - yn * qd
+        if c:
+            if c > 0:
+                s, j = 1, i + 1
+            else:
+                s = -1
+                j = i - 1 if f[i][0] * yd == yn * f[i][1] else i
+            u = f[j]
+            # g takes the value un/ud at (ud*m1 + (un*y0d - y0n*ud)*m2) / (ud*m3)
+            x0n, x0d, y0n, y0d = p
+            rise = (qn * y0d - y0n * qd) * q[1]
+            m2 = (q[0] * x0d - x0n * q[1]) * qd
+            if rise < 0:
+                rise, m2 = -rise, -m2
+            m1, m3 = x0n * rise, x0d * rise
+            # cross the f breakpoints strictly before the end value
+            while (qn * u[1] - u[0] * qd) * s > 0:
+                yield (u[1] * m1 + (u[0] * y0d - y0n * u[1]) * m2, u[1] * m3,
+                       u[2], u[3], False)
+                j += s
+                u = f[j]
+            if u[0] * qd == qn * u[1]:
+                vn, vd = u[2], u[3]
+                i = j
+            else:
+                i = j - 1 if s > 0 else j
+                a, b = f[i], f[i + 1]
+                # f at q's value, on the segment a->b
+                w = qd * b[3] * (b[0] * a[1] - a[0] * b[1])
+                dy = (b[2] * a[3] - a[2] * b[3]) * b[1]
+                vn = a[2] * w + (qn * a[1] - a[0] * qd) * dy
+                vd = a[3] * w
+        yield q[0], q[1], vn, vd, True
+        p = q
+        yn, yd = qn, qd
 
 
 def oracle_concat(pieces):
@@ -164,7 +237,13 @@ def open_maps(draw):
 any_maps = flat_maps() | homeos() | open_maps()
 
 
+def check_walk(f, g):
+    """_walk against oracle_walk, on kernel lists."""
+    assert list(_k._walk(f, g)) == list(oracle_walk(f, g))
+
+
 def check_compose(f, g):
+    check_walk(f._kbps, g._kbps)
     got = _k.compose(f._kbps, g._kbps)
     assert got == oracle_compose(f._kbps, g._kbps)
     assert _k.canonical(got) == got
@@ -294,6 +373,8 @@ IDENT = [(0, 1, 0, 1), (1, 1, 1, 1)]
 def check_target_sup(f, g, t):
     """compose_pair_sup(f, g, t, id), the sup of |f∘g - t|, against the
     oracle chain; returns the sup."""
+    check_walk(f, g)
+    check_walk(t, IDENT)
     got = _k.compose_pair_sup(f, g, t, IDENT)
     assert got == oracle_sup_diff(oracle_compose(f, g), t)
     return got[:2]
@@ -372,6 +453,8 @@ def test_compose_pair_sup_target_kink_off_the_walk(y):
 
 def check_compose_pair_sup(f1, g1, f2, g2):
     """compose_pair_sup against sup_diff of the built composites."""
+    check_walk(f1, g1)
+    check_walk(f2, g2)
     got = _k.compose_pair_sup(f1, g1, f2, g2)
     c1, c2 = _k.compose(f1, g1), _k.compose(f2, g2)
     assert got == _k.sup_diff(c1, c2)
@@ -435,6 +518,43 @@ def test_compose_pair_sup_points_inside_each_other():
 
 
 
+@st.composite
+def many_piece_homeos(draw):
+    """Homeos with 20 to 40 interior breakpoints on the 1/48 grid, which
+    holds every 1/d with d | 48 that the few-piece maps draw too."""
+    k = draw(st.integers(20, 40))
+    grid = st.lists(st.integers(1, 47), min_size=k, max_size=k, unique=True)
+    xs, ys = sorted(draw(grid)), sorted(draw(grid))
+    return PLHomeo([(0, 0)] + [(F(x, 48), F(y, 48)) for x, y in zip(xs, ys)] + [(1, 1)])
+
+
+# the post-check's shapes: h⁻¹ has many breakpoints, f and g few
+many = many_piece_homeos()
+few = homeos(max_interior=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many, few | open_maps())
+def test_walk_of_a_few_piece_map_under_a_many_piece_map(f, g):
+    # compose_pair_sup(h⁻¹, f, g, h⁻¹)'s first walk, h⁻¹ after f
+    check_compose(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(few | open_maps(), many)
+def test_walk_of_a_many_piece_map_under_a_few_piece_map(f, g):
+    # its second walk, g after h⁻¹: most of h⁻¹'s segments cross none of
+    # g's breakpoints
+    check_compose(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many, few, few, many)
+def test_compose_pair_sup_in_the_post_check_shape(hinv, f, g, hinv2):
+    check_compose_pair_sup(hinv._kbps, f._kbps, g._kbps, hinv._kbps)
+    check_compose_pair_sup(hinv._kbps, f._kbps, g._kbps, hinv2._kbps)
+
+
 # ---------------------------------------------------------------- sup_diff
 
 
@@ -484,6 +604,9 @@ def test_sup_diff_constant_gap_is_witnessed_at_the_left_end(f, c):
 def check_conjugacy_gap(f, h, g):
     """_conjugacy_gap, scored in h's range, against the built conjugate."""
     want = sup_dist(compose(compose(h.invert(), f), h), g)
+    hinv = _k.invert(h._kbps)
+    check_walk(hinv, f._kbps)
+    check_walk(g._kbps, hinv)
     assert _conjugacy_gap(f._kbps, h._kbps, g._kbps) == want
     return want
 

@@ -112,8 +112,13 @@ is.
 
 Whole maps: a component's segments are f's and g's own, so the orbit
 reads their whole lists, inverted once per synthesis, and copies no
-component out. The anchor and the end segments are found by bisection,
-and a segment's (slope, offset) is computed only when a step uses it.
+component out. _end_segments finds every component's end segments in f
+and in g in one pass over each map's breakpoints against its fixed
+intervals, whose ends ascend. The anchors and both orbits read those
+indices, and g⁻¹ and f⁻¹ reuse them: each map fixes the component's
+ends and is increasing, so its inverse's segment at an end has the
+map's index. A segment's (slope, offset) is computed only when a step
+uses it.
 
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
@@ -145,14 +150,17 @@ consecutive points of the merged walk both maps are affine, so
 point of one walk inside a segment of the other is read off that
 segment's chord. The running max stays an unreduced fraction, compared by
 cross-multiplication and normalized once at the end; the post-check keeps
-the value and drops the witness, which is a point y of h's range.
+the value and drops the witness, which is a point y of h's range. A
+caller that needs the conjugate itself (the density experiment) takes
+_checked_conjugate instead: it builds h⁻¹ ∘ f ∘ h once and reads the
+same exact sup off it with sup_diff, so the conjugate is not walked twice.
 
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
 Fraction boundary is eta, which _cap_margin turns into eta_cap as a pair
-once at the top of _checked_conjugator, and the typed maps: f and g come
-in as PLHomeo, and h leaves as one. The post-check reads their kernel
-lists and turns only achieved into a Fraction.
+once in _checked_build, and the typed maps: f and g come in as PLHomeo,
+and h leaves as one. The post-check reads their kernel lists and turns
+only achieved into a Fraction.
 """
 
 from fractions import Fraction
@@ -272,36 +280,55 @@ def _check_fixed_structure(bps, ivs, signs):
         pn, pd = en, ed
 
 
-def _end_segment(bps, end, rightward):
-    """Index of the segment reaching a component's high (rightward) or low end."""
-    k = _k._locate(bps, end)
-    return k - 1 if rightward and bps[k][:2] == end else k
+def _end_segments(bps, ivs):
+    """Per component, the indices of the segments of bps reaching its two ends.
 
+    ivs is bps's fixed structure's intervals; component j runs from
+    lo = ivs[j][1] to hi = ivs[j + 1][0]. Its low end segment holds lo and
+    points just right of it, its high one hi and points just left of it.
+    The ends ascend, so one pass over bps finds every index: at each end
+    e, k is the last breakpoint at or left of e.
 
-def _orbit_anchor(bps, lo, hi):
-    """The middle breakpoint of bps restricted to the component (lo, hi).
-
-    A map with no interior breakpoint on the component would be affine
-    there and fix both ends, so it would fix the component pointwise.
+    The same indices serve the inverse list: the map fixes each end and
+    is increasing, so its inverse's breakpoints are its own, swapped, in
+    the same order, and they lie at or left of e exactly where the map's do.
     """
-    i = _end_segment(bps, lo, False)
-    return bps[(i + _end_segment(bps, hi, True) + 2) // 2]
+    out = []
+    k, last = 0, len(bps) - 1
+    for (_, (ln, ld)), ((hn, hd), _) in zip(ivs, ivs[1:]):
+        while k < last and bps[k + 1][0] * ld <= ln * bps[k + 1][1]:
+            k += 1
+        lo = k
+        while k < last and bps[k + 1][0] * hd <= hn * bps[k + 1][1]:
+            k += 1
+        out.append((lo, k - 1 if bps[k][0] * hd == hn * bps[k][1] else k))
+    return out
 
 
-def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, margin, budget):
+def _orbit_anchor(bps, ends):
+    """The middle breakpoint of bps restricted to a component.
+
+    ends are the component's end segment indices (_end_segments). A map
+    with no interior breakpoint on the component would be affine there
+    and fix both ends, so it would fix the component pointwise.
+    """
+    return bps[(ends[0] + ends[1] + 2) // 2]
+
+
+def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, ends, margin, budget):
     """Orbit pieces after piece, each the graph of the last under (xmap, ymap).
 
     xmap carries piece's x cell onto the neighbouring cell, to the right
     when rightward, and ymap carries its values likewise; a new piece is
-    f^±1 ∘ piece ∘ g^∓1 on the new cell, and stop holds the component ends
-    it approaches, in x and in value. Steps while the end piece[near] of
-    the last piece lies outside margin of stop[0], one budget step each.
+    f^±1 ∘ piece ∘ g^∓1 on the new cell, stop holds the component ends
+    it approaches, in x and in value, and ends the indices of xmap's and
+    ymap's segments reaching them. Steps while the end piece[near] of the
+    last piece lies outside margin of stop[0], one budget step each.
     Once a piece lies in xmap's end segment and takes values in ymap's,
     _affine_tail takes every later step and returns the tail from its
     seam on as one piece.
     """
-    xend = _end_segment(xmap, stop[0], rightward)
-    yend = _end_segment(ymap, stop[1], rightward)
+    xend, yend = ends
     pieces = []
     while _outside(piece[near][:2], stop[0], margin):
         first, last = piece[0], piece[-1]
@@ -437,31 +464,36 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     return pieces + [polygon]
 
 
-def _transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget):
+def _transport(f, finv, g, ginv, fcomp, gcomp, fends, gends, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
-    Maps are whole kernel lists, the rest kernel pairs. Returns kernel
-    pieces in ascending x order; they run from h's breakpoint at the
-    component's low end on the g side to the one at its high end.
+    Maps are whole kernel lists, fends and gends the component's end
+    segment indices in f and g (_end_segments), the rest kernel pairs.
+    Returns kernel pieces in ascending x order; they run from h's
+    breakpoint at the component's low end on the g side to the one at
+    its high end.
 
     The fundamental domain h0 maps [q0, g(q0)] affinely onto [p0, f(p0)],
     where q0 and p0 are the _orbit_anchor breakpoints of g and f.
     """
     a, b = fcomp
     c, d = gcomp
-    q = _orbit_anchor(g, c, d)
-    p = _orbit_anchor(f, a, b)
+    q = _orbit_anchor(g, gends)
+    p = _orbit_anchor(f, fends)
     h0 = [q[:2] + p[:2], q[2:] + p[2:]] if sign > 0 else [q[2:] + p[2:], q[:2] + p[:2]]
 
-    attract = (d, b) if sign > 0 else (c, a)
-    repel = (c, a) if sign > 0 else (d, b)
+    # each end in g and f, with its segment in g and f; g⁻¹ and f⁻¹ take
+    # the same indices there
+    low = (c, a), (gends[0], fends[0])
+    high = (d, b), (gends[1], fends[1])
+    attract, repel = (high, low) if sign > 0 else (low, high)
     # a piece's end toward the attracting end: q1 on h0. Forward, it is
     # the newest orbit point; backward, it is g of the newest one, and the
     # cap bound at the repelling end is that previous orbit point, so keep
     # stepping until it is already inside the margin
     near = -1 if sign > 0 else 0
-    fwd = _orbit(h0, g, ginv, f, sign > 0, near, attract, eta_cap, budget)
-    back = _orbit(h0, ginv, g, finv, sign < 0, near, repel, eta_cap, budget)
+    fwd = _orbit(h0, g, ginv, f, sign > 0, near, *attract, eta_cap, budget)
+    back = _orbit(h0, ginv, g, finv, sign < 0, near, *repel, eta_cap, budget)
 
     if sign > 0:
         return back[::-1] + [h0] + fwd
@@ -571,13 +603,14 @@ def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
     ncomp = len(signs)
     fk, gk = f._kbps, g._kbps
     finv, ginv = _k.invert(fk), _k.invert(gk)
+    f_ends, g_ends = _end_segments(fk, f_ivs), _end_segments(gk, g_ivs)
     comps = []
     for j, sign in enumerate(signs):
         fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
         gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
-        comps.append(
-            _transport(fk, finv, gk, ginv, fcomp, gcomp, sign, eta_cap, budget)
-        )
+        comps.append(_transport(
+            fk, finv, gk, ginv, fcomp, gcomp, f_ends[j], g_ends[j], sign, eta_cap, budget
+        ))
 
     parts = []
     for j in range(ncomp + 1):
@@ -617,17 +650,17 @@ def _conjugacy_gap(fk, hk, gk):
     return Fraction(*_k.compose_pair_sup(hinv, fk, gk, hinv)[:2])
 
 
-def _checked_conjugator(f, g, eta):
-    """approx_conjugator's build and post-check: (h, achieved, steps).
+def _checked_build(f, g, eta):
+    """approx_conjugator's conjugator h, checked before it is built: (h, steps).
 
-    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), found without building
-    the conjugate, and steps is the orbit budget the build spent.
+    eta is a Fraction; it must be positive, both fixed structures must fit
+    their maps and the signatures must agree. steps is the orbit budget
+    the build spent.
     """
-    eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
-        return identity(), Fraction(0), 0
+        return identity(), 0
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
     _check_fixed_structure(f._kbps, f_ivs, f_signs)
@@ -639,12 +672,43 @@ def _checked_conjugator(f, g, eta):
     eta_cap = _cap_margin(eta, f_ivs, g_ivs)
     budget = _Budget(MAX_ORBIT_STEPS)
     h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
-    achieved = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
+    return h, MAX_ORBIT_STEPS - budget.left
+
+
+def _refuse_miss(achieved, eta):
     if achieved >= eta:
         raise ConjugatorError(
             f"post-check failed: achieved {achieved}, needed < {eta}"
         )
-    return h, achieved, MAX_ORBIT_STEPS - budget.left
+
+
+def _checked_conjugator(f, g, eta):
+    """approx_conjugator's build and post-check: (h, achieved, steps).
+
+    achieved is the exact sup_dist(h⁻¹ ∘ f ∘ h, g), found without building
+    the conjugate, and steps is the orbit budget the build spent.
+    """
+    eta = Fraction(eta)
+    h, steps = _checked_build(f, g, eta)
+    achieved = _conjugacy_gap(f._kbps, h._kbps, g._kbps)
+    _refuse_miss(achieved, eta)
+    return h, achieved, steps
+
+
+def _checked_conjugate(f, g, eta):
+    """(h⁻¹ ∘ f ∘ h, achieved, steps), h the conjugator _checked_conjugator builds.
+
+    For a caller that needs the conjugate as a map: it is built once, and
+    achieved is read off it exactly with sup_diff in place of the merged
+    walk. A miss is refused with the same ConjugatorError.
+    """
+    eta = Fraction(eta)
+    h, steps = _checked_build(f, g, eta)
+    hk = h._kbps
+    conj = _k.compose(_k.compose(_k.invert(hk), f._kbps), hk)
+    achieved = Fraction(*_k.sup_diff(conj, g._kbps)[:2])
+    _refuse_miss(achieved, eta)
+    return PLHomeo._from_kernel(conj), achieved, steps
 
 
 def approx_conjugator(f, g, eta):
@@ -709,15 +773,22 @@ def grid_block_conjugate(f, d, h, eta):
     return g
 
 
+def alternating_signs(k):
+    """The signature pseudo_generic(k) has: k alternating signs, + first."""
+    return [(-1) ** i for i in range(k)]
+
+
 def pseudo_generic(k, seed=0):
     """Seeded map with k non-fixed intervals of alternating sign, + first.
 
     Genuine generic elements have densely interleaved intervals and are
     not PL; this is the finite stand-in the density experiment lifts.
+    Refuses (SignatureMismatchError) a draw whose signature is not
+    alternating_signs(k).
     """
     if k < 1:
         raise ValueError("need at least one non-fixed interval")
-    signs = [(-1) ** i for i in range(k)]
+    signs = alternating_signs(k)
     h = rand_signature_homeo(derive_rng(seed, "pseudo-generic", k), signs)
     if signature(h) != signs:
         raise SignatureMismatchError(

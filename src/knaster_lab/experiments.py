@@ -23,13 +23,15 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from time import perf_counter
 
 from .conjugator import (
     ConjugatorError,
     OrbitCapError,
     SignatureMismatchError,
-    _checked_conjugator,
+    _checked_conjugate,
+    alternating_signs,
     pseudo_generic,
 )
 from .knaster import DiagonalHomeo, PrimeSequence, check_fold_size, diag_dist, lift
@@ -495,20 +497,24 @@ def proof_slack_sum(m, P):
     return sum(Fraction(P.product(i, m), P.product(1, i)) for i in range(1, m + 1))
 
 
-def _t_density(cfg, rng):
+def _density_eps(cfg):
+    """The proof's conjugator tolerance eta / (4 proof_slack_sum(m, P))."""
+    return cfg.params["eta"] / (4 * proof_slack_sum(cfg.params["m"], cfg.primes))
+
+
+def _t_density(cfg, rng, eps):
     P = cfg.primes
-    m, eta = cfg.params["m"], cfg.params["eta"]
-    eps = eta / (4 * proof_slack_sum(m, P))
-    f0 = pseudo_generic(cfg.params["generic_k"], rng.getrandbits(32))
+    m, eta, k = cfg.params["m"], cfg.params["eta"], cfg.params["generic_k"]
+    f0 = pseudo_generic(k, rng.getrandbits(32))
     fm = lift(DiagonalHomeo(0, f0), m, P).inducer
     # the lift is one block sum, of degree p_1...p_m, so fm's signs follow
-    # from f0's; _checked_conjugator refuses the target if they did not
-    signs = signature_oplus(signature(f0), P.product(1, m))
+    # from the alternating word pseudo_generic guarantees f0;
+    # _checked_conjugate refuses the target if they did not
+    signs = signature_oplus(alternating_signs(k), P.product(1, m))
     target = rand_signature_homeo(rng, signs)
-    # the post-check's distance to target, found without the conjugate;
-    # diag_dist needs h⁻¹ ∘ fm ∘ h as a map, so it is built here
-    h, gap, steps = _checked_conjugator(fm, target, eps)
-    conj = compose(compose(h.invert(), fm), h)
+    # diag_dist needs h⁻¹ ∘ fm ∘ h as a map, so it is built once, and the
+    # exact distance to target is read off it
+    conj, gap, steps = _checked_conjugate(fm, target, eps)
     dist = diag_dist(DiagonalHomeo(m, conj), DiagonalHomeo(m, target), m, P)
     if dist.upper >= eta:
         raise CounterexampleError(
@@ -531,8 +537,9 @@ def run_density_experiment(cfg):
     """Per trial: random same-signature target at coordinate m, conjugator
     from the synthesis engine at the proof's epsilon, then a certified
     upper bound under eta. Synthesis failures are reported, not raised.
+    The proof's epsilon is the same for every trial, so it is summed once.
     """
-    return _run_campaign(cfg, _t_density)
+    return _run_campaign(cfg, partial(_t_density, eps=_density_eps(cfg)))
 
 
 def run_suite(cfg):

@@ -329,6 +329,11 @@ def _stalk_sum(xs, ys, P, top=None):
     denominators all divide its top one's, since each tent fold only
     cancels. So with X and Y the top denominators, every term sits over
     2 p_1...p_n X Y, and the sum is normalized once.
+
+    With top None it returns (lower, upper), the sum and the sum plus the
+    tail bound 2/(p_1...p_{n+1}), which is 4 X Y / (2 p_1...p_n X Y p_{n+1}):
+    upper is formed over that denominator times p_{n+1}, from the same
+    unreduced sum, and normalized once too.
     """
     n = len(xs) - 1
     dx, dy = xs[n][1], ys[n][1]
@@ -341,7 +346,9 @@ def _stalk_sum(xs, ys, P, top=None):
         num += (c if i else c >> 1) * diff
     diff = abs(xs[n][0] * dy - ys[n][0] * dx)
     if top is None:  # c = 2 p_1...p_n, so w_n is 2/c (1/c = 1/2 at n = 0)
-        return _k.rnorm(num + (2 if n else 1) * diff, c * dx * dy)
+        num += (2 if n else 1) * diff
+        q, p = c * dx * dy, P.prime(n + 1)
+        return _k.rnorm(num, q), _k.rnorm(num * p + 4 * dx * dy, q * p)
     tn, td = top
     return _k.rnorm(num * td + tn * c * diff, c * td * dx * dy)
 
@@ -349,16 +356,15 @@ def _stalk_sum(xs, ys, P, top=None):
 def knaster_dist(x, y, P):
     """Certified metric distance between two stalks of equal truncation.
 
-    lower is the stalk sum (_stalk_sum) with w_N on the top coordinate.
+    lower is the stalk sum (_stalk_sum) with w_N on the top coordinate,
+    and upper adds the tail bound 2/(p_1...p_{N+1}) inside that one sum.
     """
     if x.truncation != y.truncation:
         raise ValueError("points have different truncations")
     validate_point(x, P)
     validate_point(y, P)
-    n = x.truncation
-    lower = _stalk_sum(x._kc, y._kc, P)
-    upper = _k.radd(lower, (2, P.product(1, n + 1)))
-    return CertifiedDistance(Fraction(*lower), Fraction(*upper), n, None)
+    lower, upper = _stalk_sum(x._kc, y._kc, P)
+    return CertifiedDistance(Fraction(*lower), Fraction(*upper), x.truncation, None)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from knaster_lab.signatures import signature
 from knaster_lab.tents import oplus_power
 
 from generators import rand_sign_list
-from test_conjugator_oracle import _is_squeeze
+from test_conjugator_oracle import _is_squeeze, oracle_end_segment
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
 DIP = PLHomeo([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -149,7 +149,7 @@ def _end_multipliers(h):
     ivs = _k.fixed_structure(bps)[0]
     for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
         for end, high in ((lo, False), (hi, True)):
-            yield F(*_k.segment_affine(bps, conjugator._end_segment(bps, end, high))[0])
+            yield F(*_k.segment_affine(bps, oracle_end_segment(bps, end, high))[0])
 
 
 def _slow_tail_pairs(seed, count):
@@ -335,6 +335,66 @@ def test_pseudo_generic_signature_postcheck_raises(monkeypatch):
     monkeypatch.setattr(conjugator, "rand_signature_homeo", lambda rng, signs: BUMP)
     with pytest.raises(SignatureMismatchError):
         pseudo_generic(2, 3)
+
+
+# ------------------------------------------------- the conjugate, built once
+
+
+def _conjugate_pairs():
+    """Equal-signature pairs: random ones, the squeeze pair, a map against
+    itself and a block sum of a pseudo-generic map against a random
+    target, as the density experiment draws them; each also reflected."""
+    rng = derive_rng("checked-conjugate", 0)
+    fm = oplus_power(pseudo_generic(2, 5), 4)
+    pairs = [SQUEEZE, (BUMP, BUMP), (fm, rand_signature_homeo(rng, signature(fm)))]
+    for _ in range(20):
+        signs = rand_sign_list(rng, rng.randint(1, 4))
+        pairs.append((rand_signature_homeo(rng, signs), rand_signature_homeo(rng, signs)))
+    return pairs + [(reflect(f), reflect(g)) for f, g in pairs]
+
+
+def test_checked_conjugate_is_the_chain_of_the_checked_conjugator():
+    # the same build: the conjugate is h⁻¹∘f∘h for the h the merged-walk
+    # post-check passed, and the gap read off it is that check's
+    for f, g in _conjugate_pairs():
+        for eta in (F(1, 100), F(1, 1000)):
+            h, gap, steps = conjugator._checked_conjugator(f, g, eta)
+            conj, got, got_steps = conjugator._checked_conjugate(f, g, eta)
+            assert isinstance(conj, PLHomeo)
+            assert conj == compose(compose(h.invert(), f), h)
+            assert (got, got_steps) == (gap, steps)
+
+
+def test_both_checks_refuse_a_wrong_build(monkeypatch):
+    # each build is followed by a small nudge, so h⁻¹∘f∘h is near a
+    # conjugate of g and not near g: each check must refuse exactly the
+    # builds whose chain misses eta, with the same message
+    real = conjugator._build_conjugator
+    nudge = PLHomeo([(0, 0), (F(1, 2), F(33, 64)), (1, 1)])
+
+    def nudged(*args):
+        return compose(real(*args), nudge)
+
+    monkeypatch.setattr(conjugator, "_build_conjugator", nudged)
+    eta = F(1, 1000)
+    refused = 0
+    for f, g in _conjugate_pairs():
+        h, _ = conjugator._checked_build(f, g, eta)
+        want = sup_dist(compose(compose(h.invert(), f), h), g)
+        for check in (conjugator._checked_conjugator, conjugator._checked_conjugate):
+            if want < eta:
+                assert check(f, g, eta)[1] == want
+                continue
+            with pytest.raises(ConjugatorError) as err:
+                check(f, g, eta)
+            assert str(err.value) == f"post-check failed: achieved {want}, needed < {eta}"
+        refused += want >= eta
+    assert refused > 20, refused
+    # and the identity, which conjugates nothing
+    monkeypatch.setattr(conjugator, "_build_conjugator", lambda *args: identity())
+    for check in (conjugator._checked_conjugator, conjugator._checked_conjugate):
+        with pytest.raises(ConjugatorError, match="achieved 1/8, needed < 1/100"):
+            check(BUMP, PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), F(1, 100))
 
 
 # ------------------------------------------------- fixed structure, checked

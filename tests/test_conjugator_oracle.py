@@ -10,8 +10,10 @@ restrictions itself, and takes the fundamental domain's anchor from the
 middle of its own restricted list, so the transport's whole-map index
 arithmetic is checked, not shared. Pieces and spent budget steps must be
 identical, and the oracle's pieces must end on the orbit points it
-evaluated. Maps are kernel lists, components and eta_cap kernel pairs, as
-conjugator._transport takes them.
+evaluated. Maps are kernel lists, components and eta_cap kernel pairs and
+end segments index pairs, as conjugator._transport takes them; the end
+segments come from oracle_end_segment, the bisecting lookup that
+conjugator._end_segments replaced, and a test requires the two to agree.
 
 The seam is checked the same way: the oracle tries each tail piece's
 chord by composing over the crossing cell and taking the exact sup_diff
@@ -174,15 +176,16 @@ def _seamed(pieces, seam, leftward):
 
 
 def oracle_transport(
-    f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget, seams=None
+    f, finv, g, ginv, fcomp, gcomp, fends, gends, sign, eta_cap, budget, seams=None
 ):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns kernel pieces in ascending x order covering [ql, qh] on the g
     side, with h(ql) = pl and h(qh) = ph, where ql, pl, qh and ph are the
     last orbit points, evaluated afresh. The orbit points travel as
-    kernel pairs. finv and ginv are not read: the oracle inverts its own
-    restrictions.
+    kernel pairs. finv, ginv and the end segment indices fends and gends
+    are not read: the oracle inverts its own restrictions, and its end
+    segments are their first and last.
 
     The seam: the first piece made from a piece inside both end segments
     whose chord keeps the exact sup over the crossing cell under eta_cap
@@ -299,11 +302,26 @@ def pairs(draw, squeeze=False):
     return f, g
 
 
+def oracle_end_segment(bps, end, rightward):
+    """Index of the segment reaching a component's high (rightward) or low
+    end, by bisection: conjugator's lookup before _end_segments."""
+    k = _k._locate(bps, end)
+    return k - 1 if rightward and bps[k][:2] == end else k
+
+
 def _components(f, g):
+    """Per component: its ends in f and g, their end segment indices
+    there (oracle_end_segment) and its sign, as _transport takes them."""
     f_ivs = _k.fixed_structure(f._kbps)[0]
     g_ivs, signs = _k.fixed_structure(g._kbps)
     for j, sign in enumerate(signs):
-        yield (f_ivs[j][1], f_ivs[j + 1][0]), (g_ivs[j][1], g_ivs[j + 1][0]), sign
+        fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
+        gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
+        fends, gends = (
+            (oracle_end_segment(h._kbps, lo, False), oracle_end_segment(h._kbps, hi, True))
+            for h, (lo, hi) in ((f, fcomp), (g, gcomp))
+        )
+        yield fcomp, gcomp, fends, gends, sign
 
 
 def _maps(f, g):
@@ -311,18 +329,21 @@ def _maps(f, g):
     return f._kbps, _k.invert(f._kbps), g._kbps, _k.invert(g._kbps)
 
 
-def _run(transport, f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, cap):
+def _run(transport, *args):
+    """transport on args but the last, the orbit cap: (its pieces, or
+    "cap" when it met the cap, and the budget left)."""
+    *args, cap = args
     budget = _Budget(cap)
     try:
-        out = transport(f, finv, g, ginv, fcomp, gcomp, sign, eta_cap, budget)
+        out = transport(*args, budget)
     except OrbitCapError:
         return "cap", budget.left
     return out, budget.left
 
 
 def check_pair(f, g, eta_cap):
-    for fcomp, gcomp, sign in _components(f, g):
-        args = (*_maps(f, g), fcomp, gcomp, sign, eta_cap, CAP)
+    for comp in _components(f, g):
+        args = (*_maps(f, g), *comp, eta_cap, CAP)
         want = _run(oracle_transport, *args)
         got = _run(conjugator._transport, *args)
         assert got == want
@@ -359,8 +380,8 @@ def test_squeeze_pairs_match_oracle(pair):
 @given(pairs(), st.sampled_from(ETAS))
 def test_cap_one_below_the_need_raises_on_both(pair, eta):
     f, g = pair
-    for fcomp, gcomp, sign in _components(f, g):
-        args = (*_maps(f, g), fcomp, gcomp, sign, _fp(eta / 2))
+    for comp in _components(f, g):
+        args = (*_maps(f, g), *comp, _fp(eta / 2))
         _, left = _run(oracle_transport, *args, CAP)
         assume(left >= 0)
         need = CAP - left
@@ -388,8 +409,8 @@ def test_both_branches_run(monkeypatch):
         return wrapped
 
     for f, g in ((f, g), (reflect(f), reflect(g))):
-        for fcomp, gcomp, sign in _components(f, g):
-            args = (*_maps(f, g), fcomp, gcomp, sign, (1, 2000), CAP)
+        for comp in _components(f, g):
+            args = (*_maps(f, g), *comp, (1, 2000), CAP)
             want = _run(oracle_transport, *args)
             with monkeypatch.context() as m:
                 for name in calls:
@@ -445,13 +466,67 @@ def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
     assert straddling > 0
 
 
+# ------------------------------------------------------------ end segments
+
+EDGE_MAPS = [
+    # an isolated root inside a segment, at 1/2
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(3, 4), F(5, 8)), (1, 1)]),
+    # a fixed breakpoint at 1/2 between two gaps, and one inside a gap
+    PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(5, 8), F(9, 16)),
+             (F(3, 4), F(5, 8)), (1, 1)]),
+    # a fixed interval [1/4, 1/2] whose ends are breakpoints
+    PLHomeo([(0, 0), (F(1, 8), F(3, 16)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)),
+             (F(3, 4), F(7, 8)), (1, 1)]),
+    # fixed only at 0 and 1, with one breakpoint
+    PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)]),
+]
+
+
+def oracle_end_segments(bps, ivs):
+    """Per component of bps, its two end segment indices by bisection."""
+    return [
+        (oracle_end_segment(bps, lo, False), oracle_end_segment(bps, hi, True))
+        for (_, lo), (hi, _) in zip(ivs, ivs[1:])
+    ]
+
+
+def test_end_segments_match_the_bisecting_lookup():
+    # one pass against the fixed intervals finds what bisecting each end
+    # finds, on each map and on its inverse list, which reuses the indices
+    rng = random.Random(2029)
+    maps = [rand_homeo(rng) for _ in range(400)] + EDGE_MAPS
+    seen = {"root": 0, "on breakpoint": 0, "degenerate": 0, "components": 0}
+    for h in maps + [reflect(h) for h in maps]:
+        bps = h._kbps
+        ivs = _k.fixed_structure(bps)[0]
+        want = oracle_end_segments(bps, ivs)
+        assert conjugator._end_segments(bps, ivs) == want
+        inv = _k.invert(bps)
+        assert oracle_end_segments(inv, ivs) == want
+        assert conjugator._end_segments(inv, ivs) == want
+        xs = {p[:2] for p in bps}
+        inner = [e for (_, lo), (hi, _) in zip(ivs, ivs[1:]) for e in (lo, hi)][1:-1]
+        seen["root"] += sum(e not in xs for e in inner)
+        seen["on breakpoint"] += sum(e in xs for e in inner)
+        seen["degenerate"] += sum(a == b for a, b in ivs[1:-1])
+        seen["components"] += len(want)
+    assert min(seen.values()) > 10, seen
+
+
 # ------------------------------------------------------------ anchor
 
 
-def _midpoint_anchor(bps, lo, hi):
-    """The anchor before: the middle of the component, with its value."""
-    mid = _fp((_frac(lo) + _frac(hi)) / 2)
-    return mid + _k.eval_at(bps, mid)
+def _midpoint_anchor(bps, ends):
+    """The anchor before: the middle of the component, with its value.
+
+    The component is the one of bps whose end segments are ends.
+    """
+    ivs = _k.fixed_structure(bps)[0]
+    for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
+        if ends == (oracle_end_segment(bps, lo, False), oracle_end_segment(bps, hi, True)):
+            mid = _fp((_frac(lo) + _frac(hi)) / 2)
+            return mid + _k.eval_at(bps, mid)
+    raise AssertionError(f"no component has the end segments {ends}")
 
 
 def _conjugator_bps(f, g, eta):
@@ -498,12 +573,12 @@ def test_seam_fires_on_both_orbits_at_every_eta():
     seen = set()
     for f, g in found + [(reflect(f), reflect(g)) for f, g in found]:
         for eta in ETAS:
-            for fcomp, gcomp, sign in _components(f, g):
-                args = (*_maps(f, g), fcomp, gcomp, sign, _fp(eta / 2))
+            for comp in _components(f, g):
+                args = (*_maps(f, g), *comp, _fp(eta / 2))
                 seams = []
                 want = oracle_transport(*args, _Budget(CAP), seams=seams)
                 assert conjugator._transport(*args, _Budget(CAP)) == want
-                seen.update((side, sign, eta) for side in seams)
+                seen.update((side, comp[-1], eta) for side in seams)
     assert seen == {
         (side, sign, eta)
         for side in ("forward", "backward")

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -327,8 +328,11 @@ class _ReadLog(dict):
 def test_trials_read_exactly_the_declared_params(suite):
     # a param that is declared but never read, or read but never
     # declared, fails here
-    trial = experiments._t_density if suite == "density" else VERIFY_SUITES[suite]
     cfg = cfg_for(suite, seed=4)
+    if suite == "density":
+        trial = partial(experiments._t_density, eps=experiments._density_eps(cfg))
+    else:
+        trial = VERIFY_SUITES[suite]
     log = cfg.params = _ReadLog(cfg.params)
     for i in range(2):
         trial(cfg, derive_rng(cfg.seed, suite, i))

@@ -28,15 +28,18 @@ vanishes wherever they agree (see diag_dist).
 
 One metric serves points and maps. knaster_dist and diag_dist both
 score a pair of coherent stalks with one weighted sum in integers
-(_stalk_sum): knaster_dist the two stalks it is given, diag_dist the
-level-M stalks through A(s) and B(s) at each candidate s, with the
-collapsed tail as the level-M weight. The Fraction boundary sits where
-it sits for maps (see plmap). Stalks keep their coordinates as kernel
-pairs (n, d), and extend_point, validate_point, eval_diagonal, the
-stalk sum and diag_dist's witness and tail weights run on integers.
-Fractions appear only at the typed surface: a stalk's ``coords``, its
-constructor and JSON, the values callers pass in, and a
-CertifiedDistance's lower and upper, each built once per call.
+(_stalk_sum), which sums the levels below the top once and returns
+lower and upper together: knaster_dist for the two stalks it is given,
+with the tail bound added for upper; diag_dist for the level-M stalks
+through A(s) and B(s) at each candidate s, with the collapsed tail as
+the level-M weight for lower and the high tail weight for upper. The
+Fraction boundary sits where it sits for maps (see plmap). Stalks keep
+their coordinates as kernel pairs (n, d), and extend_point,
+validate_point, eval_diagonal, the stalk sum, a stalk's JSON loader
+and diag_dist's witness and tail weights run on integers. Fractions
+appear only at the typed surface: a stalk's ``coords``, its
+constructor, the values callers pass in, and a CertifiedDistance's
+lower and upper, each built once per call.
 """
 
 from dataclasses import dataclass
@@ -47,7 +50,7 @@ from . import _kernel_py as _k
 from .plmap import PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational_pair
 from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent_fold
 
 _PRIME_NAMES = ("diagonal", "all2")
@@ -200,7 +203,8 @@ class TruncatedKnasterPoint:
     The coordinates are kept as kernel pairs (n, d) in lowest terms, as
     PLMap keeps its breakpoints; ``coords`` is their Fraction view. The
     constructor takes any values Fraction accepts and checks each lies
-    in [0, 1]; ``_from_kernel`` is the trusted path for the stalks this
+    in [0, 1], and from_json_dict makes the same check on the pairs it
+    parses; ``_from_kernel`` is the trusted path for the stalks this
     module builds itself, which are in range and coherent by
     construction. Coherence of a user-built stalk is validate_point's
     job, and every function taking a stalk runs it.
@@ -210,12 +214,7 @@ class TruncatedKnasterPoint:
 
     def __init__(self, coords):
         pts = tuple(Fraction(c) for c in coords)
-        if not pts:
-            raise ValueError("a point needs at least coordinate 0")
-        for c in pts:
-            if c < 0 or c > 1:
-                raise ValueError("coordinates must lie in [0, 1]")
-        self._kc = tuple((c.numerator, c.denominator) for c in pts)
+        self._kc = _in_unit(tuple((c.numerator, c.denominator) for c in pts))
         self._coords = pts
 
     @classmethod
@@ -253,7 +252,23 @@ class TruncatedKnasterPoint:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(tuple(parse_rational(c) for c in data["coords"]))
+        """The constructor's checks, on pairs parsed without a Fraction."""
+        return cls._from_kernel(
+            _in_unit(tuple(parse_rational_pair(c) for c in data["coords"])))
+
+
+def _in_unit(kc):
+    """kc, refused (ValueError) if empty or if a pair lies outside [0, 1].
+
+    The pairs have positive denominators, so n/d lies in [0, 1] when
+    0 <= n <= d.
+    """
+    if not kc:
+        raise ValueError("a point needs at least coordinate 0")
+    for n, d in kc:
+        if n < 0 or n > d:
+            raise ValueError("coordinates must lie in [0, 1]")
+    return kc
 
 
 def _stalk(top, n, P):
@@ -321,19 +336,19 @@ class CertifiedDistance:
 
 
 def _stalk_sum(xs, ys, P, top=None):
-    """The truncated metric between two coherent kernel stalks, in lowest terms.
+    """The truncated metric between two coherent kernel stalks, as (lower, upper).
 
-    sum_{i<n} w_i |x_i - y_i| + top |x_n - y_n|, with w_0 = 1/2,
-    w_i = 1/(p_1...p_i) and top a pair, a collapsed tail weight in
-    diag_dist, or None for w_n, the metric itself. A coherent stalk's
-    denominators all divide its top one's, since each tent fold only
-    cancels. So with X and Y the top denominators, every term sits over
-    2 p_1...p_n X Y, and the sum is normalized once.
+    sum_{i<n} w_i |x_i - y_i| + t |x_n - y_n|, with w_0 = 1/2 and
+    w_i = 1/(p_1...p_i). A coherent stalk's denominators all divide its
+    top one's, since each tent fold only cancels. So with X and Y the top
+    denominators, every term sits over 2 p_1...p_n X Y, and the levels
+    below the top are summed once, unreduced, for both bounds; each bound
+    is normalized once.
 
-    With top None it returns (lower, upper), the sum and the sum plus the
-    tail bound 2/(p_1...p_{n+1}), which is 4 X Y / (2 p_1...p_n X Y p_{n+1}):
-    upper is formed over that denominator times p_{n+1}, from the same
-    unreduced sum, and normalized once too.
+    With top None (knaster_dist), t = w_n, and upper adds the tail bound
+    2/(p_1...p_{n+1}), which is 4 X Y / (2 p_1...p_n X Y p_{n+1}). With
+    top a pair (c, h) of weights (diag_dist's collapsed and high tail
+    weights), lower takes t = c and upper t = h.
     """
     n = len(xs) - 1
     dx, dy = xs[n][1], ys[n][1]
@@ -349,8 +364,10 @@ def _stalk_sum(xs, ys, P, top=None):
         num += (2 if n else 1) * diff
         q, p = c * dx * dy, P.prime(n + 1)
         return _k.rnorm(num, q), _k.rnorm(num * p + 4 * dx * dy, q * p)
-    tn, td = top
-    return _k.rnorm(num * td + tn * c * diff, c * td * dx * dy)
+    (cn, cd), (hn, hd) = top
+    q, diff = dx * dy * c, diff * c
+    return (_k.rnorm(num * cd + cn * diff, cd * q),
+            _k.rnorm(num * hd + hn * diff, hd * q))
 
 
 def knaster_dist(x, y, P):
@@ -561,8 +578,10 @@ def diag_dist(F, G, N, P):
     D_m(s) = a_m - b_m for the level-M stalks (a_0, ..., a_M) through
     A(s) and (b_0, ..., b_M) through B(s), s = x_M. So the score at s is
     the truncated metric between those two stalks with C(M, N) in place
-    of w_M: the sum knaster_dist takes (_stalk_sum), once for lower and
-    once under the high weight for upper. It is piecewise linear in s,
+    of w_M: the sum knaster_dist takes (_stalk_sum). One sum scores
+    both bounds: the levels below M are summed once, and the top term
+    is weighted by C(M, N) for lower and by the high weight for upper.
+    It is piecewise linear in s,
     and its sup is attained at a breakpoint of some D_m. (A sign-change
     zero of one difference is a convex kink of the sum and can never be
     a strict maximum.)
@@ -610,7 +629,7 @@ def diag_dist(F, G, N, P):
     check_fold_size(M, P)
     A, B = (lift(H, M, P).inducer._kbps for H in (F, G))
     DM = _k.pl_sub(A, B)
-    c, h = _tail_weights(M, N, P)
+    weights = _tail_weights(M, N, P)
 
     # D_m(0) = 0 at every level, and every skipped point scores 0
     lower = upper = wit = (0, 1)
@@ -618,11 +637,9 @@ def diag_dist(F, G, N, P):
         fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
         xs = _candidates(fa, fb, M, P)
         for x, a, b in zip(xs, _k.eval_sorted(fa, xs), _k.eval_sorted(fb, xs)):
-            sa, sb = _stalk(a, M, P), _stalk(b, M, P)
-            lo = _stalk_sum(sa, sb, P, c)
+            lo, hi = _stalk_sum(_stalk(a, M, P), _stalk(b, M, P), P, weights)
             if _k.rcmp(lo, lower) > 0:
                 lower, wit = lo, x
-            hi = _stalk_sum(sa, sb, P, h)
             if _k.rcmp(hi, upper) > 0:
                 upper = hi
 

@@ -10,6 +10,7 @@ the one conversion that exceeds it.
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 
 def _int_text(convert, value):
@@ -33,6 +34,23 @@ def _int_text(convert, value):
 
 def parse_rational(text):
     """Parse "p/q" or "p" with optional sign. Whitespace around is allowed."""
+    return Fraction(*_parse_terms(text))
+
+
+def parse_rational_pair(text):
+    """parse_rational as a pair (n, d) in lowest terms with d > 0.
+
+    It refuses what parse_rational refuses, and builds no Fraction.
+    """
+    n, d = _parse_terms(text)
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _parse_terms(text):
+    """The integers p and q of "p/q", or p and 1 of "p"; q is never 0."""
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
@@ -43,10 +61,10 @@ def parse_rational(text):
         d = _int_text(int, den)
         if d == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(_int_text(int, num), d)
+        return _int_text(int, num), d
     if not _is_int(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(_int_text(int, s))
+    return _int_text(int, s), 1
 
 
 def _is_int(s):

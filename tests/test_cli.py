@@ -227,6 +227,18 @@ def test_knaster_point_refuses_a_deep_stalk_up_front(monkeypatch, capsys):
     assert "a stalk of truncation 10000000" in capsys.readouterr().err
 
 
+def test_knaster_point_refuses_a_deep_stalk_before_any_prefix(monkeypatch, capsys):
+    # the schedule's prefix p_1...p_n is the first thing a stalk of n
+    # levels builds, so the size guard must come before it
+    def refuse(*_):
+        raise AssertionError("formed a prefix of the schedule past the size guard")
+
+    monkeypatch.setattr(kn, "_stalk", refuse)
+    monkeypatch.setattr(kn.PrimeSequence, "prefix", refuse)
+    assert main(["knaster", "point", "-x", "1/2", "-n", "10000000"]) == 2
+    assert "a stalk of truncation 10000000" in capsys.readouterr().err
+
+
 def test_verify_exit_zero_and_report_file(maps, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(

@@ -23,6 +23,7 @@ from knaster_lab import (
     to_json_dict,
 )
 from knaster_lab.randgen import derive_rng, rand_homeo
+from knaster_lab.rational import parse_rational_pair
 
 from generators import rand_open_map
 
@@ -45,6 +46,12 @@ def test_parse_format_rational():
     for bad in ["", "1/0", "a/2", "1.5", "1/2/3"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+        with pytest.raises(ValueError):
+            parse_rational_pair(bad)
+    # lowest terms, positive denominator, as Fraction keeps them
+    for text in ["3/4", " -2/6 ", "5", "2/-4", "-3/-9", "0/-7"]:
+        q = parse_rational(text)
+        assert parse_rational_pair(text) == (q.numerator, q.denominator)
 
 
 def test_rational_round_trip_past_the_digit_limit():

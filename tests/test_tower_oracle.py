@@ -31,6 +31,10 @@ _candidates folds each map to level 0 with one compose against a slice
 of the degree p_1...p_M tent. Its oracle is the chain it replaced, one
 tent per level, and the two must return the same candidates element for
 element.
+
+A stalk's JSON loader parses each literal straight to a pair in lowest
+terms. Its oracle is the Fraction path it replaced: the same points, or
+the same refusal with the same message.
 """
 
 from fractions import Fraction
@@ -58,6 +62,7 @@ from knaster_lab.knaster import (
     validate_point,
 )
 from knaster_lab.plmap import PLHomeo, compose, reflect
+from knaster_lab import rational
 from knaster_lab.randgen import derive_rng, perturb_homeo, rand_homeo, rand_nudge
 import knaster_lab.tents as tents
 from knaster_lab.tents import MAX_BREAKPOINTS, block_sum, check_size, oplus_power, tent, tent_value
@@ -314,6 +319,30 @@ def _check_bit_identical(P, N, Fd, Gd):
 @settings(max_examples=150, deadline=None)
 def test_diag_dist_is_bit_identical_to_the_fraction_layer(case):
     _check_bit_identical(*case)
+
+
+# bit_cases keeps bases at 0..3; these fixed cases put M at 4..6, where
+# the stalk sum's level loop is long and lower and upper share most of it
+DEEP_MAPS = [
+    PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 3), F(1, 5)), (1, 1)]),
+    PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)]),
+]
+DEEP_CASES = [
+    (name, N, bf, bg, f, g)
+    for name in ("all2", "diagonal")
+    for M in (4, 5, 6)
+    for bf, bg, f, g in ((M, M, 0, 1), (0, M, 2, 0), (M, 1, 1, 2), (2, M, 2, 2))
+    for N in (M, M + 2)
+]
+
+
+@pytest.mark.parametrize("name, N, bf, bg, f, g", DEEP_CASES)
+def test_diag_dist_is_bit_identical_to_the_fraction_layer_deep(name, N, bf, bg, f, g):
+    P = PrimeSequence(name)
+    Fd, Gd = DiagonalHomeo(bf, DEEP_MAPS[f]), DiagonalHomeo(bg, DEEP_MAPS[g])
+    assert diag_dist(Fd, Gd, N, P).lower > 0
+    _check_bit_identical(P, N, Fd, Gd)
 
 
 @st.composite
@@ -585,6 +614,46 @@ def test_out_of_range_user_stalks_are_refused(coords):
         TruncatedKnasterPoint(coords)
     with pytest.raises(ValueError):
         TruncatedKnasterPoint.from_json_dict({"coords": [str(F(c)) for c in coords]})
+
+
+def _load_through_fractions(coords):
+    """The stalk loader before it parsed to pairs: a Fraction per literal."""
+    return TruncatedKnasterPoint(tuple(rational.parse_rational(c) for c in coords))
+
+
+# literals each side of [0, 1], unreduced, signed both ways, spaced, and
+# malformed or with a zero denominator
+LITERALS = ["0", "1", "1/2", "2/4", " 3/9 ", "-1/-2", "1/-2", "-1/2", "-0/5",
+            "0/-5", "5/4", "-5/-4", "4/4", "-4/-4", "+1/+3", "2", "-1", "1/0",
+            "0/0", "a/2", "1.5", "1/2/3", "", "/", "1/", " / 3",
+            f"{2**200}/{2**201 + 1}", f"-{2**201}/-{2**200}"]
+
+
+@given(st.lists(st.sampled_from(LITERALS) | st.fractions(-1, 2).map(str), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_stalk_loader_parses_pairs_as_the_fraction_path_did(coords):
+    try:
+        want = _load_through_fractions(coords)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            TruncatedKnasterPoint.from_json_dict({"coords": coords})
+        assert str(got.value) == str(err)
+    else:
+        got = TruncatedKnasterPoint.from_json_dict({"coords": coords})
+        assert got._kc == want._kc
+        _same_stalk(got, want)
+
+
+def test_stalk_loader_builds_no_fraction(monkeypatch):
+    x = extend_point(F(1, 3), 12, PrimeSequence("diagonal"))
+    data = x.to_json_dict()
+
+    def refuse(*_):
+        raise AssertionError("the stalk loader built a Fraction")
+
+    monkeypatch.setattr(kn, "Fraction", refuse)
+    monkeypatch.setattr(rational, "Fraction", refuse)
+    assert TruncatedKnasterPoint.from_json_dict(data)._kc == x._kc
 
 
 def test_lift_to_the_base_is_the_map_itself(monkeypatch):

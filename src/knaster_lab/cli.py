@@ -16,15 +16,9 @@ import sys
 from pathlib import Path
 
 from . import knaster as kn
-from .conjugator import (
-    ConjugatorError,
-    GridNotFixedError,
-    OrbitCapError,
-    SignatureMismatchError,
-    conjugator_certificate,
-    grid_block_conjugate,
-)
+from .conjugator import GridNotFixedError, conjugator_certificate, grid_block_conjugate
 from .experiments import (
+    _TRIAL_ERRORS,
     SUITE_PARAMS,
     ExperimentConfig,
     VERIFY_SUITES,
@@ -32,19 +26,13 @@ from .experiments import (
     replay_config,
     run_suite,
 )
-from .lemmas import CounterexampleError
 from .plmap import compose, degree, from_json_dict, reflect, sup_dist, to_json_dict
 from .rational import format_rational, parse_rational
 from .signatures import decide_conjugate, signature, signature_to_string
 from .tents import oplus_power, straighten, tent, verify_semiconjugacy
 
-_RUNTIME_ERRORS = (
-    ConjugatorError,
-    SignatureMismatchError,
-    OrbitCapError,
-    GridNotFixedError,
-    CounterexampleError,
-)
+# a failed check or synthesis: exit 1, as a campaign records a failed trial
+_RUNTIME_ERRORS = _TRIAL_ERRORS + (GridNotFixedError,)
 
 
 def _read_json(path):

@@ -112,13 +112,13 @@ is.
 
 Whole maps: a component's segments are f's and g's own, so the orbit
 reads their whole lists, inverted once per synthesis, and copies no
-component out. _end_segments finds every component's end segments in f
-and in g in one pass over each map's breakpoints against its fixed
-intervals, whose ends ascend. The anchors and both orbits read those
-indices, and g⁻¹ and f⁻¹ reuse them: each map fixes the component's
-ends and is increasing, so its inverse's segment at an end has the
-map's index. A segment's (slope, offset) is computed only when a step
-uses it.
+component out. The fixed-structure check (below) finds every component's
+end segments in f and in g as it walks each map's breakpoints against its
+fixed interval ends. The anchors and both orbits read those indices, and
+g⁻¹ and f⁻¹ reuse them: each map fixes the component's ends and is
+increasing, so its inverse's segment at an end has the map's index. The
+orbits stop on g's ends. A segment's (slope, offset) is computed only
+when a step uses it.
 
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
@@ -134,8 +134,10 @@ intervals and gap signs of f and g. A wrong structure would send an
 orbit toward a point that is not fixed, and synthesis would spend its
 whole orbit budget before the post-check could refuse. So
 _check_fixed_structure tests both structures against their maps' own
-breakpoints, in one linear pass, before anything is built, and refuses a
-wrong one with FixedStructureError.
+breakpoints, in one linear pass per map that also returns the components'
+end segments, before anything is built. Only a defect can make a wrong
+structure, so its FixedStructureError is a RuntimeError, as a failed
+post-check is: a failed trial in a campaign, exit 1 in the CLI.
 
 Post-check: achieved = sup |h⁻¹ ∘ f ∘ h - g| is computed exactly, without
 building h⁻¹ ∘ f ∘ h or any other composite. h is a bijection of [0, 1],
@@ -194,7 +196,7 @@ class GridNotFixedError(ValueError):
     """The target map moves a grid point it was required to fix."""
 
 
-class FixedStructureError(ValueError):
+class FixedStructureError(RuntimeError):
     """A map's fixed intervals or gap signs do not fit its breakpoints."""
 
 
@@ -216,8 +218,9 @@ def _outside(x, end, margin):
 
 
 def _check_fixed_structure(bps, ivs, signs):
-    """Raise FixedStructureError unless (ivs, signs) is bps's fixed structure.
+    """Per gap, its (low, high) end segment indices in bps, once checked.
 
+    Raises FixedStructureError unless (ivs, signs) is bps's fixed structure.
     One pass over bps and the interval ends, in x order. The intervals
     run from 0 to 1 in strict order with one sign per gap between them.
     Every interval end is fixed: a breakpoint that lies on the diagonal,
@@ -228,6 +231,13 @@ def _check_fixed_structure(bps, ivs, signs):
     keeps that sign on the whole gap. Synthesis trusts this structure, and
     a wrong one would spend the orbit budget before the post-check could
     refuse it.
+
+    low indexes the segment holding the gap's low end and points just
+    right of it, high the one holding its high end and points just left.
+    At each end the pass holds k, the first breakpoint at or right of it:
+    high is k - 1, and low is k when the end is a breakpoint, else k - 1.
+    The inverse list has the same indices: the map fixes each end and is
+    increasing, so its inverse's breakpoints are its own, swapped.
     """
 
     def fail(why):
@@ -239,6 +249,7 @@ def _check_fixed_structure(bps, ivs, signs):
     n = len(bps)
     k = 0  # the first breakpoint not yet checked
     pn, pd = 0, 1  # the previous end
+    segments = []
     for t in range(len(ends)):
         en, ed = ends[t]
         c = en * pd - pn * ed
@@ -263,7 +274,12 @@ def _check_fixed_structure(bps, ivs, signs):
             k += 1
         if want and k == first:
             fail(f"the gap before {en}/{ed} holds no breakpoint")
-        if k < n and bps[k][0] * ed == en * bps[k][1]:
+        on = k < n and bps[k][0] * ed == en * bps[k][1]
+        if t & 1:  # a gap's low end
+            low = k if on else k - 1
+        elif t:  # a gap's high end
+            segments.append((low, k - 1))
+        if on:
             xn, xd, yn, yd = bps[k]
             k += 1
             if yn * xd != xn * yd:
@@ -278,37 +294,13 @@ def _check_fixed_structure(bps, ivs, signs):
                     != (en * y0d - y0n * ed) * (x1n * x0d - x0n * x1d) * y1d):
                 fail(f"interval end {en}/{ed} is not fixed")
         pn, pd = en, ed
-
-
-def _end_segments(bps, ivs):
-    """Per component, the indices of the segments of bps reaching its two ends.
-
-    ivs is bps's fixed structure's intervals; component j runs from
-    lo = ivs[j][1] to hi = ivs[j + 1][0]. Its low end segment holds lo and
-    points just right of it, its high one hi and points just left of it.
-    The ends ascend, so one pass over bps finds every index: at each end
-    e, k is the last breakpoint at or left of e.
-
-    The same indices serve the inverse list: the map fixes each end and
-    is increasing, so its inverse's breakpoints are its own, swapped, in
-    the same order, and they lie at or left of e exactly where the map's do.
-    """
-    out = []
-    k, last = 0, len(bps) - 1
-    for (_, (ln, ld)), ((hn, hd), _) in zip(ivs, ivs[1:]):
-        while k < last and bps[k + 1][0] * ld <= ln * bps[k + 1][1]:
-            k += 1
-        lo = k
-        while k < last and bps[k + 1][0] * hd <= hn * bps[k + 1][1]:
-            k += 1
-        out.append((lo, k - 1 if bps[k][0] * hd == hn * bps[k][1] else k))
-    return out
+    return segments
 
 
 def _orbit_anchor(bps, ends):
     """The middle breakpoint of bps restricted to a component.
 
-    ends are the component's end segment indices (_end_segments). A map
+    ends are the component's end segment indices (_check_fixed_structure). A map
     with no interior breakpoint on the component would be affine there
     and fix both ends, so it would fix the component pointwise.
     """
@@ -320,17 +312,17 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, ends, margin, budget)
 
     xmap carries piece's x cell onto the neighbouring cell, to the right
     when rightward, and ymap carries its values likewise; a new piece is
-    f^±1 ∘ piece ∘ g^∓1 on the new cell, stop holds the component ends
-    it approaches, in x and in value, and ends the indices of xmap's and
-    ymap's segments reaching them. Steps while the end piece[near] of the
-    last piece lies outside margin of stop[0], one budget step each.
+    f^±1 ∘ piece ∘ g^∓1 on the new cell, stop is the component end it
+    approaches in x, and ends the indices of xmap's and ymap's segments
+    reaching that end and its value. Steps while the end piece[near] of
+    the last piece lies outside margin of stop, one budget step each.
     Once a piece lies in xmap's end segment and takes values in ymap's,
     _affine_tail takes every later step and returns the tail from its
     seam on as one piece.
     """
     xend, yend = ends
     pieces = []
-    while _outside(piece[near][:2], stop[0], margin):
+    while _outside(piece[near][:2], stop, margin):
         first, last = piece[0], piece[-1]
         i = _k.segment_of(xmap, first[:2], last[:2])
         j = None if i is None else _k.segment_of(ymap, first[2:], last[2:])
@@ -339,7 +331,7 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, ends, margin, budget)
             yaff = _k.segment_affine(ymap, j)
             if i == xend and j == yend:
                 tail = _affine_tail(
-                    piece, xaff, yaff, rightward, near, stop[0], margin, budget
+                    piece, xaff, yaff, rightward, near, stop, margin, budget
                 )
                 return pieces + tail
         budget.spend()
@@ -464,11 +456,12 @@ def _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget):
     return pieces + [polygon]
 
 
-def _transport(f, finv, g, ginv, fcomp, gcomp, fends, gends, sign, eta_cap, budget):
+def _transport(f, finv, g, ginv, gcomp, fends, gends, sign, eta_cap, budget):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Maps are whole kernel lists, fends and gends the component's end
-    segment indices in f and g (_end_segments), the rest kernel pairs.
+    segment indices in f and g (_check_fixed_structure), the rest kernel
+    pairs; gcomp holds its ends in g.
     Returns kernel pieces in ascending x order; they run from h's
     breakpoint at the component's low end on the g side to the one at
     its high end.
@@ -476,16 +469,15 @@ def _transport(f, finv, g, ginv, fcomp, gcomp, fends, gends, sign, eta_cap, budg
     The fundamental domain h0 maps [q0, g(q0)] affinely onto [p0, f(p0)],
     where q0 and p0 are the _orbit_anchor breakpoints of g and f.
     """
-    a, b = fcomp
     c, d = gcomp
     q = _orbit_anchor(g, gends)
     p = _orbit_anchor(f, fends)
     h0 = [q[:2] + p[:2], q[2:] + p[2:]] if sign > 0 else [q[2:] + p[2:], q[:2] + p[:2]]
 
-    # each end in g and f, with its segment in g and f; g⁻¹ and f⁻¹ take
-    # the same indices there
-    low = (c, a), (gends[0], fends[0])
-    high = (d, b), (gends[1], fends[1])
+    # each end in g, with its segment in g and f; g⁻¹ and f⁻¹ take the
+    # same indices there
+    low = c, (gends[0], fends[0])
+    high = d, (gends[1], fends[1])
     attract, repel = (high, low) if sign > 0 else (low, high)
     # a piece's end toward the attracting end: q1 on h0. Forward, it is
     # the newest orbit point; backward, it is g of the newest one, and the
@@ -598,18 +590,19 @@ def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
     return pieces, _k.rsub(m, th_l), _k.radd(m, th_r)
 
 
-def _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
-    """The conjugator, from fixed intervals and eta_cap as kernel pairs."""
+def _build_conjugator(f, g, f_ivs, g_ivs, f_ends, g_ends, signs, eta_cap, budget):
+    """The conjugator, from fixed intervals and eta_cap as kernel pairs.
+
+    f_ends and g_ends are _check_fixed_structure's end segments of f and g.
+    """
     ncomp = len(signs)
     fk, gk = f._kbps, g._kbps
     finv, ginv = _k.invert(fk), _k.invert(gk)
-    f_ends, g_ends = _end_segments(fk, f_ivs), _end_segments(gk, g_ivs)
     comps = []
     for j, sign in enumerate(signs):
-        fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
         gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
         comps.append(_transport(
-            fk, finv, gk, ginv, fcomp, gcomp, f_ends[j], g_ends[j], sign, eta_cap, budget
+            fk, finv, gk, ginv, gcomp, f_ends[j], g_ends[j], sign, eta_cap, budget
         ))
 
     parts = []
@@ -663,15 +656,15 @@ def _checked_build(f, g, eta):
         return identity(), 0
     f_ivs, f_signs = fixed_structure(f)
     g_ivs, signs = fixed_structure(g)
-    _check_fixed_structure(f._kbps, f_ivs, f_signs)
-    _check_fixed_structure(g._kbps, g_ivs, signs)
+    f_ends = _check_fixed_structure(f._kbps, f_ivs, f_signs)
+    g_ends = _check_fixed_structure(g._kbps, g_ivs, signs)
     if f_signs != signs:
         raise SignatureMismatchError(
             "maps are not conjugate: signatures differ"
         )
     eta_cap = _cap_margin(eta, f_ivs, g_ivs)
     budget = _Budget(MAX_ORBIT_STEPS)
-    h = _build_conjugator(f, g, f_ivs, g_ivs, signs, eta_cap, budget)
+    h = _build_conjugator(f, g, f_ivs, g_ivs, f_ends, g_ends, signs, eta_cap, budget)
     return h, MAX_ORBIT_STEPS - budget.left
 
 

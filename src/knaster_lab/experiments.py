@@ -28,6 +28,7 @@ from time import perf_counter
 
 from .conjugator import (
     ConjugatorError,
+    FixedStructureError,
     OrbitCapError,
     SignatureMismatchError,
     _checked_conjugate,
@@ -68,6 +69,7 @@ _TRIAL_ERRORS = (
     ConjugatorError,
     SignatureMismatchError,
     OrbitCapError,
+    FixedStructureError,
 )
 
 

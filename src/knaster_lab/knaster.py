@@ -44,6 +44,7 @@ lower and upper, each built once per call.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, repeat
 from math import prod
 
 from . import _kernel_py as _k
@@ -54,8 +55,6 @@ from .rational import format_rational, parse_rational_pair
 from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent_fold
 
 _PRIME_NAMES = ("diagonal", "all2")
-
-_SMALL_PRIMES = [2]
 
 
 def _is_prime(n):
@@ -69,13 +68,13 @@ def _is_prime(n):
     return True
 
 
-def _first_primes(k):
-    while len(_SMALL_PRIMES) < k:
-        c = _SMALL_PRIMES[-1] + 1
-        while not _is_prime(c):
-            c += 1
-        _SMALL_PRIMES.append(c)
-    return _SMALL_PRIMES[:k]
+def _diagonal():
+    """The "diagonal" schedule's terms: the rows 2 | 2,3 | 2,3,5 | ..."""
+    row = []
+    for c in count(2):
+        if _is_prime(c):
+            row.append(c)
+            yield from row
 
 
 class PrimeSequence:
@@ -97,8 +96,8 @@ class PrimeSequence:
         if isinstance(spec, str):
             self._name = spec
             self._prefix = None
-            self._cache = []
-            self._row = 0
+            self._terms = []
+            self._more = _diagonal() if spec == "diagonal" else repeat(2)
         else:
             primes = [int(p) for p in spec]
             if not primes:
@@ -108,22 +107,17 @@ class PrimeSequence:
                     raise ValueError(f"schedule entry {p} is not prime")
             self._name = None
             self._prefix = tuple(primes)
-            self._cache = list(primes)
-            self._row = 0
+            self._terms = primes
+            self._more = iter(())
 
     def _extend(self, n):
-        if len(self._cache) >= n:
-            return
-        if self._prefix is not None:
-            raise ValueError(
-                f"schedule has only {len(self._prefix)} terms, needs {n}"
-            )
-        if self._name == "all2":
-            self._cache.extend([2] * (n - len(self._cache)))
-            return
-        while len(self._cache) < n:
-            self._row += 1
-            self._cache.extend(_first_primes(self._row))
+        """Read terms up to p_n; refuse (ValueError) past the schedule's end."""
+        if n > len(self._terms):
+            self._terms.extend(islice(self._more, n - len(self._terms)))
+            if len(self._terms) < n:
+                raise ValueError(
+                    f"schedule has only {len(self._prefix)} terms, needs {n}"
+                )
 
     def require(self, n, what):
         """Refuse (ValueError) an explicit schedule of fewer than n terms.
@@ -138,20 +132,21 @@ class PrimeSequence:
         """p_i, 1-indexed."""
         if i < 1:
             raise ValueError("prime indices start at 1")
-        self._extend(i)
-        return self._cache[i - 1]
+        if i > len(self._terms):
+            self._extend(i)
+        return self._terms[i - 1]
 
     def prefix(self, n):
         """(p_1, ..., p_n)."""
         self._extend(n)
-        return tuple(self._cache[:n])
+        return tuple(self._terms[:n])
 
     def product(self, i, j):
         """p_i * ... * p_j, empty (= 1) when j < i."""
         if j < i:
             return 1
         self._extend(j)
-        return prod(self._cache[i - 1:j])
+        return prod(self._terms[i - 1:j])
 
     def weight(self, i):
         """1/(p_1...p_i); at most 2^-i, so metric tails are summable."""
@@ -284,8 +279,8 @@ def _stalk(top, n, P):
 def validate_point(x, P):
     """Check the bonding relations x_{m-1} = T_{p_m}(x_m) exactly."""
     kc = x._kc
-    for m in range(1, len(kc)):
-        want = tent_fold(P.prime(m), *kc[m])
+    for m, p in enumerate(P.prefix(len(kc) - 1), 1):
+        want = tent_fold(p, *kc[m])
         if kc[m - 1] != want:
             raise ValueError(
                 f"incoherent point: coordinate {m - 1} is "

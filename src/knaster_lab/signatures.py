@@ -2,11 +2,13 @@
 
 For an increasing homeomorphism h fixing 0 and 1 the fixed set is a finite
 union of closed intervals (h is PL), and on each complementary gap h - id
-keeps one sign. The ordered list of those gap signs is a complete conjugacy
-invariant: two such homeomorphisms are conjugate through an increasing
-homeomorphism exactly when their sign lists agree. The functions here compute
-the invariant, its behaviour under reflection and block sums, and the
-resulting (decidable) conjugacy test.
+keeps one sign. The ordered list of those gap signs, the signature, is not
+a complete conjugacy invariant: a map fixing all of [1/3, 2/3] and one
+fixing only 1/2 share the signature +-, yet no homeomorphism maps an
+interval onto a point. Equal signatures are what conjugator synthesis
+needs; exact conjugacy also needs each fixed interval's kind, a point or
+not, to match. The functions here compute the signature, its behaviour
+under reflection and block sums, and the (decidable) conjugacy test.
 
 The fixed intervals and the signature come from one integer pass over the breakpoints of h
 (_kernel_py.fixed_structure). h is canonical, so h - id breaks exactly
@@ -61,10 +63,19 @@ def signature_oplus(signs, d):
 def decide_conjugate(f, g):
     """Whether some increasing homeomorphism w satisfies w∘f∘w⁻¹ == g.
 
-    The signature is a complete invariant for increasing homeomorphisms
-    fixing 0 and 1, so this is a finite comparison.
+    Such a w maps Fix(f) onto Fix(g) in order, so each fixed interval onto
+    one of the same kind (a point or not) and each gap onto a gap of the
+    same sign; conversely, equal kinds and signs give a w gap by gap. So
+    the structure word, the kinds interleaved with the signs, is a complete
+    invariant, and this is a finite comparison of its two parts.
     """
-    return signature(f) == signature(g)
+    return _structure_word(f) == _structure_word(g)
+
+
+def _structure_word(h):
+    """(each fixed interval's kind, True for a point; the gap signs)."""
+    ivs, signs = fixed_structure(h)
+    return [a == b for a, b in ivs], signs
 
 
 def signature_to_string(signs):

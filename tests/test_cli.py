@@ -105,6 +105,22 @@ def test_conj_group(maps, tmp_path, capsys):
     assert json.loads(cert.read_text())["ok"] is True
 
 
+def test_conj_decide_tells_a_fixed_interval_from_a_fixed_point(tmp_path, capsys):
+    # both maps read +-, but the first fixes all of [1/3, 2/3] and the
+    # second only 1/2
+    f = write_map(tmp_path / "f.json", [("0", "0"), ("1/6", "1/4"), ("1/3", "1/3"),
+                                        ("2/3", "2/3"), ("5/6", "3/4"), ("1", "1")])
+    g = write_map(tmp_path / "g.json", [("0", "0"), ("1/4", "3/8"), ("1/2", "1/2"),
+                                        ("3/4", "5/8"), ("1", "1")])
+    for a, b in ((f, g), (g, f)):
+        assert main(["conj", "decide", "-f", a, "-g", b]) == 0
+        assert capsys.readouterr().out.strip() == "not conjugate"
+        cert = tmp_path / "cert.json"
+        assert main(["conj", "synthesize", "-f", a, "-g", b, "--eta", "1/1000",
+                     "-o", str(cert)]) == 0
+        assert json.loads(cert.read_text())["ok"] is True
+
+
 def test_conj_synthesize_rejects_nonconjugate(maps, capsys):
     rc = main(["conj", "synthesize", "-f", maps["bump"], "-g", maps["id"]])
     assert rc == 1

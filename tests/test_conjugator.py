@@ -1,5 +1,6 @@
 """Conjugator synthesis: exact post-checks are the oracle throughout."""
 
+import json
 import time
 from fractions import Fraction as F
 
@@ -20,6 +21,8 @@ from knaster_lab.conjugator import (
     grid_block_conjugate,
     pseudo_generic,
 )
+from knaster_lab.cli import main
+from knaster_lab.experiments import VERIFY_SUITES
 from knaster_lab.randgen import derive_rng, rand_homeo, rand_signature_homeo
 from knaster_lab.rational import format_rational
 from knaster_lab.signatures import signature
@@ -296,7 +299,7 @@ def test_one_build_then_postcheck_raises(monkeypatch):
     # a build that misses eta is refused, never rebuilt at a finer cap
     caps = []
 
-    def build(f, g, f_ivs, g_ivs, signs, eta_cap, budget):
+    def build(f, g, f_ivs, g_ivs, f_ends, g_ends, signs, eta_cap, budget):
         caps.append(eta_cap)
         return identity()
 
@@ -432,6 +435,29 @@ def test_a_wrong_fixed_structure_is_refused_at_once(monkeypatch):
         with pytest.raises(FixedStructureError, match="wrong sign"):
             approx_conjugator(f, g, F(1, 100))
         assert time.perf_counter() - start < 5
+
+
+def test_a_wrong_fixed_structure_fails_the_synthesis_not_the_usage(
+    monkeypatch, tmp_path, capsys
+):
+    # only a defect in the fixed-structure computation can fail the check:
+    # the CLI reports a failed synthesis (exit 1), not a usage error (exit
+    # 2), and a campaign records a failed trial instead of aborting
+    monkeypatch.setattr(_k, "fixed_structure", _drop_isolated_roots(_k.fixed_structure))
+    monkeypatch.chdir(tmp_path)
+    for name, h in zip("fg", ROOTED):
+        (tmp_path / f"{name}.json").write_text(json.dumps(to_json_dict(h)))
+    assert main(["conj", "synthesize", "-f", "f.json", "-g", "g.json", "--eta", "1/100"]) == 1
+    assert "error: wrong fixed structure" in capsys.readouterr().err
+
+    def trial(cfg, rng):
+        approx_conjugator(*ROOTED, F(1, 100))
+        return {}
+
+    monkeypatch.setitem(VERIFY_SUITES, "grid-fix", trial)
+    assert main(["verify", "grid-fix", "--trials", "1", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "wrong fixed structure" in out and "1 failed" in out
 
 
 def test_the_fixed_structure_check_passes_every_real_structure():

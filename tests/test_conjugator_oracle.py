@@ -10,10 +10,12 @@ restrictions itself, and takes the fundamental domain's anchor from the
 middle of its own restricted list, so the transport's whole-map index
 arithmetic is checked, not shared. Pieces and spent budget steps must be
 identical, and the oracle's pieces must end on the orbit points it
-evaluated. Maps are kernel lists, components and eta_cap kernel pairs and
-end segments index pairs, as conjugator._transport takes them; the end
-segments come from oracle_end_segment, the bisecting lookup that
-conjugator._end_segments replaced, and a test requires the two to agree.
+evaluated. Maps are kernel lists, g's component and eta_cap kernel pairs
+and end segments index pairs, as conjugator._transport takes them; the
+end segments come from oracle_end_segment, the bisecting lookup that the
+fixed-structure check's one pass replaced, and a test requires the two to
+agree. The oracle finds f's component from its end segments, by the same
+lookup over f's fixed intervals.
 
 The seam is checked the same way: the oracle tries each tail piece's
 chord by composing over the crossing cell and taking the exact sup_diff
@@ -176,16 +178,16 @@ def _seamed(pieces, seam, leftward):
 
 
 def oracle_transport(
-    f, finv, g, ginv, fcomp, gcomp, fends, gends, sign, eta_cap, budget, seams=None
+    f, finv, g, ginv, gcomp, fends, gends, sign, eta_cap, budget, seams=None
 ):
     """Orbit-matched conjugator pieces inside one component pair.
 
     Returns kernel pieces in ascending x order covering [ql, qh] on the g
     side, with h(ql) = pl and h(qh) = ph, where ql, pl, qh and ph are the
     last orbit points, evaluated afresh. The orbit points travel as
-    kernel pairs. finv, ginv and the end segment indices fends and gends
-    are not read: the oracle inverts its own restrictions, and its end
-    segments are their first and last.
+    kernel pairs. finv, ginv and gends are not read, and fends only to
+    find f's component (_component_of): the oracle inverts its own
+    restrictions, and its end segments are their first and last.
 
     The seam: the first piece made from a piece inside both end segments
     whose chord keeps the exact sup over the crossing cell under eta_cap
@@ -194,7 +196,7 @@ def oracle_transport(
     there on are stepped as before and joined by concat. When seams is a
     list, the orbit that seamed ("forward" or "backward") is appended.
     """
-    a, b = fcomp
+    a, b = _component_of(f, fends)
     c, d = gcomp
     g_loc = _k.restrict(g, c, d)
     ginv = _k.invert(g_loc)
@@ -304,24 +306,39 @@ def pairs(draw, squeeze=False):
 
 def oracle_end_segment(bps, end, rightward):
     """Index of the segment reaching a component's high (rightward) or low
-    end, by bisection: conjugator's lookup before _end_segments."""
+    end, by bisection: conjugator's lookup before the one-pass search."""
     k = _k._locate(bps, end)
     return k - 1 if rightward and bps[k][:2] == end else k
 
 
+def _oracle_ends(bps, lo, hi):
+    """The end segment indices of bps's component [lo, hi], by bisection."""
+    return oracle_end_segment(bps, lo, False), oracle_end_segment(bps, hi, True)
+
+
+def _component_of(bps, ends):
+    """The ends (lo, hi) of bps's component whose end segments are ends.
+
+    Each component's low segment lies left of its high one, and the next
+    component's low segment is at or right of it, so ends names one
+    component.
+    """
+    ivs = _k.fixed_structure(bps)[0]
+    for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
+        if _oracle_ends(bps, lo, hi) == ends:
+            return lo, hi
+    raise AssertionError(f"no component has the end segments {ends}")
+
+
 def _components(f, g):
-    """Per component: its ends in f and g, their end segment indices
-    there (oracle_end_segment) and its sign, as _transport takes them."""
+    """Per component: its ends in g, its end segment indices in f and g
+    (oracle_end_segment) and its sign, as _transport takes them."""
     f_ivs = _k.fixed_structure(f._kbps)[0]
     g_ivs, signs = _k.fixed_structure(g._kbps)
     for j, sign in enumerate(signs):
-        fcomp = (f_ivs[j][1], f_ivs[j + 1][0])
+        fends = _oracle_ends(f._kbps, f_ivs[j][1], f_ivs[j + 1][0])
         gcomp = (g_ivs[j][1], g_ivs[j + 1][0])
-        fends, gends = (
-            (oracle_end_segment(h._kbps, lo, False), oracle_end_segment(h._kbps, hi, True))
-            for h, (lo, hi) in ((f, fcomp), (g, gcomp))
-        )
-        yield fcomp, gcomp, fends, gends, sign
+        yield gcomp, fends, _oracle_ends(g._kbps, *gcomp), sign
 
 
 def _maps(f, g):
@@ -484,26 +501,26 @@ EDGE_MAPS = [
 
 def oracle_end_segments(bps, ivs):
     """Per component of bps, its two end segment indices by bisection."""
-    return [
-        (oracle_end_segment(bps, lo, False), oracle_end_segment(bps, hi, True))
-        for (_, lo), (hi, _) in zip(ivs, ivs[1:])
-    ]
+    return [_oracle_ends(bps, lo, hi) for (_, lo), (hi, _) in zip(ivs, ivs[1:])]
 
 
 def test_end_segments_match_the_bisecting_lookup():
-    # one pass against the fixed intervals finds what bisecting each end
-    # finds, on each map and on its inverse list, which reuses the indices
+    # the fixed-structure check's one pass against the fixed intervals
+    # finds what bisecting each end finds, on each map and on its inverse
+    # list, whose structure has the same intervals and flipped signs
     rng = random.Random(2029)
     maps = [rand_homeo(rng) for _ in range(400)] + EDGE_MAPS
     seen = {"root": 0, "on breakpoint": 0, "degenerate": 0, "components": 0}
     for h in maps + [reflect(h) for h in maps]:
         bps = h._kbps
-        ivs = _k.fixed_structure(bps)[0]
+        ivs, signs = _k.fixed_structure(bps)
         want = oracle_end_segments(bps, ivs)
-        assert conjugator._end_segments(bps, ivs) == want
+        assert conjugator._check_fixed_structure(bps, ivs, signs) == want
         inv = _k.invert(bps)
+        flipped = [-s for s in signs]
+        assert _k.fixed_structure(inv) == (ivs, flipped)
         assert oracle_end_segments(inv, ivs) == want
-        assert conjugator._end_segments(inv, ivs) == want
+        assert conjugator._check_fixed_structure(inv, ivs, flipped) == want
         xs = {p[:2] for p in bps}
         inner = [e for (_, lo), (hi, _) in zip(ivs, ivs[1:]) for e in (lo, hi)][1:-1]
         seen["root"] += sum(e not in xs for e in inner)
@@ -521,12 +538,9 @@ def _midpoint_anchor(bps, ends):
 
     The component is the one of bps whose end segments are ends.
     """
-    ivs = _k.fixed_structure(bps)[0]
-    for (_, lo), (hi, _) in zip(ivs, ivs[1:]):
-        if ends == (oracle_end_segment(bps, lo, False), oracle_end_segment(bps, hi, True)):
-            mid = _fp((_frac(lo) + _frac(hi)) / 2)
-            return mid + _k.eval_at(bps, mid)
-    raise AssertionError(f"no component has the end segments {ends}")
+    lo, hi = _component_of(bps, ends)
+    mid = _fp((_frac(lo) + _frac(hi)) / 2)
+    return mid + _k.eval_at(bps, mid)
 
 
 def _conjugator_bps(f, g, eta):

@@ -8,6 +8,7 @@ diag_dist example whose per-level differences peak at t = 1/4 and 3/4.
 import json
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,14 @@ class TestPrimeSequence:
     def test_diagonal_prefix(self):
         assert DIAG.prefix(7) == (2, 2, 3, 2, 3, 5, 2)
         assert DIAG.prefix(10) == (2, 2, 3, 2, 3, 5, 2, 3, 5, 7)
+        # the triangle of the primes below 60, read in uneven steps, so the
+        # terms kept and those yielded later join
+        primes = [p for p in range(2, 60) if all(p % k for k in range(2, p))]
+        want = [p for r in range(1, len(primes) + 1) for p in primes[:r]]
+        P = PrimeSequence("diagonal")
+        assert P.prime(3) == want[2]
+        assert P.prefix(40) == tuple(want[:40])
+        assert P.product(41, len(want)) == prod(want[40:])
 
     def test_all2(self):
         assert ALL2.prefix(5) == (2, 2, 2, 2, 2)
@@ -56,8 +65,12 @@ class TestPrimeSequence:
     def test_explicit(self):
         P = PrimeSequence([2, 3, 5])
         assert P.prime(2) == 3
-        with pytest.raises(ValueError):
+        assert P.prefix(3) == (2, 3, 5)
+        with pytest.raises(ValueError, match="schedule has only 3 terms, needs 4"):
             P.prime(4)
+        with pytest.raises(ValueError, match="needs 6"):
+            P.prefix(6)
+        assert P.prefix(3) == (2, 3, 5)
 
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
@@ -126,6 +139,24 @@ class TestPoints:
             extend_point(2, 1, ALL2)
         with pytest.raises(ValueError):
             extend_point(F(1, 2), -1, ALL2)
+
+    def test_validate_point_reads_the_schedule_once(self, monkeypatch):
+        P = PrimeSequence("diagonal")
+        x = extend_point(F(1, 3), 60, P)
+        prefixes = []
+        real = P.prefix
+
+        def once(n):
+            prefixes.append(n)
+            return real(n)
+
+        def refused(i):
+            raise AssertionError("validate_point must not read p_i one by one")
+
+        monkeypatch.setattr(P, "prefix", once)
+        monkeypatch.setattr(P, "prime", refused)
+        validate_point(x, P)
+        assert prefixes == [60]
 
     def test_extend_refuses_past_the_limit(self, monkeypatch):
         # a level-n stalk has n + 1 coordinates, held to the breakpoint limit

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaster_lab import PLHomeo, _kernel_py, compose, identity, reflect
+from knaster_lab import PLHomeo, _kernel_py, compose, identity, reflect, sup_dist
+from knaster_lab.conjugator import approx_conjugator
 from knaster_lab.randgen import (
     derive_rng,
     rand_homeo,
@@ -36,6 +37,14 @@ PLATEAU = PLHomeo(
 )
 # isolated interior crossing at x = 1/3
 CROSSER = PLHomeo([(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)), (1, 1)])
+# signature +- both: the first fixes all of [1/3, 2/3], the second only 1/2
+MIDDLE_INTERVAL = PLHomeo(
+    [(0, 0), (F(1, 6), F(1, 4)), (F(1, 3), F(1, 3)), (F(2, 3), F(2, 3)),
+     (F(5, 6), F(3, 4)), (1, 1)]
+)
+MIDDLE_POINT = PLHomeo(
+    [(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)]
+)
 
 
 def homeos(max_interior=6):
@@ -145,6 +154,33 @@ def test_decide_conjugate():
         flipped = [-s for s in signs]
         if flipped != signs:
             assert not decide_conjugate(f, rand_signature_homeo(rng, flipped))
+
+
+def test_equal_signatures_over_unlike_fixed_sets_are_not_conjugate():
+    # a conjugator maps Fix(f) onto Fix(g), and no homeomorphism maps an
+    # interval onto a point; synthesis needs only the signs, so it still
+    # certifies the pair both ways
+    for f, g in ((MIDDLE_INTERVAL, MIDDLE_POINT),
+                 (reflect(MIDDLE_INTERVAL), reflect(MIDDLE_POINT))):
+        assert signature(f) == signature(g)
+        assert not decide_conjugate(f, g)
+        assert not decide_conjugate(g, f)
+        for a, b in ((f, g), (g, f)):
+            h = approx_conjugator(a, b, F(1, 1000))
+            assert sup_dist(compose(compose(h.invert(), a), h), b) < F(1, 1000)
+
+
+def test_conjugates_of_random_maps_stay_conjugate():
+    rng = derive_rng("decide-conjugates")
+    with_interval = 0
+    for _ in range(100):
+        h, phi = rand_homeo(rng), rand_homeo(rng)
+        c = compose(compose(phi.invert(), h), phi)
+        assert decide_conjugate(h, c)
+        assert decide_conjugate(c, h)
+        with_interval += any(a != b for a, b in fixed_intervals(h))
+    # the draws include maps with fixed intervals, not only isolated points
+    assert with_interval > 10
 
 
 def test_rejects_open_maps():

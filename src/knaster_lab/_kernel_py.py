@@ -17,9 +17,9 @@ layer enforces this once at construction.
 require canonical input: no interior breakpoint collinear with its
 neighbours. They test collinearity only where a kink can vanish (restrict
 nowhere), so a collinear point in the input would survive into the output.
-Typed maps are canonical, and so are the lists that compose, concat,
-restrict and pl_sub return, and the affine_image of a canonical list
-under a map with sy != 0.
+Typed maps are canonical, and so are the lists that compose, concat and
+restrict return, and the affine_image of a canonical list under a map
+with sy != 0.
 
 One walk of f∘g serves two functions, and through them every exact sup
 of a difference of maps. ``_walk(f, g)`` yields g's breakpoints and the
@@ -430,18 +430,6 @@ def fixed_structure(bps):
     if run is not None:
         intervals.append((run, end))
     return intervals, signs
-
-
-def pl_sub(f, g):
-    """Breakpoints of f - g on the common domain."""
-    xs = merged_xs(f, g)
-    fv = eval_sorted(f, xs)
-    gv = eval_sorted(g, xs)
-    out = []
-    for k in range(len(xs)):
-        d = rsub(fv[k], gv[k])
-        out.append((xs[k][0], xs[k][1], d[0], d[1]))
-    return canonical(out)
 
 
 def restrict(bps, a, b):

@@ -514,21 +514,30 @@ def _tail_weights(M, N, P):
     return _k.rnorm(num, 2 * D), _k.rnorm(3 * p2 * num + 8, 6 * D * p2)
 
 
-def _support(D):
-    """The closed intervals between the maximal zero segments of D, in order.
+def _support(A, B):
+    """The closed intervals where A - B is not identically 0, in order.
 
-    D is a canonical breakpoint list, so a maximal zero segment is one
-    segment with both ends at 0, and the intervals are nondegenerate.
+    A and B are compared at their merged breakpoints. Both are affine in
+    between, so a merged segment is a zero segment of A - B exactly when
+    its two ends agree; the values are in lowest terms, so tuple equality
+    is rational equality. The intervals lie between the maximal runs of
+    zero segments, so a lone agreeing point (a crossing) splits none.
     """
+    xs = _k.merged_xs(A, B)
     out = []
-    a = D[0][:2]
-    for p, q in zip(D, D[1:]):
-        if p[2] == 0 == q[2]:
-            if p[:2] != a:
-                out.append((a, p[:2]))
-            a = q[:2]
-    if a != D[-1][:2]:
-        out.append((a, D[-1][:2]))
+    a = xs[0]
+    last = None  # the previous merged point, when A and B agree there
+    for x, u, v in zip(xs, _k.eval_sorted(A, xs), _k.eval_sorted(B, xs)):
+        if u != v:
+            last = None
+            continue
+        if last is not None:  # [last, x] is a zero segment
+            if last != a:
+                out.append((a, last))
+            a = x
+        last = x
+    if a != xs[-1]:
+        out.append((a, xs[-1]))
     return out
 
 
@@ -597,14 +606,19 @@ def diag_dist(F, G, N, P):
     composed tent T, so wherever A(s) = B(s) every level vanishes and s
     scores 0. So D_M's maximal zero segments are skipped, and the
     intervals between them are each folded and scored on restrictions
-    of A and B, left to right. An interval's candidates are exactly the
-    full fold's inside it (a kink is local, and its ends are
-    breakpoints of D_M), and every point skipped scores 0. D_m(0) = 0 at
-    every level, since homeomorphisms and tents fix 0, so the full
-    fold's leftmost witness is 0 until some point scores above 0:
-    starting from 0 at 0 and letting only a strictly larger score move
-    the witness gives the same lower, upper and witness, bit for bit.
-    Equal maps fold nothing.
+    of A and B, left to right. The intervals are found without building
+    D_M: A and B are compared at their merged breakpoints (_support).
+    Both are affine between consecutive merged points, so D_M vanishes
+    on a merged segment exactly when it vanishes at both ends, and a
+    lone agreeing point (a crossing) splits nothing; the intervals are
+    those between the canonical D_M's zero segments, exactly. An
+    interval's candidates are exactly the full fold's inside it (a kink
+    is local, and its ends are breakpoints of D_M), and every point
+    skipped scores 0. D_m(0) = 0 at every level, since homeomorphisms
+    and tents fix 0, so the full fold's leftmost witness is 0 until some
+    point scores above 0: starting from 0 at 0 and letting only a
+    strictly larger score move the witness gives the same lower, upper
+    and witness, bit for bit. Equal maps fold nothing.
 
     Untruncated, the level-M weight is C(M, inf), whose terms past N
     shrink by 1/p_{i+1}^2 <= 1/4; so C(M, inf) <= C(M, N) + r_N with
@@ -623,12 +637,11 @@ def diag_dist(F, G, N, P):
     M = max(F.base_coord, G.base_coord)
     check_fold_size(M, P)
     A, B = (lift(H, M, P).inducer._kbps for H in (F, G))
-    DM = _k.pl_sub(A, B)
     weights = _tail_weights(M, N, P)
 
     # D_m(0) = 0 at every level, and every skipped point scores 0
     lower = upper = wit = (0, 1)
-    for left, right in _support(DM):
+    for left, right in _support(A, B):
         fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
         xs = _candidates(fa, fb, M, P)
         for x, a, b in zip(xs, _k.eval_sorted(fa, xs), _k.eval_sorted(fb, xs)):

@@ -15,6 +15,8 @@ from knaster_lab import _kernel_py as _k
 from knaster_lab.knaster import CertifiedDistance, TruncatedKnasterPoint
 from knaster_lab.tents import oplus_power, tent
 
+from difference import pl_sub
+
 
 def fraction_tent_value(d, x):
     """tent(d)(x) as a Fraction: lap floor(d*x), even laps rise from 0."""
@@ -111,7 +113,7 @@ def fraction_diag_dist(F, G, N, P):
     levels = []
     m = M
     while True:
-        levels.append((m, _k.pl_sub(A, B)))
+        levels.append((m, pl_sub(A, B)))
         if m == 0:
             break
         t = tent(P.prime(m))._kbps

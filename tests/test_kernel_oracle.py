@@ -45,6 +45,7 @@ from knaster_lab.experiments import VERIFY_SUITES, ExperimentConfig, run_verify_
 from knaster_lab.plmap import OpenPLMap, PLHomeo, PLMap, compose, reflect, sup_dist
 from knaster_lab.tents import oplus_power, tent
 
+from difference import pl_sub
 from test_conjugator_frozen import ETAS, PAIRS
 
 F = Fraction
@@ -574,9 +575,9 @@ def test_sup_diff_matches_oracle(f, g):
 @given(any_maps, any_maps, any_maps)
 def test_sup_diff_of_differences(f, g, h):
     # pl_sub lists leave [0, 1] and change sign, as conjugator errors do
-    d = _k.pl_sub(f._kbps, g._kbps)
+    d = pl_sub(f._kbps, g._kbps)
     check_sup_diff(d, h._kbps)
-    check_sup_diff(d, _k.pl_sub(h._kbps, f._kbps))
+    check_sup_diff(d, pl_sub(h._kbps, f._kbps))
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knaster_lab.knaster import (
@@ -27,9 +27,11 @@ from knaster_lab.knaster import (
     validate_point,
 )
 from knaster_lab.plmap import PLHomeo, compose, identity
-from knaster_lab.randgen import derive_rng, rand_homeo
+from knaster_lab.randgen import derive_rng, rand_homeo, rand_nudge
 import knaster_lab.tents as tents
 from knaster_lab.tents import oplus_power, tent, tent_value
+
+from difference import oracle_support
 
 F = Fraction
 
@@ -367,6 +369,90 @@ class TestDiagDist:
             diag_dist(
                 DiagonalHomeo(2, G_BUMP), DiagonalHomeo(0, G_BUMP), 1, ALL2
             )
+
+
+# the deepest common coordinate per schedule: p_1...p_M' is 72 and 128
+INVARIANCE_TOP = {"diagonal": 5, "all2": 7}
+
+
+def _invariance_triple(rng, P, M, split):
+    """Inducers f, g, h at coordinate M, each drawn at a base up to M.
+
+    g is drawn on its own, or is f nudged inside one segment, so that
+    the two agree off that segment.
+    """
+
+    def level_m():
+        g = rand_homeo(rng, max_interior=2, den=16)
+        return lift(DiagonalHomeo(rng.randint(0, M), g), M, P).inducer
+
+    f, h = level_m(), level_m()
+    g = rand_nudge(rng, f, F(1))[0] if split else level_m()
+    return f, g, h
+
+
+@st.composite
+def invariance_cases(draw):
+    name = draw(st.sampled_from(sorted(INVARIANCE_TOP)))
+    P = PrimeSequence(name)
+    M = draw(st.integers(1, INVARIANCE_TOP[name]))
+    split = draw(st.booleans())
+    rng = derive_rng("tower-right-invariance", draw(st.integers(0, 10**6)))
+    return (P, M, *_invariance_triple(rng, P, M, split), split)
+
+
+class TestRightInvariance:
+    """diag_dist(F, G) = diag_dist(F∘H, G∘H) = diag_dist(F∘G⁻¹, Id).
+
+    H permutes the stalks the sup runs over, so it moves the witness but
+    not the bounds. The lift is a homomorphism (⊕ of a composite is the
+    composite of the ⊕s), so the diagonal maps compose as their inducers
+    at a common coordinate M'. Both sides run diag_dist, so the law checks
+    the candidate set at depths the fraction oracle cannot reach.
+    """
+
+    @staticmethod
+    def _drawn_as_meant(f, g, split):
+        # a nudge agrees off one segment of f, when f has two; a drawn pair
+        # is kept when it agrees on no segment, so its support is [0, 1]
+        support = oracle_support(f._kbps, g._kbps)
+        whole = [((0, 1), (1, 1))]
+        if split:
+            return len(f._kbps) > 2 and len(support) == 1 and support != whole
+        return support == whole
+
+    @staticmethod
+    def _check(P, M, f, g, h):
+        pairs = [
+            (f, g),
+            (compose(f, h), compose(g, h)),
+            (compose(f, g.invert()), identity()),
+        ]
+        for N in range(M, M + 3):
+            bounds = {
+                (d.lower, d.upper)
+                for d in (diag_dist(DiagonalHomeo(M, a), DiagonalHomeo(M, b), N, P)
+                          for a, b in pairs)
+            }
+            assert len(bounds) == 1, (N, bounds)
+
+    @given(invariance_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_are_right_invariant(self, case):
+        P, M, f, g, h, split = case
+        assume(self._drawn_as_meant(f, g, split))
+        self._check(P, M, f, g, h)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_TOP))
+    @pytest.mark.parametrize("split", [False, True])
+    def test_bounds_are_right_invariant_at_the_deepest_coordinate(self, name, split):
+        P, M = PrimeSequence(name), INVARIANCE_TOP[name]
+        rng = derive_rng("tower-right-invariance-deep", name, split)
+        triples = (_invariance_triple(rng, P, M, split) for _ in range(20))
+        kept = [t for t in triples if self._drawn_as_meant(t[0], t[1], split)][:5]
+        assert len(kept) == 5
+        for f, g, h in kept:
+            self._check(P, M, f, g, h)
 
 
 class TestSemiconjugacyDownTower:

@@ -19,13 +19,15 @@ from knaster_lab.randgen import derive_rng, rand_homeo, rand_signature_homeo
 from knaster_lab.signatures import fixed_intervals, signature
 from knaster_lab.tents import oplus_power
 
+from difference import pl_sub
+
 F = Fraction
 _ID = [(0, 1, 0, 1), (1, 1, 1, 1)]
 
 
 def oracle_fixed_intervals(h):
     """Maximal closed intervals of fixed points, from the breakpoints of h - id."""
-    diff = _k.pl_sub(h._kbps, _ID)
+    diff = pl_sub(h._kbps, _ID)
     out = []
     cur_left = None
     prev_zero_x = None

@@ -32,6 +32,11 @@ of the degree p_1...p_M tent. Its oracle is the chain it replaced, one
 tent per level, and the two must return the same candidates element for
 element.
 
+_support finds where two level-M lists differ by comparing them at
+their merged breakpoints. Its oracle is the route it replaced, the
+intervals between the zero segments of the difference list
+(tests/difference.py), and the two must return the same intervals.
+
 A stalk's JSON loader parses each literal straight to a pair in lowest
 terms. Its oracle is the Fraction path it replaced: the same points, or
 the same refusal with the same message.
@@ -67,6 +72,7 @@ from knaster_lab.randgen import derive_rng, perturb_homeo, rand_homeo, rand_nudg
 import knaster_lab.tents as tents
 from knaster_lab.tents import MAX_BREAKPOINTS, block_sum, check_size, oplus_power, tent, tent_value
 
+from difference import oracle_support, pl_sub
 from fraction_tower import (
     fraction_diag_dist,
     fraction_eval_diagonal,
@@ -103,7 +109,7 @@ def oracle_diag_dist(F_, G, N, P):
     levels = []
     m = N
     while True:
-        levels.append((m, _k.pl_sub(A, B)))
+        levels.append((m, pl_sub(A, B)))
         if m == 0:
             break
         t = tent(P.prime(m))._kbps
@@ -442,14 +448,56 @@ def test_candidates_hold_every_level_difference_breakpoint(case):
     # diag_dist scores only the level-0 folds' breakpoints, so those must
     # hold the breakpoints of the difference at every level of the fold
     P, M, A, B = case
-    for left, right in kn._support(_k.pl_sub(A, B)):
+    for left, right in kn._support(A, B):
         fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
         xs = set(kn._candidates(fa, fb, M, P))
         for m in range(M, -1, -1):
-            assert {p[:2] for p in _k.pl_sub(fa, fb)} <= xs, m
+            assert {p[:2] for p in pl_sub(fa, fb)} <= xs, m
             if m:
                 t = tent(P.prime(m))._kbps
                 fa, fb = _k.compose(t, fa), _k.compose(t, fb)
+
+
+def _level_m_pair(case):
+    """An agreeing case's two maps as kernel lists at their common coordinate."""
+    P, _, Fd, Gd = case
+    M = max(Fd.base_coord, Gd.base_coord)
+    return tuple(lift(H, M, P).inducer._kbps for H in (Fd, Gd))
+
+
+@given(st.one_of(fold_cases().map(lambda c: c[2:]), agreeing_cases().map(_level_m_pair)))
+@settings(max_examples=200, deadline=None)
+def test_support_matches_the_difference_list(pair):
+    A, B = pair
+    assert kn._support(A, B) == oracle_support(A, B)
+    assert kn._support(B, A) == oracle_support(B, A)
+
+
+def _kb(*points):
+    return PLHomeo([(0, 0), *((F(x), F(y)) for x, y in points), (1, 1)])._kbps
+
+
+SUPPORT_CASES = [
+    # equal maps differ nowhere
+    (_kb(("1/3", "1/2")), _kb(("1/3", "1/2")), []),
+    # the two cross at 1/2 only, a breakpoint of the first: nothing splits
+    (_kb(("1/4", "3/8"), ("1/2", "1/2"), ("3/4", "9/16")),
+     _kb(("1/4", "1/8"), ("3/4", "7/8")),
+     [((0, 1), (1, 1))]),
+    # a bump on the identity: they agree on [0, 1/4] and [3/4, 1]
+    (_kb(("1/4", "1/4"), ("1/2", "5/8"), ("3/4", "3/4")), _kb(),
+     [((1, 4), (3, 4))]),
+    # they differ on [0, 1/4] and on [1/2, 3/4], agreeing in between and after
+    (_kb(("1/8", "3/16"), ("1/4", "1/4"), ("1/2", "1/2"), ("5/8", "9/16"), ("3/4", "3/4")),
+     _kb(),
+     [((0, 1), (1, 4)), ((1, 2), (3, 4))]),
+]
+
+
+@pytest.mark.parametrize("A, B, want", SUPPORT_CASES)
+def test_support_on_fixed_pairs(A, B, want):
+    assert kn._support(A, B) == want == oracle_support(A, B)
+    assert kn._support(B, A) == want
 
 
 def oracle_candidates(A, B, M, P):
@@ -464,7 +512,7 @@ def oracle_candidates(A, B, M, P):
 def _check_candidates(A, B, M, P):
     # on the whole maps and on each support interval, as diag_dist calls it
     assert kn._candidates(A, B, M, P) == oracle_candidates(A, B, M, P)
-    for left, right in kn._support(_k.pl_sub(A, B)):
+    for left, right in kn._support(A, B):
         fa, fb = _k.restrict(A, left, right), _k.restrict(B, left, right)
         assert kn._candidates(fa, fb, M, P) == oracle_candidates(fa, fb, M, P), (left, right)
 

@@ -156,6 +156,9 @@ the value and drops the witness, which is a point y of h's range. A
 caller that needs the conjugate itself (the density experiment) takes
 _checked_conjugate instead: it builds h⁻¹ ∘ f ∘ h once and reads the
 same exact sup off it with sup_diff, so the conjugate is not walked twice.
+grid_block_conjugate post-checks only the assembled map: its blocks'
+errors, scaled by 1/d, are its error on the grid cells, so one check at
+eta refuses exactly what a check of each block at d·eta would.
 
 Arithmetic: from the fixed structure of f and g down to the final concat,
 the construction runs on kernel pairs (n, d) and builds no Fraction. The
@@ -172,7 +175,7 @@ from . import _kernel_py as _k
 from .plmap import PLHomeo, identity, reflect, sup_dist, to_json_dict
 from .randgen import derive_rng, rand_signature_homeo
 from .rational import format_rational
-from .signatures import fixed_structure, signature, signature_reflect
+from .signatures import fixed_structure, signature
 from .tents import block_sum, check_size, oplus_power, oplus_size
 
 
@@ -720,12 +723,20 @@ def approx_conjugator(f, g, eta):
 def grid_block_conjugate(f, d, h, eta):
     """Blockwise conjugator g with sup_dist(g⁻¹ ∘ ⊕ᵈ(f) ∘ g, h) < eta.
 
-    h must fix every grid point i/d; each rescaled block of h must be
-    conjugate to f (even block) or to its reflection (odd block). The
-    returned g fixes the grid, and sup_dist(g, id) equals the largest
-    block conjugator norm divided by d, exactly. Refuses (ValueError)
-    up front when d < 1 or oplus_power(f, d) would be too large to build.
+    f and h must be homeomorphisms (TypeError otherwise), and h must fix
+    every grid point i/d; each rescaled block of h must be conjugate to f
+    (even block) or to its reflection (odd block). Each block's conjugator
+    is built at d·eta by _checked_build, which refuses a block whose
+    signature differs; the block sum g is then certified once. g fixes the
+    grid, so on [i/d, (i+1)/d] g⁻¹ ∘ ⊕ᵈ(f) ∘ g - h is block i's own error
+    scaled by 1/d: the one exact post-check at eta is the largest block's
+    error over d, and refuses exactly what a post-check of each block at
+    d·eta would. sup_dist(g, id) equals the largest block conjugator norm
+    divided by d, exactly. Refuses (ValueError) up front when d < 1 or
+    oplus_power(f, d) would be too large to build.
     """
+    if not (isinstance(f, PLHomeo) and isinstance(h, PLHomeo)):
+        raise TypeError("blockwise conjugation needs increasing homeomorphisms")
     if d < 1:
         raise ValueError("degree must be a positive integer")
     check_size(oplus_size(f, d), f"oplus_power of degree {d}")
@@ -735,20 +746,14 @@ def grid_block_conjugate(f, d, h, eta):
         p = Fraction(i, d)
         if h(p) != p:
             raise GridNotFixedError(f"h moves the grid point {i}/{d}")
-    sig_f = signature(f)
     for i in range(d):
         kb = _k.restrict(h._kbps, _k.rnorm(i, d), _k.rnorm(i + 1, d))
         kb = _k.affine_image(kb, (d, 1), (-i, 1), (d, 1), (-i, 1))
         block = PLHomeo._from_kernel(kb)
-        want = sig_f if i % 2 == 0 else signature_reflect(sig_f)
-        if signature(block) != want:
-            raise SignatureMismatchError(
-                f"block {i} of h is not conjugate to the required model"
-            )
         if i % 2 == 0:
-            w = approx_conjugator(f, block, d * eta)
+            w = _checked_build(f, block, d * eta)[0]
         else:
-            w = reflect(approx_conjugator(f, reflect(block), d * eta))
+            w = reflect(_checked_build(f, reflect(block), d * eta)[0])
         blocks.append(w)
     g = block_sum(blocks)
     ident = identity()
@@ -758,11 +763,7 @@ def grid_block_conjugate(f, d, h, eta):
             f"blockwise post-check failed: sup_dist(g, id) = {norm} is not "
             f"the largest block norm over {d}"
         )
-    achieved = _conjugacy_gap(oplus_power(f, d)._kbps, g._kbps, h._kbps)
-    if achieved >= eta:
-        raise ConjugatorError(
-            f"blockwise post-check failed: achieved {achieved}, needed < {eta}"
-        )
+    _refuse_miss(_conjugacy_gap(oplus_power(f, d)._kbps, g._kbps, h._kbps), eta)
     return g
 
 

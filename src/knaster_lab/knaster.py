@@ -138,11 +138,15 @@ class PrimeSequence:
 
     def prefix(self, n):
         """(p_1, ..., p_n)."""
+        if n < 0:
+            raise ValueError("a prefix has at least 0 terms")
         self._extend(n)
         return tuple(self._terms[:n])
 
     def product(self, i, j):
         """p_i * ... * p_j, empty (= 1) when j < i."""
+        if i < 1:
+            raise ValueError("prime indices start at 1")
         if j < i:
             return 1
         self._extend(j)

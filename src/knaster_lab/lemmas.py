@@ -37,7 +37,7 @@ from .knaster import (
     knaster_dist,
     lift,
 )
-from .plmap import sup_dist, sup_dist_witness, to_json_dict
+from .plmap import sup_dist, to_json_dict
 from .rational import format_rational
 from .tents import tent, tent_value
 
@@ -223,10 +223,12 @@ def comod_lower_bound_check(p_prime, n, g_phi, j, delta, P):
     is compared through its lift. Requires j >= 2, delta below both 1/4
     and 1/p_j, and sup_dist(p_prime, lift) >= delta/(p_{j+1}...p_n).
 
-    With n = j the sup witness itself separates coordinate j. With
-    n > j, tent_witness supplies a point whose images separate at
-    coordinate j (case 1), or at coordinate j-1 after the degree-p_j
-    tent doubles a boundary-pinned half gap (case 2).
+    tent_witness, at d = p_{j+1}...p_n, checks the sup gap and supplies a
+    point whose images separate at coordinate j (case 1), or at
+    coordinate j-1 after the degree-p_j tent doubles a boundary-pinned
+    half gap (case 2). With n = j the tent route runs at d = 1, where
+    T_1 is the identity: it always takes case 1, and its witness is the
+    leftmost point of the sup gap itself, which the route names "direct".
     """
     delta = Fraction(delta)
     if j < 2:
@@ -237,21 +239,11 @@ def comod_lower_bound_check(p_prime, n, g_phi, j, delta, P):
     if not 0 < delta < min(Fraction(1, 4), Fraction(1, pj)):
         raise ValueError("delta must lie in (0, min(1/4, 1/p_j))")
     lifted = lift(DiagonalHomeo(j, g_phi), n, P).inducer
-    d = P.product(j + 1, n)
-    if sup_dist(p_prime, lifted) < delta / d:
-        raise ValueError("pair is closer than delta/(p_{j+1}...p_n)")
+    w = tent_witness(p_prime, lifted, P.product(j + 1, n), delta)
+    route = "direct" if n == j else f"tent-case-{w.case}"
+    coord_used = j if w.case == 1 else j - 1
 
-    if n == j:
-        _, x_top = sup_dist_witness(p_prime, lifted)
-        route = "direct"
-        coord_used = j
-    else:
-        w = tent_witness(p_prime, lifted, d, delta)
-        x_top = w.x
-        route = f"tent-case-{w.case}"
-        coord_used = j if w.case == 1 else j - 1
-
-    x = extend_point(x_top, n, P)
+    x = extend_point(w.x, n, P)
     ya = eval_diagonal(DiagonalHomeo(n, p_prime), x, P)
     yb = eval_diagonal(DiagonalHomeo(n, lifted), x, P)
     dist = knaster_dist(ya, yb, P)

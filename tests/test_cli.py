@@ -174,8 +174,8 @@ def test_conj_synthesize_reports_conjugator_size(maps, tmp_path):
 
 def test_conj_blockwise_against_a_conjugate_is_not_the_identity(maps, tmp_path):
     # the target's blocks are c = φ⁻¹∘bump∘φ, built from files as the CI
-    # step builds them, so no block takes approx_conjugator's f == g
-    # shortcut and the blockwise conjugator moves points
+    # step builds them, so no block takes the synthesis's f == g shortcut
+    # and the blockwise conjugator moves points
     d = maps["dir"]
     phi = write_map(d / "phi.json", [("0", "0"), ("1/3", "1/2"), ("1", "1")])
     steps = [
@@ -193,6 +193,20 @@ def test_conj_blockwise_against_a_conjugate_is_not_the_identity(maps, tmp_path):
     assert c != [["0", "0"], ["1/2", "3/4"], ["1", "1"]]
     # the identity has two breakpoints
     assert len(json.loads((d / "blockwise.json").read_text())["breakpoints"]) > 2
+
+
+def test_conj_blockwise_refuses_a_target_that_is_not_a_homeomorphism(maps, tmp_path, capsys):
+    # a general PL map that fixes 0, 1/2 and 1 but falls on [1/8, 1/4]:
+    # a wrong map kind, so a usage error, and nothing is written
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"kind": "plmap", "breakpoints": [
+        ["0", "0"], ["1/8", "3/8"], ["1/4", "5/16"], ["3/8", "7/16"],
+        ["1/2", "1/2"], ["3/4", "5/8"], ["1", "1"]]}))
+    out = tmp_path / "blockwise.json"
+    assert main(["conj", "blockwise", "-f", maps["bump"], "-d", "2",
+                 "--target", str(target), "-o", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d", ["0", "-2"])

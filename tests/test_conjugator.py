@@ -8,7 +8,7 @@ import pytest
 
 import knaster_lab._kernel_py as _k
 import knaster_lab.conjugator as conjugator
-from knaster_lab import PLHomeo, compose, identity, reflect, sup_dist, to_json_dict
+from knaster_lab import PLHomeo, PLMap, compose, identity, reflect, sup_dist, to_json_dict
 from knaster_lab.conjugator import (
     ConjugatorError,
     FixedStructureError,
@@ -327,11 +327,38 @@ def test_blockwise_distance_postcheck_raises(monkeypatch):
     # not conjugate oplus_power(BUMP, 2) to within 1/100 of this target:
     # the blocks' bumps differ by 1/8 at 1/2, so by 1/16 after rescaling
     monkeypatch.setattr(
-        conjugator, "approx_conjugator", lambda f, g, eta: identity()
+        conjugator, "_checked_build", lambda f, g, eta: (identity(), 0)
     )
     h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
     with pytest.raises(ConjugatorError, match="achieved 1/16, needed < 1/100"):
         grid_block_conjugate(BUMP, 2, h, F(1, 100))
+
+
+def test_blockwise_miss_in_one_block_is_refused_at_eta(monkeypatch):
+    # block 0 is built for real, block 1 is the identity: the assembled
+    # map's one post-check sees block 1's gap of 1/8 as 1/16 at eta
+    real = conjugator._checked_build
+    calls = []
+
+    def build(f, g, eta):
+        calls.append(eta)
+        return real(f, g, eta) if len(calls) == 1 else (identity(), 0)
+
+    monkeypatch.setattr(conjugator, "_checked_build", build)
+    h = oplus_power(PLHomeo([(0, 0), (F(1, 2), F(5, 8)), (1, 1)]), 2)
+    with pytest.raises(ConjugatorError, match="achieved 1/16, needed < 1/100"):
+        grid_block_conjugate(BUMP, 2, h, F(1, 100))
+    assert calls == [F(1, 50), F(1, 50)]
+
+
+def test_blockwise_refuses_a_target_that_is_not_a_homeomorphism():
+    # fixes the grid 0, 1/2, 1, but falls from 3/8 to 5/16 on [1/8, 1/4]
+    h = PLMap([(0, 0), (F(1, 8), F(3, 8)), (F(1, 4), F(5, 16)),
+               (F(3, 8), F(7, 16)), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)])
+    with pytest.raises(TypeError, match="homeomorphisms"):
+        grid_block_conjugate(BUMP, 2, h, F(1, 50))
+    with pytest.raises(TypeError, match="homeomorphisms"):
+        grid_block_conjugate(PLMap(BUMP.breakpoints), 2, oplus_power(BUMP, 2), F(1, 50))
 
 
 def test_pseudo_generic_signature_postcheck_raises(monkeypatch):

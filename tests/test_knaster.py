@@ -92,6 +92,20 @@ class TestPrimeSequence:
         for i in range(1, 12):
             assert DIAG.weight(i) <= F(1, 2**i)
 
+    def test_indices_below_one_are_refused(self):
+        # as prime() does: no product starts before p_1 and no prefix is
+        # shorter than empty, whatever terms were already read
+        for P in (PrimeSequence("diagonal"), PrimeSequence([2, 3, 5])):
+            for read in (0, 3):
+                P.prefix(read)
+                for i in (0, -1):
+                    with pytest.raises(ValueError, match="start at 1"):
+                        P.product(i, 3)
+                with pytest.raises(ValueError, match="at least 0 terms"):
+                    P.prefix(-1)
+            assert P.prefix(0) == ()
+            assert P.product(1, 0) == 1
+
     def test_tail_bound(self):
         # all-2 tail past N=1 is exactly 1/4 + 1/8 + ... = 1/2
         assert ALL2.tail_bound(1) == F(1, 2)

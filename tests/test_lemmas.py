@@ -494,6 +494,8 @@ def test_comod_seeded_sweep(P):
         assert cert.achieved >= cert.bound
         if n == j:
             assert cert.route == "direct"
+            # the tent route at d = 1 finds the sup witness it replaced
+            assert cert.witness.coords[n] == sup_dist_witness(p_prime, lifted)[1]
 
 
 # ------------------------------------------------------- perturbation tools

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import PLHomeo, _kernel_py, compose, identity, reflect, sup_dist
-from knaster_lab.conjugator import approx_conjugator
+from knaster_lab.conjugator import SignatureMismatchError, approx_conjugator
 from knaster_lab.randgen import (
     derive_rng,
     rand_homeo,
@@ -181,6 +181,47 @@ def test_conjugates_of_random_maps_stay_conjugate():
         with_interval += any(a != b for a, b in fixed_intervals(h))
     # the draws include maps with fixed intervals, not only isolated points
     assert with_interval > 10
+
+
+def _with_fixed_interval(rng):
+    """The next rand_homeo draw that fixes a nondegenerate interval, not all of [0, 1]."""
+    while True:
+        h = rand_homeo(rng)
+        if signature(h) and any(a != b for a, b in fixed_intervals(h)):
+            return h
+
+
+def _kinds(h):
+    return [a == b for a, b in fixed_intervals(h)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["conjugate", "signs", "independent"]))
+def test_decide_and_synthesis_over_fixed_intervals(seed, partner):
+    # f fixes a nondegenerate interval; g is a conjugate of f (same kinds
+    # and signs), a map with f's signs over isolated fixed points (the
+    # kinds differ), or an independent draw
+    eta = F(1, 50)
+    rng = derive_rng("decide-intervals", seed)
+    f = _with_fixed_interval(rng)
+    if partner == "conjugate":
+        phi = rand_homeo(rng)
+        g = compose(compose(phi.invert(), f), phi)
+    elif partner == "signs":
+        g = rand_signature_homeo(rng, signature(f))
+    else:
+        g = rand_homeo(rng)
+    same_signs = signature(f) == signature(g)
+    verdict = decide_conjugate(f, g)
+    assert verdict == (same_signs and _kinds(f) == _kinds(g))
+    try:
+        h = approx_conjugator(f, g, eta)
+    except SignatureMismatchError:
+        certified = False
+    else:
+        certified = sup_dist(compose(compose(h.invert(), f), h), g) < eta
+    assert certified == same_signs
+    assert certified or not verdict
 
 
 def test_rejects_open_maps():

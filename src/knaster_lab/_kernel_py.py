@@ -483,23 +483,6 @@ def segment_affine(bps, k):
     return slope, offset
 
 
-def segment_of(bps, lo, hi):
-    """Index i of the segment bps[i]..bps[i + 1] that holds [lo, hi], or None.
-
-    lo <= hi must lie in the domain. The range may start or end on a
-    breakpoint; a single point on an interior breakpoint gets the segment
-    to its right, and the last breakpoint gets the last segment. None when
-    an interior breakpoint lies strictly between lo and hi.
-    """
-    i = _locate(bps, lo)
-    if i == len(bps) - 1:
-        i -= 1
-    q = bps[i + 1]
-    if hi[0] * q[1] <= q[0] * hi[1]:
-        return i
-    return None
-
-
 def concat(pieces):
     """Glue canonical PL pieces left to right; adjacent endpoints must coincide.
 

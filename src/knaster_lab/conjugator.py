@@ -48,28 +48,27 @@ breakpoint q0 of g and is sent to an interior breakpoint p0 of f. On cell
 k the conjugator is f^k ∘ h0 ∘ g^-k, so a breakpoint of g or f adds a kink
 to every cell its orbit passes through, and one inside h0's own cell adds
 a kink to every cell on both sides. Anchored so, the orbits of q0 and p0
-are cell ends and add none, and fewer orbit pieces straddle a breakpoint.
+are cell ends and add none.
 The cap error accounting above never uses where the anchor sits.
 
 Affine tail: each orbit piece is the graph of the previous one under
-(x, y) ↦ (g(x), f(y)), or (g⁻¹(x), f⁻¹(y)) backward. Near a component end
-the cells shrink, so most pieces lie inside one segment of g and take
-values inside one segment of f; there the step is one affine image of the
-previous piece, with both slopes positive. An invertible affine map keeps
+(x, y) ↦ (g(x), f(y)), or (g⁻¹(x), f⁻¹(y)) backward. A step restricts
+g⁻¹ (g backward) to the new cell and composes twice, until a piece lies
+in the segment of g (g⁻¹ backward) that touches the component end it
+moves toward and its values lie in the segment of f (f⁻¹) touching the
+matching end. _orbit tests that against those two segments' x ranges,
+which it knows, so no step searches for a segment. From then on every
+step is the same affine map, with both slopes positive. The piece never
+leaves the end segment: f and g have the same sign on matched
+components, so each of the two maps moves every interior point of its
+component strictly toward the end the orbit approaches, and never past
+it, since it is increasing and fixes that end. A piece between the
+segment's inner breakpoint and the end therefore maps to points between
+the piece and the end, inside the segment. An invertible affine map keeps
 collinear points collinear and the rest not, so the image of a canonical
 piece is canonical, and since the canonical list of a map is unique it is
-bit for bit what restricting and composing would give. Only a piece that
-straddles a breakpoint of g or f is restricted and composed.
-Once a piece lies in the segment of g (g⁻¹ backward) that touches the
-component end it moves toward, and its values lie in the segment of f
-(f⁻¹) touching the matching end, every later step is that same affine
-map. The piece never leaves the end segment: f and g have the same sign
-on matched components, so each of the two maps moves every interior point
-of its component strictly toward the end the orbit approaches, and never
-past it, since it is increasing and fixes that end. A piece between the
-segment's inner breakpoint and the end therefore maps to points between
-the piece and the end, inside the segment. From there, _affine_tail takes
-each step with no segment search, one budget step per piece as before.
+bit for bit what restricting and composing would give. _affine_tail takes
+those steps, one budget step per piece as before.
 Consecutive pieces share an endpoint: the image of a piece's back end is
 that piece's own front end, so only the other points are mapped. Past
 the seam (below) a step maps one point, the newest orbit point, and the
@@ -117,8 +116,8 @@ end segments in f and in g as it walks each map's breakpoints against its
 fixed interval ends. The anchors and both orbits read those indices, and
 g⁻¹ and f⁻¹ reuse them: each map fixes the component's ends and is
 increasing, so its inverse's segment at an end has the map's index. The
-orbits stop on g's ends. A segment's (slope, offset) is computed only
-when a step uses it.
+orbits stop on g's ends. Only those end segments have their (slope,
+offset) computed, once per tail, when a piece enters the tail.
 
 Where the fixed-gap layouts of f and g disagree (g pauses on an interval
 where f has a single fixed point) no cap can absorb the mismatch: the
@@ -318,36 +317,32 @@ def _orbit(piece, xmap, xinv, ymap, rightward, near, stop, ends, margin, budget)
     f^±1 ∘ piece ∘ g^∓1 on the new cell, stop is the component end it
     approaches in x, and ends the indices of xmap's and ymap's segments
     reaching that end and its value. Steps while the end piece[near] of
-    the last piece lies outside margin of stop, one budget step each.
-    Once a piece lies in xmap's end segment and takes values in ymap's,
-    _affine_tail takes every later step and returns the tail from its
-    seam on as one piece.
+    the last piece lies outside margin of stop, one budget step each: one
+    restrict of xinv to the new cell and two composes. Once a piece lies
+    in xmap's end segment and takes values in ymap's, _affine_tail takes
+    every later step and returns the tail from its seam on as one piece.
     """
     xend, yend = ends
+    # the end segments' x ranges: xmap's holds the cells, ymap's the values
+    x0, x1 = xmap[xend][:2], xmap[xend + 1][:2]
+    y0, y1 = ymap[yend][:2], ymap[yend + 1][:2]
     pieces = []
     while _outside(piece[near][:2], stop, margin):
         first, last = piece[0], piece[-1]
-        i = _k.segment_of(xmap, first[:2], last[:2])
-        j = None if i is None else _k.segment_of(ymap, first[2:], last[2:])
-        if j is not None:
-            xaff = _k.segment_affine(xmap, i)
-            yaff = _k.segment_affine(ymap, j)
-            if i == xend and j == yend:
-                tail = _affine_tail(
-                    piece, xaff, yaff, rightward, near, stop, margin, budget
-                )
-                return pieces + tail
+        if (_k.rcmp(x0, first[:2]) <= 0 and _k.rcmp(last[:2], x1) <= 0
+                and _k.rcmp(y0, first[2:]) <= 0 and _k.rcmp(last[2:], y1) <= 0):
+            xaff = _k.segment_affine(xmap, xend)
+            yaff = _k.segment_affine(ymap, yend)
+            tail = _affine_tail(piece, xaff, yaff, rightward, near, stop, margin, budget)
+            return pieces + tail
         budget.spend()
-        if j is not None:
-            piece = _k.affine_image(piece, *xaff, *yaff)
+        if rightward:
+            lo = last[:2]
+            hi = _k.eval_at(xmap, lo)
         else:
-            if rightward:
-                lo = last[:2]
-                hi = _k.eval_at(xmap, lo)
-            else:
-                hi = first[:2]
-                lo = _k.eval_at(xmap, hi)
-            piece = _k.compose(ymap, _k.compose(piece, _k.restrict(xinv, lo, hi)))
+            hi = first[:2]
+            lo = _k.eval_at(xmap, hi)
+        piece = _k.compose(ymap, _k.compose(piece, _k.restrict(xinv, lo, hi)))
         pieces.append(piece)
     return pieces
 
@@ -545,20 +540,30 @@ def _half_squeeze(u, v, m, theta, eta_cap, f, rising):
     return _k.canonical(pts)
 
 
-def _mid(a, b):
-    """(a + b) / 2 on kernel pairs."""
-    return _k.rnorm(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])
+def _meet(lo, hi, left, right):
+    """Where a gap [lo, hi]'s two sides meet, on kernel pairs.
+
+    The low end when there is no left neighbour, the high end when there
+    is no right one, and the midpoint otherwise.
+    """
+    if left is None:
+        return lo
+    if right is None:
+        return hi
+    return _k.rnorm(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
 
 
-def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
+def _gap_pieces(gap_g, gap_f, left, right, eta_cap, f):
     """Pieces over one fixed gap plus the anchor values at its two ends.
 
     left and right are h's breakpoints at the inner ends of the
     neighbouring components (None at 0 and 1). Returns (pieces,
     left_anchor, right_anchor): h's value at the gap's left end (where
     the previous component's cap attaches) and right end (where the next
-    component's cap starts). Everything is on kernel pairs; f is f's
-    kernel list.
+    component's cap starts). A pinch anchors both caps at the f-gap's
+    meeting point (_meet); a squeeze splits the g-gap at its meeting point
+    and adds one half-squeeze toward each neighbour. Everything is on
+    kernel pairs; f is f's kernel list.
     """
     u, v = gap_g
     fu, fv = gap_f
@@ -568,29 +573,21 @@ def _gap_pieces(j, ncomp, gap_g, gap_f, left, right, eta_cap, f):
         return [], fu, fu
     if u == v:
         # g pinches where f pauses: the neighbouring caps absorb the f-gap
-        if j == 0:
-            anchor = (0, 1)
-        elif j == ncomp:
-            anchor = (1, 1)
-        else:
-            anchor = _mid(fu, fv)
+        anchor = _meet(fu, fv, left, right)
         return [], anchor, anchor
     # g pauses where f pinches: squeeze [u, v] into a geometric window
-    m = fu
-    if j == 0:
-        theta = _k.rmul(_k.rsub(right[2:], m), (1, 2))
-        return [_half_squeeze(u, v, m, theta, eta_cap, f, False)], m, _k.radd(m, theta)
-    if j == ncomp:
+    m = low = high = fu
+    split = _meet(u, v, left, right)
+    pieces = []
+    if left is not None:
         theta = _k.rmul(_k.rsub(m, left[2:]), (1, 2))
-        return [_half_squeeze(u, v, m, theta, eta_cap, f, True)], _k.rsub(m, theta), m
-    mid = _mid(u, v)
-    th_l = _k.rmul(_k.rsub(m, left[2:]), (1, 2))
-    th_r = _k.rmul(_k.rsub(right[2:], m), (1, 2))
-    pieces = [
-        _half_squeeze(u, mid, m, th_l, eta_cap, f, True),
-        _half_squeeze(mid, v, m, th_r, eta_cap, f, False),
-    ]
-    return pieces, _k.rsub(m, th_l), _k.radd(m, th_r)
+        pieces.append(_half_squeeze(u, split, m, theta, eta_cap, f, True))
+        low = _k.rsub(m, theta)
+    if right is not None:
+        theta = _k.rmul(_k.rsub(right[2:], m), (1, 2))
+        pieces.append(_half_squeeze(split, v, m, theta, eta_cap, f, False))
+        high = _k.radd(m, theta)
+    return pieces, low, high
 
 
 def _build_conjugator(f, g, f_ivs, g_ivs, f_ends, g_ends, signs, eta_cap, budget):
@@ -613,7 +610,7 @@ def _build_conjugator(f, g, f_ivs, g_ivs, f_ends, g_ends, signs, eta_cap, budget
         left = comps[j - 1][-1][-1] if j > 0 else None
         right = comps[j][0][0] if j < ncomp else None
         pieces, left_anchor, right_anchor = _gap_pieces(
-            j, ncomp, g_ivs[j], f_ivs[j], left, right, eta_cap, f._kbps
+            g_ivs[j], f_ivs[j], left, right, eta_cap, fk
         )
         if left is not None:
             parts.append([left, g_ivs[j][0] + left_anchor])
@@ -649,10 +646,13 @@ def _conjugacy_gap(fk, hk, gk):
 def _checked_build(f, g, eta):
     """approx_conjugator's conjugator h, checked before it is built: (h, steps).
 
-    eta is a Fraction; it must be positive, both fixed structures must fit
-    their maps and the signatures must agree. steps is the orbit budget
-    the build spent.
+    f and g must be homeomorphisms (TypeError otherwise, before the f == g
+    shortcut), eta is a Fraction; it must be positive, both fixed
+    structures must fit their maps and the signatures must agree. steps is
+    the orbit budget the build spent.
     """
+    if not (isinstance(f, PLHomeo) and isinstance(g, PLHomeo)):
+        raise TypeError("conjugator synthesis needs increasing homeomorphisms")
     if eta <= 0:
         raise ValueError("eta must be positive")
     if f == g:
@@ -710,7 +710,8 @@ def _checked_conjugate(f, g, eta):
 def approx_conjugator(f, g, eta):
     """A homeomorphism h with sup_dist(h⁻¹ ∘ f ∘ h, g) < eta, exact-checked.
 
-    Requires signature(f) == signature(g). One build meets eta by the
+    f and g must be homeomorphisms (TypeError otherwise), with
+    signature(f) == signature(g). One build meets eta by the
     module's cap error accounting: caps and seams take all of eta, or
     eta/2 on a pair with a squeeze window, whose pieces are at most
     eta_cap/(k+1) wide. The exact post-check confirms it. Raises

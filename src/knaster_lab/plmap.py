@@ -118,10 +118,8 @@ class PLHomeo(PLMap):
         return PLHomeo._from_kernel(_k.invert(self._kbps))
 
     def preimage(self, y):
-        """The unique x with self(x) == y."""
-        yf = Fraction(y)
-        n, d = _k.eval_at(_k.invert(self._kbps), (yf.numerator, yf.denominator))
-        return Fraction(n, d)
+        """The unique x with self(x) == y; y outside [0,1] is a ValueError."""
+        return self.invert()(y)
 
 
 class OpenPLMap(PLMap):

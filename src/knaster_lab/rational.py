@@ -70,7 +70,8 @@ def _parse_terms(text):
 def _is_int(s):
     if s and s[0] in "+-":
         s = s[1:]
-    return s.isdigit()
+    # ASCII only: str.isdigit also takes other scripts' digits and "²"
+    return s.isascii() and s.isdigit()
 
 
 def format_rational(q):

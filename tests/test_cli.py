@@ -127,6 +127,20 @@ def test_conj_synthesize_rejects_nonconjugate(maps, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_conj_synthesize_refuses_equal_maps_that_are_not_homeomorphisms(maps, capsys):
+    # the f == g shortcut must not certify the identity for a tent: a
+    # wrong map kind is a usage error, and nothing is written
+    d = maps["dir"]
+    assert main(["tent", "build", "-d", "2", "-o", str(d / "t2.json")]) == 0
+    capsys.readouterr()
+    out = d / "cert.json"
+    rc = main(["conj", "synthesize", "-f", str(d / "t2.json"), "-g", str(d / "t2.json"),
+               "-o", str(out)])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conj_synthesize_postchecks_once(maps, tmp_path, monkeypatch):
     # the certificate reuses the distance the post-check computed, and the
     # post-check is one compose_pair_sup walk with no sup_dist of a built

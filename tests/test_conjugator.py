@@ -26,7 +26,7 @@ from knaster_lab.experiments import VERIFY_SUITES
 from knaster_lab.randgen import derive_rng, rand_homeo, rand_signature_homeo
 from knaster_lab.rational import format_rational
 from knaster_lab.signatures import signature
-from knaster_lab.tents import oplus_power
+from knaster_lab.tents import oplus_power, tent
 
 from generators import rand_sign_list
 from test_conjugator_oracle import _is_squeeze, oracle_end_segment
@@ -43,6 +43,15 @@ def check(f, g, eta):
 
 def test_identity_shortcut():
     assert approx_conjugator(BUMP, BUMP, F(1, 100)) == identity()
+
+
+def test_equal_maps_that_are_not_homeomorphisms_are_refused():
+    # the f == g shortcut comes after the type check
+    t2 = tent(2)
+    with pytest.raises(TypeError, match="increasing homeomorphisms"):
+        approx_conjugator(t2, t2, F(1, 100))
+    with pytest.raises(TypeError):
+        approx_conjugator(BUMP, PLMap(BUMP.breakpoints), F(1, 100))
 
 
 def test_signature_mismatch():
@@ -69,17 +78,18 @@ def test_two_interval_pair():
 
 def test_orbit_tail_skips_segment_search(monkeypatch):
     # near each component end the orbit stays in one end segment of g and
-    # of f, so the tail steps without searching for a segment
+    # of f, so the tail steps without restricting or searching a segment;
+    # only the steps before it restrict
     f = PLHomeo([(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)])
     g = PLHomeo([(0, 0), (F(1, 3), F(1, 2)), (F(3, 5), F(3, 5)), (F(4, 5), F(7, 10)), (1, 1)])
-    counts = {"segment_of": 0, "steps": 0, "tail_pieces": 0}
-    segment_of = conjugator._k.segment_of
+    counts = {"restrict": 0, "steps": 0, "tail_pieces": 0}
+    restrict = conjugator._k.restrict
     spend = conjugator._Budget.spend
     affine_tail = conjugator._affine_tail
 
-    def counted_segment_of(*args):
-        counts["segment_of"] += 1
-        return segment_of(*args)
+    def counted_restrict(*args):
+        counts["restrict"] += 1
+        return restrict(*args)
 
     def counted_spend(self):
         counts["steps"] += 1
@@ -90,12 +100,12 @@ def test_orbit_tail_skips_segment_search(monkeypatch):
         counts["tail_pieces"] += len(pieces)
         return pieces
 
-    monkeypatch.setattr(conjugator._k, "segment_of", counted_segment_of)
+    monkeypatch.setattr(conjugator._k, "restrict", counted_restrict)
     monkeypatch.setattr(conjugator._Budget, "spend", counted_spend)
     monkeypatch.setattr(conjugator, "_affine_tail", counted_tail)
     check(f, g, F(1, 10000))
     assert counts["tail_pieces"] > 0
-    assert counts["segment_of"] < counts["steps"]
+    assert counts["restrict"] < counts["steps"]
 
 
 def test_gap_both_nondegenerate():

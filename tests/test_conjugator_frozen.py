@@ -9,9 +9,12 @@ every build ran at eta_cap = η/2 and squeeze pieces were eta_cap/(k+3)
 wide, so both are checked with that budget patched in (old_budget).
 FROZEN_BUDGET was recorded when caps and seams took all of η on a pair
 with no squeeze window and squeeze pieces eta_cap/(k+1), and pins the
-construction as it runs. Any change that moves one breakpoint changes a
-hash, so a refactor that claims the same answers must keep all three.
-Each pair runs as given and reflected, at three tolerances.
+construction as it runs. FROZEN_GLUE pins GLUE, the one pair that
+pauses both maps on a fixed interval at 0, in the middle and at 1, under
+the same construction; PAIRS never reaches that glue. Any change that
+moves one breakpoint changes a hash, so a refactor that claims the same
+answers must keep all four. Each pair runs as given and reflected, at
+three tolerances.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from fractions import Fraction as F
 import knaster_lab.conjugator as conjugator
 from knaster_lab import PLHomeo, reflect
 from knaster_lab.conjugator import approx_conjugator
+from knaster_lab.signatures import fixed_structure
 
 from test_conjugator_oracle import seamless_affine_tail
 
@@ -96,16 +100,44 @@ RANDOM = [
     ),
 ]
 PAIRS = [REGULAR, SQUEEZE, PINCH, BOUNDARY, BOUNDARY[::-1], *RANDOM]
+# f and g both pause on [0, ·], on a middle interval and on [·, 1]
+GLUE = (
+    PLHomeo(
+        [
+            (0, 0),
+            (F(1, 8), F(1, 8)),
+            (F(1, 4), F(3, 8)),
+            (F(2, 5), F(2, 5)),
+            (F(3, 5), F(3, 5)),
+            (F(3, 4), F(13, 16)),
+            (F(7, 8), F(7, 8)),
+            (1, 1),
+        ]
+    ),
+    PLHomeo(
+        [
+            (0, 0),
+            (F(1, 16), F(1, 16)),
+            (F(1, 4), F(3, 8)),
+            (F(1, 2), F(1, 2)),
+            (F(3, 5), F(3, 5)),
+            (F(4, 5), F(7, 8)),
+            (F(15, 16), F(15, 16)),
+            (1, 1),
+        ]
+    ),
+)
 
 FROZEN = "9b57bdd9ddee8c376e17d7a42f9bfe4e743d8ec435917eab812ab68d2288b129"
 FROZEN_SEAM = "16c28388c0bcf46097df9fe280f9b3f0dc08a7086bad8a3c44d738368cfd9b2c"
 FROZEN_BUDGET = "6a3ae1a567dd74fe88d991a6b8d6e65e123cc873edad25a161d03bbde9ba4a96"
+FROZEN_GLUE = "6a11e6eceed670242bed738b63ab70494e915a51b63bc6ba69573704f178a485"
 
 
-def conjugators_digest():
+def conjugators_digest(pairs=PAIRS):
     """sha256 over every conjugator's kernel breakpoints, in hex."""
     digest = hashlib.sha256()
-    for f, g in PAIRS:
+    for f, g in pairs:
         for ff, gg in ((f, g), (reflect(f), reflect(g))):
             for eta in ETAS:
                 for p in approx_conjugator(ff, gg, eta)._kbps:
@@ -145,3 +177,33 @@ def test_seamed_conjugator_breakpoints_are_frozen(monkeypatch):
 
 def test_budgeted_conjugator_breakpoints_are_frozen():
     assert conjugators_digest() == FROZEN_BUDGET
+
+
+def test_glue_conjugator_breakpoints_are_frozen():
+    assert conjugators_digest([GLUE]) == FROZEN_GLUE
+
+
+def _glue_cells(f, g):
+    """(kind, place) of each fixed gap the glue joins, from fixed_structure.
+
+    kind says how the gap's g side and f side look: "paused" when both are
+    intervals, "points" when both are points, "pinch" when only f pauses,
+    "squeeze" when only g does. place is 0, "middle" or 1.
+    """
+    f_ivs, signs = fixed_structure(f)
+    g_ivs = fixed_structure(g)[0]
+    kinds = {(False, False): "paused", (True, True): "points",
+             (True, False): "pinch", (False, True): "squeeze"}
+    for j, ((u, v), (fu, fv)) in enumerate(zip(g_ivs, f_ivs)):
+        place = 0 if j == 0 else 1 if j == len(signs) else "middle"
+        yield kinds[u == v, fu == fv], place
+
+
+def test_frozen_pairs_reach_every_glue_cell():
+    # every kind of gap at 0, in the middle and at 1 is pinned by a digest
+    reached = set()
+    for f, g in PAIRS + [GLUE]:
+        for ff, gg in ((f, g), (reflect(f), reflect(g))):
+            reached.update(_glue_cells(ff, gg))
+    kinds = ("paused", "points", "pinch", "squeeze")
+    assert reached == {(k, place) for k in kinds for place in (0, "middle", 1)}

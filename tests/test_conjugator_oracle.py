@@ -1,11 +1,11 @@
 """The affine-tail orbit transport against the transport it replaced.
 
 conjugator._transport steps each orbit piece to the next by the map
-(x, y) ↦ (g(x), f(y)), or its inverse backward, and takes that step as one
-affine image when the piece lies in one segment of each map. The oracle
-below is the straightforward version: every step restricts g⁻¹ (or g) to
-the new cell and composes twice, and every orbit point is evaluated
-afresh. It restricts f and g to the component and inverts the
+(x, y) ↦ (g(x), f(y)), or its inverse backward, and hands the orbit to
+the affine tail once a piece lies in the end segment of each map. The
+oracle below is the straightforward version: every step restricts g⁻¹
+(or g) to the new cell and composes twice, and every orbit point is
+evaluated afresh. It restricts f and g to the component and inverts the
 restrictions itself, and takes the fundamental domain's anchor from the
 middle of its own restricted list, so the transport's whole-map index
 arithmetic is checked, not shared. Pieces and spent budget steps must be
@@ -410,14 +410,14 @@ def test_cap_one_below_the_need_raises_on_both(pair, eta):
 
 
 def test_both_branches_run(monkeypatch):
-    # most steps stay inside one segment of each map and take the affine
-    # branch; a step whose piece straddles a kink falls back to compose
+    # the steps before the tail restrict and compose; near each end the
+    # pieces enter _affine_tail, which takes every later step
     f = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
     g = PLHomeo([(0, 0), (F(1, 8), F(3, 8)), (F(5, 8), F(15, 16)), (1, 1)])
-    calls = {"affine_image": 0, "compose": 0}
+    calls = {"compose": 0, "_affine_tail": 0}
 
-    def counted(name):
-        real = getattr(_k, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def wrapped(*args):
             calls[name] += 1
@@ -430,17 +430,18 @@ def test_both_branches_run(monkeypatch):
             args = (*_maps(f, g), *comp, (1, 2000), CAP)
             want = _run(oracle_transport, *args)
             with monkeypatch.context() as m:
-                for name in calls:
-                    m.setattr(_k, name, counted(name))
+                m.setattr(_k, "compose", counted(_k, "compose"))
+                m.setattr(conjugator, "_affine_tail", counted(conjugator, "_affine_tail"))
                 got = _run(conjugator._transport, *args)
             assert got == want
-    assert calls["affine_image"] > 0 and calls["compose"] > 0
+    assert calls["compose"] > 0 and calls["_affine_tail"] > 0
 
 
 def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
     # f and g are inverted once per synthesis, whatever the component count,
-    # and a straddling orbit step is the only caller of restrict: it
-    # restricts once and composes twice, and nothing else in the build does
+    # and an orbit step before the affine tail is the only caller of
+    # restrict: it restricts once and composes twice, and nothing else in
+    # the build does
     f = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
     g = PLHomeo([(0, 0), (F(1, 8), F(3, 8)), (F(5, 8), F(15, 16)), (1, 1)])
     found = [p for p in (_draw_pair(seed, False) for seed in range(40)) if p]
@@ -469,7 +470,7 @@ def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
     for name in calls:
         monkeypatch.setattr(_k, name, counted(name))
     monkeypatch.setattr(conjugator, "_build_conjugator", build)
-    straddling = 0
+    restricted = 0
     for f, g in [(f, g), (reflect(f), reflect(g))] + multi:
         for eta in ETAS:
             for name in calls:
@@ -479,8 +480,8 @@ def test_build_inverts_once_and_restricts_only_straddling_steps(monkeypatch):
             # the post-check inverts h once more
             assert calls["invert"] == 3
             assert built["compose"] == 2 * built["restrict"]
-            straddling += built["restrict"]
-    assert straddling > 0
+            restricted += built["restrict"]
+    assert restricted > 0
 
 
 # ------------------------------------------------------------ end segments

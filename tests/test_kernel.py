@@ -170,22 +170,6 @@ def test_affine_image_matches_old_body():
         assert k.affine_image(TENT4, *args) == old_affine_image(TENT4, *args)
 
 
-def test_segment_of():
-    # TENT4 has segments [0,1/4], [1/4,1/2], [1/2,3/4], [3/4,1]
-    assert k.segment_of(TENT4, (0, 1), (1, 4)) == 0
-    assert k.segment_of(TENT4, (1, 4), (1, 2)) == 1  # both ends on breakpoints
-    assert k.segment_of(TENT4, (1, 4), (1, 4)) == 1  # a point starts a segment
-    assert k.segment_of(TENT4, (5, 8), (11, 16)) == 2
-    assert k.segment_of(TENT4, (3, 4), (1, 1)) == 3
-    assert k.segment_of(TENT4, (1, 1), (1, 1)) == 3  # the last breakpoint
-    assert k.segment_of(TENT4, (7, 8), (1, 1)) == 3
-    # ranges across an interior breakpoint lie in no one segment
-    assert k.segment_of(TENT4, (1, 8), (3, 8)) is None
-    assert k.segment_of(TENT4, (1, 4), (5, 8)) is None
-    assert k.segment_of(TENT4, (0, 1), (1, 1)) is None
-    assert k.segment_of(ID, (0, 1), (1, 1)) == 0
-
-
 def test_segment_affine_reproduces_breakpoints():
     rng = random.Random(7)
     lists = [BUMP, TENT2, TENT4, ID, [(1, 3, -2, 5), (1, 2, 7, 3), (9, 4, 7, 3)]]

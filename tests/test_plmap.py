@@ -54,6 +54,16 @@ def test_parse_format_rational():
         assert parse_rational_pair(text) == (q.numerator, q.denominator)
 
 
+@pytest.mark.parametrize("text", ["١/٢", "²", "1/²"])
+def test_parse_format_rational_refuses_non_ascii_digits(text):
+    # str.isdigit takes Arabic-Indic digits and superscripts; "²" would then
+    # fail inside int() only after the digit limit was lifted for a retry
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational_pair(text)
+
+
 def test_rational_round_trip_past_the_digit_limit():
     # 10,000 digits, past CPython's default limit of 4300 for int <-> str
     big = F(10**9999 + 7, 3)
@@ -117,6 +127,15 @@ def test_invert_frozen():
     assert inv(F(3, 4)) == F(1, 2)
     assert compose(inv, BUMP) == identity()
     assert BUMP.preimage(F(3, 8)) == F(1, 4)
+
+
+@pytest.mark.parametrize("y", [2, -1, F(-1, 3), F(4, 3)])
+def test_preimage_outside_unit_interval_is_refused(y):
+    # as PLMap.__call__ refuses x outside [0, 1]
+    with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+        identity().preimage(y)
+    with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+        BUMP.preimage(y)
 
 
 def test_sup_dist_frozen():

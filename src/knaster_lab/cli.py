@@ -5,8 +5,9 @@ conj (conjugacy invariants and synthesis), knaster (truncated-tower
 objects), verify (seeded law campaigns), experiment (density).
 
 Maps, points, and certificates travel as JSON files; bare rationals are
-"p/q" strings. Exit codes: 0 all checks passed, 1 a verification or
-synthesis failure (with a replay file for campaigns), 2 usage errors.
+"p/q" strings, and integers take ASCII digits only (rational.parse_int).
+Exit codes: 0 all checks passed, 1 a verification or synthesis failure
+(with a replay file for campaigns), 2 usage errors.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .experiments import (
     run_suite,
 )
 from .plmap import compose, degree, from_json_dict, reflect, sup_dist, to_json_dict
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 from .signatures import decide_conjugate, signature, signature_to_string
 from .tents import oplus_power, straighten, tent, verify_semiconjugacy
 
@@ -229,9 +230,9 @@ def _helped(arg, text):
 
 _F = _arg("-f", required=True)
 _G = _arg("-g", required=True)
-_D = _arg("-d", type=int, required=True)
+_D = _arg("-d", type=parse_int, required=True)
 _X = _arg("-x", required=True)
-_COORD = _arg("--coord", type=int, default=0)
+_COORD = _arg("--coord", type=parse_int, default=0)
 _ETA = _arg("--eta", default="1/100")
 _PRIMES = _arg("--primes", default="diagonal")
 _OUT = _arg("-o", "--output", help="write JSON here instead of stdout")
@@ -263,12 +264,12 @@ COMMANDS = {
     }),
     "knaster": ("truncated tower points and diagonals", {
         "point": (_cmd_knaster_point, _helped(_X, 'top coordinate as "p/q"'),
-                  _arg("-n", type=int, required=True, help="truncation level"),
+                  _arg("-n", type=parse_int, required=True, help="truncation level"),
                   _PRIMES, _OUT),
         "dist": (_cmd_knaster_dist, _X, _arg("-y", required=True), _PRIMES, _OUT),
         "lift": (_cmd_knaster_lift, _helped(_F, "diagonal (or inducer) JSON"),
                  _helped(_COORD, "coord for bare inducers"),
-                 _arg("--to", type=int, required=True), _PRIMES, _OUT),
+                 _arg("--to", type=parse_int, required=True), _PRIMES, _OUT),
         "evaldiag": (_cmd_knaster_evaldiag, _F, _helped(_X, "point JSON file"),
                      _COORD, _PRIMES, _OUT),
     }),
@@ -278,8 +279,8 @@ COMMANDS = {
 def _add_campaign(parsers, suite):
     p = parsers.add_parser(suite)
     p.set_defaults(func=_cmd_campaign, suite=suite)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=parse_int)
+    p.add_argument("--seed", type=parse_int)
     p.add_argument("--primes", help='"diagonal", "all2", or comma list like 2,3,5')
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--output", help="write the JSON report here")

@@ -9,10 +9,11 @@ into a standalone replay file plus a nonzero exit code.
 A config is checked and typed once, when it is built: a key other than
 its fields, an unknown suite, a nonpositive trial count, a param its
 suite does not declare, a badly typed value, a size param below its
-PARAM_LEAST, a rational param outside its PARAM_RANGE and a config its
-suite's SUITE_SIZE check refuses (an object past the breakpoint limit,
-an explicit schedule shorter than the terms the trials read, comod's
-delta at or above 1/p_j) all raise ValueError before the first draw.
+PARAM_LEAST, a rational param outside its PARAM_RANGE, a replay_trial
+outside 0..trials - 1 and a config its suite's SUITE_SIZE check
+refuses (an object past the breakpoint limit, an explicit schedule
+shorter than the terms the trials read, comod's delta at or above
+1/p_j) all raise ValueError before the first draw.
 SUITE_PARAMS declares each suite's params once, with their defaults,
 and the report records every param as the trials read it.
 Configs serialize to JSON with every rational as a "p/q" string; the
@@ -52,7 +53,7 @@ from .randgen import (
     rand_nudge,
     rand_signature_homeo,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 from .signatures import (
     signature,
     signature_oplus,
@@ -74,8 +75,9 @@ _TRIAL_ERRORS = (
 
 
 # A default's type is its param's type. A Fraction makes a rational ("p/q"
-# or an int), an int or None an integer (an int or its decimal string).
-# Any suite also takes an integer replay_trial.
+# or an int), an int or None an integer (an int that is no bool, or its
+# ASCII decimal string: rational.parse_int). Any suite also takes an integer
+# replay_trial, which must name one of its trials.
 SUITE_PARAMS = {
     "semiconj": {"d_max": 7, "max_breakpoints": 12},
     "oplus-scaling": {"d_max": 7},
@@ -170,7 +172,7 @@ def _typed(name, default, value):
         return Fraction(value) if rational else value
     if isinstance(value, str):
         with suppress(ValueError):
-            return parse_rational(value) if rational else int(value)
+            return parse_rational(value) if rational else parse_int(value)
     kind = "a rational" if rational else "an integer"
     raise ValueError(f"{name} takes {kind}, not {value!r}")
 
@@ -206,6 +208,9 @@ class ExperimentConfig:
         for k, least in PARAM_LEAST.items():
             if self.params.get(k) is not None and self.params[k] < least:
                 raise ValueError(f"{k} must be at least {least}, not {self.params[k]}")
+        if not 0 <= self.params.get("replay_trial", 0) < self.trials:
+            raise ValueError(f"replay_trial must name one of trials 0..{self.trials - 1}, "
+                             f"not {self.params['replay_trial']}")
         for k, (low, high) in PARAM_RANGE.items():
             v = self.params.get(k)
             if v is not None and not (low < v and (high is None or v < high)):
@@ -342,7 +347,7 @@ def _t_semiconj(cfg, rng):
                 "semiconjugacy identity failed",
                 {"d": d, "g": to_json_dict(g)},
             )
-    return {"breakpoints": len(g.breakpoints), "d_max": cfg.params["d_max"]}
+    return {"breakpoints": len(g._kbps), "d_max": cfg.params["d_max"]}
 
 
 def _t_oplus_scaling(cfg, rng):

@@ -33,13 +33,13 @@ lower and upper together: knaster_dist for the two stalks it is given,
 with the tail bound added for upper; diag_dist for the level-M stalks
 through A(s) and B(s) at each candidate s, with the collapsed tail as
 the level-M weight for lower and the high tail weight for upper. The
-Fraction boundary sits where it sits for maps (see plmap). Stalks keep
-their coordinates as kernel pairs (n, d), and extend_point,
-validate_point, eval_diagonal, the stalk sum, a stalk's JSON loader
-and diag_dist's witness and tail weights run on integers. Fractions
-appear only at the typed surface: a stalk's ``coords``, its
-constructor, the values callers pass in, and a CertifiedDistance's
-lower and upper, each built once per call.
+Fraction boundary sits where it sits for maps (see plmap). A stalk
+keeps only its coordinates' kernel pairs (n, d), and extend_point,
+validate_point, eval_diagonal, the stalk sum, a stalk's JSON loader and
+writer and diag_dist's witness and tail weights run on integers.
+Fractions appear only at the typed surface: a stalk's ``coords`` view,
+built on each read, its constructor, the values callers pass in, and a
+CertifiedDistance's lower and upper.
 """
 
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ from . import _kernel_py as _k
 from .plmap import PLHomeo
 from .plmap import from_json_dict as _map_from
 from .plmap import to_json_dict as _map_json
-from .rational import format_rational, parse_rational_pair
+from .rational import format_pair, format_rational, parse_int, parse_rational_pair
 from .tents import MAX_BREAKPOINTS, check_size, oplus_power, oplus_size, tent_fold
 
 _PRIME_NAMES = ("diagonal", "all2")
@@ -90,7 +90,7 @@ class PrimeSequence:
     def __init__(self, spec="diagonal"):
         if isinstance(spec, str) and spec not in _PRIME_NAMES:
             try:
-                spec = [int(p) for p in spec.split(",")]
+                spec = [parse_int(p) for p in spec.split(",")]
             except ValueError:
                 raise ValueError(f"unknown prime schedule {spec!r}") from None
         if isinstance(spec, str):
@@ -99,7 +99,7 @@ class PrimeSequence:
             self._terms = []
             self._more = _diagonal() if spec == "diagonal" else repeat(2)
         else:
-            primes = [int(p) for p in spec]
+            primes = [parse_int(p) for p in spec]
             if not primes:
                 raise ValueError("explicit prime schedule must be nonempty")
             for p in primes:
@@ -199,8 +199,9 @@ class PrimeSequence:
 class TruncatedKnasterPoint:
     """A coherent stalk (x_0, ..., x_N); stands for all its extensions.
 
-    The coordinates are kept as kernel pairs (n, d) in lowest terms, as
-    PLMap keeps its breakpoints; ``coords`` is their Fraction view. The
+    The coordinates are kept as kernel pairs (n, d) in lowest terms, and
+    only so, as PLMap keeps its breakpoints; ``coords`` is their Fraction
+    view, built on each read, and to_json_dict writes the pairs. The
     constructor takes any values Fraction accepts and checks each lies
     in [0, 1], and from_json_dict makes the same check on the pairs it
     parses; ``_from_kernel`` is the trusted path for the stalks this
@@ -209,27 +210,23 @@ class TruncatedKnasterPoint:
     job, and every function taking a stalk runs it.
     """
 
-    __slots__ = ("_kc", "_coords")
+    __slots__ = ("_kc",)
 
     def __init__(self, coords):
-        pts = tuple(Fraction(c) for c in coords)
+        pts = map(Fraction, coords)
         self._kc = _in_unit(tuple((c.numerator, c.denominator) for c in pts))
-        self._coords = pts
 
     @classmethod
     def _from_kernel(cls, kc):
         """Trusted constructor: kc a tuple of in-range pairs in lowest terms."""
         obj = object.__new__(cls)
         obj._kc = kc
-        obj._coords = None
         return obj
 
     @property
     def coords(self):
-        """The coordinates as a tuple of Fractions."""
-        if self._coords is None:
-            self._coords = tuple(Fraction(n, d) for n, d in self._kc)
-        return self._coords
+        """The coordinates as a tuple of Fractions, built on each read."""
+        return tuple(Fraction(n, d) for n, d in self._kc)
 
     @property
     def truncation(self):
@@ -247,11 +244,13 @@ class TruncatedKnasterPoint:
         return f"TruncatedKnasterPoint(coords={self.coords!r})"
 
     def to_json_dict(self):
-        return {"coords": [format_rational(c) for c in self.coords]}
+        return {"coords": [format_pair(n, d) for n, d in self._kc]}
 
     @classmethod
     def from_json_dict(cls, data):
         """The constructor's checks, on pairs parsed without a Fraction."""
+        if not isinstance(data, dict) or not isinstance(data.get("coords"), list):
+            raise ValueError("a point is an object whose 'coords' is a list")
         return cls._from_kernel(
             _in_unit(tuple(parse_rational_pair(c) for c in data["coords"])))
 
@@ -325,12 +324,12 @@ class CertifiedDistance:
     witness: "TruncatedKnasterPoint | None"
 
     def to_json_dict(self):
-        coords = self.witness.coords if self.witness is not None else ()
+        kc = self.witness._kc if self.witness is not None else ()
         return {
             "lower": format_rational(self.lower),
             "upper": format_rational(self.upper),
             "N": self.truncation,
-            "witness": [format_rational(c) for c in coords],
+            "witness": [format_pair(n, d) for n, d in kc],
         }
 
 
@@ -409,7 +408,7 @@ class DiagonalHomeo:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(int(data["base_coord"]), _map_from(data["inducer"]))
+        return cls(parse_int(data["base_coord"]), _map_from(data["inducer"]))
 
 
 def _check_depth(levels, what):

@@ -12,13 +12,16 @@ Three public classes:
   the image to be all of [0,1] and the map to fold through full laps.
 
 All arithmetic is exact; floats never enter. The heavy lifting happens on a
-flat integer representation in ``_kernel_py``.
+flat integer representation in ``_kernel_py``, and that list of kernel
+pairs is all a map keeps: ``breakpoints`` and ``laps()`` are Fraction
+views built on each read, and ``repr`` and the JSON writer format the
+pairs themselves.
 """
 
 from fractions import Fraction
 
 from . import _kernel_py as _k
-from .rational import format_rational, parse_rational
+from .rational import format_pair, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,7 +43,7 @@ def _to_kernel(points):
 class PLMap:
     """Continuous piecewise-linear function [0,1] -> [0,1]."""
 
-    __slots__ = ("_kbps", "_pts")
+    __slots__ = ("_kbps",)
 
     def __init__(self, points):
         kb = _to_kernel(points)
@@ -55,7 +58,6 @@ class PLMap:
             if p[2] < 0 or p[2] > p[3]:
                 raise ValueError("values must lie in [0,1]")
         self._kbps = _k.canonical(kb)
-        self._pts = None
         self._check()
 
     def _check(self):
@@ -66,17 +68,15 @@ class PLMap:
         """Trusted constructor: kbps already canonical and invariant-true."""
         obj = object.__new__(cls)
         obj._kbps = kbps
-        obj._pts = None
         return obj
 
     @property
     def breakpoints(self):
-        """Canonical breakpoints as a tuple of (x, y) Fraction pairs."""
-        if self._pts is None:
-            self._pts = tuple(
-                (Fraction(p[0], p[1]), Fraction(p[2], p[3])) for p in self._kbps
-            )
-        return self._pts
+        """Canonical breakpoints as a tuple of (x, y) Fraction pairs, built
+        on each read."""
+        return tuple(
+            (Fraction(p[0], p[1]), Fraction(p[2], p[3])) for p in self._kbps
+        )
 
     def __call__(self, x):
         xf = Fraction(x)
@@ -95,8 +95,8 @@ class PLMap:
 
     def __repr__(self):
         pts = ", ".join(
-            f"({format_rational(x)}, {format_rational(y)})"
-            for x, y in self.breakpoints
+            f"({format_pair(xn, xd)}, {format_pair(yn, yd)})"
+            for xn, xd, yn, yd in self._kbps
         )
         return f"{type(self).__name__}([{pts}])"
 
@@ -150,23 +150,27 @@ class OpenPLMap(PLMap):
     @property
     def degree(self):
         """Number of monotone laps."""
-        return len(self.laps())
+        return len(self._laps())
 
     def laps(self):
         """Maximal monotone pieces, as (left_x, right_x, rising) triples."""
+        return [(Fraction(*a), Fraction(*b), up) for a, b, up in self._laps()]
+
+    def _laps(self):
+        """laps() with each end as a kernel pair (n, d)."""
         kb = self._kbps
         out = []
-        start = Fraction(0)
+        start = (0, 1)
         prev_sign = 0
         for i in range(1, len(kb)):
             dy = kb[i][2] * kb[i - 1][3] - kb[i - 1][2] * kb[i][3]
             sign = 1 if dy > 0 else -1
             if prev_sign and sign != prev_sign:
-                turn = Fraction(kb[i - 1][0], kb[i - 1][1])
+                turn = kb[i - 1][:2]
                 out.append((start, turn, prev_sign > 0))
                 start = turn
             prev_sign = sign
-        out.append((start, Fraction(1), prev_sign > 0))
+        out.append((start, (1, 1), prev_sign > 0))
         return out
 
 
@@ -216,23 +220,26 @@ def degree(f):
     raise TypeError("degree is defined for open maps and homeomorphisms")
 
 
+# JSON kinds, most specific first: a PLHomeo is also a PLMap
+_KINDS = {"homeo": PLHomeo, "open": OpenPLMap, "plmap": PLMap}
+
+
 def to_json_dict(f):
-    kind = (
-        "homeo"
-        if isinstance(f, PLHomeo)
-        else "open" if isinstance(f, OpenPLMap) else "plmap"
-    )
+    kind = next(k for k, cls in _KINDS.items() if isinstance(f, cls))
     return {
         "kind": kind,
         "breakpoints": [
-            [format_rational(x), format_rational(y)] for x, y in f.breakpoints
+            [format_pair(xn, xd), format_pair(yn, yd)] for xn, xd, yn, yd in f._kbps
         ],
     }
 
 
 def from_json_dict(data):
-    cls = {"homeo": PLHomeo, "open": OpenPLMap, "plmap": PLMap}[
-        data.get("kind", "plmap")
-    ]
-    pts = [(parse_rational(x), parse_rational(y)) for x, y in data["breakpoints"]]
-    return cls(pts)
+    """The map of a to_json_dict object; any other shape is a ValueError."""
+    bps = data.get("breakpoints") if isinstance(data, dict) else None
+    if not isinstance(bps, list) or any(type(p) is not list or len(p) != 2 for p in bps):
+        raise ValueError("a map is an object whose 'breakpoints' is a list of [x, y]")
+    kind = data.get("kind", "plmap")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown map kind {kind!r}")
+    return _KINDS[kind]([(parse_rational(x), parse_rational(y)) for x, y in bps])

@@ -5,7 +5,9 @@ terms, positive denominator. The helpers here pin the text format used by
 the CLI and the JSON files to the strict form ``"p/q"`` (or ``"p"`` for
 integers) so serialized output round-trips exactly, at any size: CPython's
 limit on integer string conversion (4300 digits by default) is lifted for
-the one conversion that exceeds it.
+the one conversion that exceeds it. format_pair writes a kernel pair
+(n, d) in that form without building a Fraction. parse_int reads the
+integers of flags and JSON files by the same rule: ASCII digits only.
 """
 
 import sys
@@ -51,6 +53,8 @@ def parse_rational_pair(text):
 
 def _parse_terms(text):
     """The integers p and q of "p/q", or p and 1 of "p"; q is never 0."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
@@ -74,9 +78,28 @@ def _is_int(s):
     return s.isascii() and s.isdigit()
 
 
+def parse_int(value):
+    """value as an int: an int that is no bool, or an ASCII decimal literal.
+
+    A literal takes an optional sign and the whitespace around it that
+    parse_rational allows. Anything else, a float or "1_0" or another
+    script's digits, is a ValueError naming the value.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _is_int(value.strip()):
+        return _int_text(int, value.strip())
+    raise ValueError(f"not an integer: {value!r}")
+
+
+def format_pair(n, d):
+    """The text of n/d, a pair in lowest terms with d > 0: "n/d", or "n"
+    when d is 1."""
+    text = _int_text(str, n)
+    return text if d == 1 else f"{text}/{_int_text(str, d)}"
+
+
 def format_rational(q):
     """Inverse of parse_rational: "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return _int_text(str, q.numerator)
-    return f"{_int_text(str, q.numerator)}/{_int_text(str, q.denominator)}"
+    return format_pair(q.numerator, q.denominator)

@@ -147,24 +147,16 @@ def straighten(f, g):
     """
     if not isinstance(f, OpenPLMap) or not isinstance(g, OpenPLMap):
         raise TypeError("straighten expects open maps")
-    laps_f = f.laps()
-    laps_g = g.laps()
+    laps_f = f._laps()
+    laps_g = g._laps()
     if len(laps_f) != len(laps_g):
         raise ValueError("degree mismatch")
     if f(0) != g(0):
         raise ValueError("maps must start at the same endpoint value")
     pieces = []
     for (af, bf, _), (ag, bg, _) in zip(laps_f, laps_g):
-        pf = _k.restrict(
-            f._kbps,
-            (af.numerator, af.denominator),
-            (bf.numerator, bf.denominator),
-        )
-        pg = _k.restrict(
-            g._kbps,
-            (ag.numerator, ag.denominator),
-            (bg.numerator, bg.denominator),
-        )
+        pf = _k.restrict(f._kbps, af, bf)
+        pg = _k.restrict(g._kbps, ag, bg)
         pieces.append(_k.compose(_k.invert(pg), pf))
     h = PLHomeo._from_kernel(_k.concat(pieces))
     if compose(g, h) != f:

@@ -362,6 +362,13 @@ def test_campaign_flag_of_wrong_type_exits_two(capsys):
     assert main(["verify", "mod-bound", "--eps", "0.1", "--trials", "1"]) == 2
     assert main(["verify", "grid-fix", "--d-max", "x", "--trials", "1"]) == 2
     assert "param d_max takes an integer" in capsys.readouterr().err
+    # integers take ASCII digits only: no other script's digits, no "_"
+    assert main(["verify", "mod-bound", "--n-max", "٣", "--trials", "1"]) == 2
+    assert main(["verify", "mod-bound", "--n-max", "1_0", "--trials", "1"]) == 2
+    assert main(["verify", "tent-witness", "--d", "٣", "--trials", "1"]) == 2
+    assert "takes an integer" in capsys.readouterr().err
+    assert main(["verify", "mod-bound", "--primes", "٢,٣,٥,٧", "--trials", "1"]) == 2
+    assert "unknown prime schedule" in capsys.readouterr().err
 
 
 def test_report_records_resolved_params(tmp_path, capsys):
@@ -520,6 +527,108 @@ def test_campaign_rejects_nonpositive_trials(tmp_path, capsys):
     cfg.write_text(json.dumps({"suite": "grid-fix", "trials": 3}))
     assert main(["verify", "grid-fix", "--config", str(cfg), "--trials", "-1"]) == 2
     assert main(["experiment", "density", "--trials", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"suite": "mod-bound", "primes": [2.9, 3.5, 5.1, 7.0]},
+        {"suite": "mod-bound", "primes": "٢,٣,٥,٧"},
+        {"suite": "mod-bound", "params": {"n_max": "1_0"}},
+        {"suite": "mod-bound", "trials": 2.0},
+        {"suite": "mod-bound", "seed": True},
+    ],
+)
+def test_campaign_config_integers_take_ascii_digits_only(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["verify", "mod-bound", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tent", "build", "-d", "٣"],
+        ["tent", "build", "-d", "1_0"],
+        ["tent", "build", "-d", "3.0"],
+        ["knaster", "point", "-x", "1/2", "-n", "٢"],
+        ["knaster", "lift", "-f", "bump", "--to", "1_0"],
+        ["knaster", "lift", "-f", "bump", "--coord", "٠", "--to", "1"],
+        ["verify", "grid-fix", "--trials", "1_0"],
+        ["verify", "grid-fix", "--seed", "٣"],
+        ["experiment", "density", "--seed", "1.5"],
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(maps, capsys, argv):
+    argv = [maps["bump"] if a == "bump" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_integer_flags_read_signed_ascii_literals(maps, capsys):
+    assert main(["tent", "build", "-d", " +2 "]) == 0
+    assert json.loads(capsys.readouterr().out)["breakpoints"][1] == ["1/2", "1"]
+    assert main(["knaster", "lift", "-f", maps["bump"], "--to", "1",
+                 "--primes", "all2"]) == 0
+
+
+@pytest.mark.parametrize("coord", [1.9, True, "1_0"])
+def test_diagonal_file_base_coord_must_be_an_integer(maps, tmp_path, capsys, coord):
+    inducer = json.loads(Path(maps["bump"]).read_text())
+    f = tmp_path / "diag.json"
+    f.write_text(json.dumps({"base_coord": coord, "inducer": inducer}))
+    assert main(["knaster", "lift", "-f", str(f), "--to", "2", "--primes", "all2"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "homeo", "breakpoints": ["00", "11"]},
+        {"kind": "homeo", "breakpoints": [[0, 0], [0.5, 0.75], [1, 1]]},
+        {"kind": "homeo", "breakpoints": [[0, 0], [1, 1]]},
+        {"kind": "cube", "breakpoints": [["0", "0"], ["1", "1"]]},
+        [["0", "0"], ["1", "1"]],
+        "0",
+    ],
+)
+def test_map_files_of_a_wrong_shape_exit_two(tmp_path, capsys, data):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(data))
+    assert main(["pl", "eval", "-f", str(f), "-x", "1/3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data", [{"coords": "0"}, {"coords": [0, 1]}, {"coords": ["0", 0.5]}, ["0"], 0]
+)
+def test_point_files_of_a_wrong_shape_exit_two(tmp_path, capsys, data):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(data))
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"coords": ["0"]}))
+    assert main(["knaster", "dist", "-x", str(x), "-y", str(y)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index, trials", [(-3, None), (-1, None), (99, 5), (5, 5)])
+def test_replay_trial_outside_the_campaign_exits_two(tmp_path, capsys, index, trials):
+    config = {"suite": "grid-fix", "params": {"replay_trial": index}}
+    if trials is not None:
+        config["trials"] = trials
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["verify", "grid-fix", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "replay_trial" in err and "ok" not in out
 
 
 def test_single_prime_schedule(tmp_path, capsys):

@@ -82,11 +82,54 @@ def test_resolve_fills_defaults_and_types():
         ("mod-bound", {"n_max": False}),
         ("density", {"target": 1}),
         ("density", {"replay_trial": "last"}),
+        # integers take ASCII digits only, as rational literals do
+        ("mod-bound", {"n_max": "٣"}),
+        ("mod-bound", {"n_max": "1_0"}),
+        ("mod-bound", {"n_max": " 0x3"}),
     ],
 )
 def test_resolve_rejects_undeclared_and_badly_typed_params(suite, params):
     with pytest.raises(ValueError):
         cfg_for(suite, params=params)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"primes": [2.9, 3.5, 5.1, 7.0]},
+        {"primes": "٢,٣,٥,٧"},
+        {"primes": {"prefix": [2, 3.0, 5, 7]}},
+        {"trials": "1_0"},
+        {"trials": 2.0},
+        {"trials": True},
+        {"seed": "٣"},
+        {"seed": 1.5},
+        {"seed": False},
+    ],
+)
+def test_integer_fields_take_ascii_digits_only(kw):
+    with pytest.raises(ValueError):
+        cfg_for("mod-bound", **kw)
+
+
+def test_integer_fields_read_signed_ascii_literals():
+    cfg = cfg_for("mod-bound", primes="2, 3,5 ,7", trials=" 3", seed="-4",
+                  params={"n_max": "+2"})
+    assert (cfg.trials, cfg.seed, cfg.params["n_max"]) == (3, -4, 2)
+    assert cfg.primes == PrimeSequence([2, 3, 5, 7])
+
+
+@pytest.mark.parametrize("trials, index", [(5, -1), (5, -3), (5, 5), (5, 99), (1, 1)])
+def test_replay_trial_must_name_a_trial(trials, index):
+    with pytest.raises(ValueError, match="replay_trial"):
+        cfg_for("grid-fix", trials=trials, params={"replay_trial": index})
+
+
+@pytest.mark.parametrize("trials, index", [(5, 0), (5, 4), (1, 0)])
+def test_replay_trial_of_each_trial_runs_it(trials, index):
+    cfg = cfg_for("grid-fix", trials=trials, seed=3, params={"replay_trial": index})
+    report = run_suite(cfg)
+    assert [o.index for o in report.outcomes] == [index]
 
 
 # suite, the flags it runs with, a size param, its least value and its

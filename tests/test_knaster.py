@@ -31,6 +31,7 @@ from knaster_lab.randgen import derive_rng, rand_homeo, rand_nudge
 import knaster_lab.tents as tents
 from knaster_lab.tents import oplus_power, tent, tent_value
 
+import fraction_writers as old
 from difference import oracle_support
 
 F = Fraction
@@ -484,3 +485,82 @@ class TestSemiconjugacyDownTower:
     @settings(max_examples=60, deadline=None)
     def test_tent_value_matches_map(self, d, x):
         assert tent_value(d, x) == tent(d)(x)
+
+
+# --------------------------------------- integers and stalks read strictly
+
+
+@pytest.mark.parametrize("spec", [
+    [2.9, 3.5, 5.1, 7.0], [2.0, 3], [True, 3], [2, "3.0"], ["٢", "٣"],
+    "٢,٣,٥,٧", "2,3_0", "2.0,3", "0x2,3",
+])
+def test_schedules_take_ascii_integers_only(spec):
+    with pytest.raises(ValueError):
+        PrimeSequence(spec)
+    with pytest.raises(ValueError):
+        PrimeSequence.from_json_dict({"prefix": spec})
+
+
+def test_schedules_read_integer_literals():
+    assert PrimeSequence(" 2, +3 ,5") == PrimeSequence([2, 3, 5])
+    assert PrimeSequence(["2", " 3 "]) == PrimeSequence([2, 3])
+
+
+@pytest.mark.parametrize("coord", [1.9, 1.0, True, False, "1_0", "٣", None, [1]])
+def test_diagonal_loader_takes_an_integer_base_coord(coord):
+    data = {"base_coord": coord, "inducer": {"kind": "homeo",
+            "breakpoints": [["0", "0"], ["1/2", "3/4"], ["1", "1"]]}}
+    with pytest.raises(ValueError):
+        DiagonalHomeo.from_json_dict(data)
+    data["base_coord"] = " 2 "
+    assert DiagonalHomeo.from_json_dict(data) == DiagonalHomeo(2, G_BUMP)
+
+
+@pytest.mark.parametrize("data", [
+    {"coords": "0"}, {"coords": "01"}, {"coords": [0, 1]}, {"coords": [0.5]},
+    {"coords": ["0", 1]}, {"coords": {"0": "0"}}, {"coords": None}, {},
+    [["0"]], ["0"], "0", 0,
+])
+def test_point_loader_refuses_wrong_shapes(data):
+    with pytest.raises(ValueError):
+        TruncatedKnasterPoint.from_json_dict(data)
+
+
+# ----------------------------------------- the writers read the kernel pairs
+
+
+def _drawn_stalks(seed):
+    rng = derive_rng("stalk-writers", seed)
+    for P in (DIAG, ALL2):
+        for _ in range(3):
+            x = F(rng.randint(0, 97), 97)
+            yield extend_point(x, rng.randint(0, 9), P)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_point_writers_match_the_fraction_writers(seed):
+    for x in _drawn_stalks(seed):
+        assert x.to_json_dict() == old.point_json_dict(x)
+        assert x.coords == tuple(F(n, d) for n, d in x._kc)
+        assert all(type(c) is F for c in x.coords)
+        assert TruncatedKnasterPoint(x.coords) == x
+
+
+@given(homeos("witness-writer-f"), homeos("witness-writer-g"), st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_distance_writers_match_the_fraction_writers(f, g, n):
+    d = diag_dist(DiagonalHomeo(0, f), DiagonalHomeo(1, g), n + 1, DIAG)
+    assert d.witness is not None
+    assert d.to_json_dict() == old.distance_json_dict(d)
+    x, y = extend_point(F(1, 3), n, ALL2), extend_point(F(2, 7), n, ALL2)
+    d = knaster_dist(x, y, ALL2)
+    assert d.to_json_dict() == old.distance_json_dict(d)
+
+
+def test_stalks_keep_only_their_kernel_pairs():
+    assert TruncatedKnasterPoint.__slots__ == ("_kc",)
+    x = extend_point(F(2, 5), 4, DIAG)
+    assert not hasattr(x, "__dict__")
+    assert x.coords == x.coords
+    assert x.coords is not x.coords

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knaster_lab import (
@@ -23,8 +23,9 @@ from knaster_lab import (
     to_json_dict,
 )
 from knaster_lab.randgen import derive_rng, rand_homeo
-from knaster_lab.rational import parse_rational_pair
+from knaster_lab.rational import format_pair, parse_int, parse_rational_pair
 
+import fraction_writers as old
 from generators import rand_open_map
 
 BUMP = PLHomeo([(0, 0), (F(1, 2), F(3, 4)), (1, 1)])
@@ -247,3 +248,114 @@ def test_random_open_maps_have_requested_degree():
         for _ in range(10):
             m = rand_open_map(rng, deg)
             assert degree(m) == deg
+
+
+# ------------------------------------------------ the writers read the pairs
+
+BIG = 10**4400  # past CPython's default limit of 4300 digits for int -> str
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-BIG, BIG) | st.integers(-10**6, 10**6),
+       st.integers(1, BIG) | st.integers(1, 10**6))
+@example(10**4300 + 1, 3)
+@example(-7, 10**4301 + 3)
+@example(0, 1)
+@example(-5, 1)
+def test_format_pair_matches_the_fraction_formatter(n, d):
+    q = F(n, d)
+    n, d = q.numerator, q.denominator
+    assert format_pair(n, d) == format_rational(q) == old.format_rational(q)
+
+
+def _drawn_maps(seed):
+    rng = derive_rng("pair-writers", seed)
+    maps = [rand_homeo(rng, rng.randint(0, 12)) for _ in range(4)]
+    for _ in range(4):
+        deg = rng.randint(1, 6)
+        maps.append(rand_open_map(rng, deg, start_up=rng.choice([True, False])))
+    maps.append(PLMap([(0, F(1, 3)), (F(1, 2), 1), (1, 0)]))
+    return maps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_pair_writers_match_the_fraction_writers(seed):
+    for f in _drawn_maps(seed):
+        assert to_json_dict(f) == old.to_json_dict(f)
+        assert repr(f) == old.map_repr(f)
+        assert f.breakpoints == tuple(
+            (F(xn, xd), F(yn, yd)) for xn, xd, yn, yd in f._kbps)
+        assert all(type(c) is F for pt in f.breakpoints for c in pt)
+        assert type(f)(f.breakpoints) == f
+        if isinstance(f, OpenPLMap):
+            assert f.laps() == old.laps(f)
+            assert f.laps() == [(F(*a), F(*b), up) for a, b, up in f._laps()]
+            assert degree(f) == len(old.laps(f))
+
+
+def test_maps_keep_only_their_kernel_pairs():
+    assert PLMap.__slots__ == ("_kbps",)
+    for f in (BUMP, TENT2, identity(), compose(TENT2, BUMP)):
+        assert not hasattr(f, "__dict__")
+        # a view is built on each read, never kept
+        assert f.breakpoints == f.breakpoints
+        assert f.breakpoints is not f.breakpoints
+
+
+# --------------------------------------------------------- map file shapes
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # each two-character string would unpack as an (x, y) pair
+        {"kind": "homeo", "breakpoints": ["00", "11"]},
+        {"kind": "homeo", "breakpoints": [[0, 0], [0.5, 0.75], [1, 1]]},
+        {"kind": "homeo", "breakpoints": [["0", "0"], [1, 1]]},
+        {"kind": "homeo", "breakpoints": [["0", "0", "0"], ["1", "1", "1"]]},
+        {"kind": "homeo", "breakpoints": [["0", "0"], ["1", "1"], "11"]},
+        {"kind": "homeo", "breakpoints": "0011"},
+        {"kind": "homeo", "breakpoints": {"0": "0", "1": "1"}},
+        {"kind": "homeo"},
+        {"kind": "homeomorphism", "breakpoints": [["0", "0"], ["1", "1"]]},
+        {"kind": ["homeo"], "breakpoints": [["0", "0"], ["1", "1"]]},
+        [["0", "0"], ["1", "1"]],
+        "homeo",
+        7,
+        None,
+    ],
+)
+def test_from_json_dict_refuses_wrong_shapes(data):
+    with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, True, None, ["1/2"], F(1, 2)])
+def test_rational_parsers_refuse_what_is_no_string(value):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(value)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational_pair(value)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3", 3), (" -12 ", -12), ("+7", 7), ("0", 0), ("-0", 0), (5, 5), (-2, -2),
+])
+def test_parse_int_reads_ints_and_ascii_literals(text, want):
+    assert parse_int(text) == want
+    assert type(parse_int(text)) is int
+
+
+def test_parse_int_past_the_digit_limit():
+    # the repunit of 5000 ones, as parse_rational reads it
+    assert parse_int("1" * 5000) == (10**5000 - 1) // 9
+
+
+@pytest.mark.parametrize("value", [
+    "٣", "1_0", "1.0", "0x10", "1e3", "", " ", "+", "3/1", "²", True, False,
+    2.0, 1.9, None, [3], F(3),
+])
+def test_parse_int_refuses_all_else(value):
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_int(value)
